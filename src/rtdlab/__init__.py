@@ -12,10 +12,10 @@ Layers:
 * :mod:`rtdlab.cli`         experiment front end
 """
 
-from .asymptotics import (AsymptoticsReport, NoiseModel, ReportCache,
-                          SensitivityReport, asymptotic_bias, asymptotics_report,
-                          build_noise_model, matrix_poisson, report_payload,
-                          sensitivity, sigma_delta, sigma_theta_star, upsilon_bar)
+from .asymptotics import (AsymptoticsReport, NoiseModel, SensitivityReport,
+                          asymptotic_bias, asymptotics_report, build_noise_model,
+                          matrix_poisson, report_payload, sensitivity, sigma_delta,
+                          sigma_theta_star, upsilon_bar)
 from .errors import (ConfigError, MissingSplitSample, NoNormalizer, NonZeroMean,
                      NotSimple, NotUnichain, NumericalDivergence, RtdLabError,
                      SingularResolvent, SingularSystem, UnsupportedLambda)
@@ -28,8 +28,8 @@ from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, LearnerState
                       empirical_clt_samples, run, run_many, snapshot_indices,
                       substream, td_step)
 from .markov import (FiniteChain, FiniteMdp, PoissonSolution, RandomizedPolicy,
-                     build_chain, discounted_q, load_model, pair_chain, save_model,
-                     solve_poisson, stationary_pmf)
+                     build_chain, discounted_q, load_model, save_model, solve_poisson,
+                     stationary_pmf)
 from .meanflow import (DirichletReport, InstabilityTable, MeanFlow,
                        PerturbationReport, SpectralReport, b_bar, dirichlet_report,
                        eigen_perturbation, instability_probe, mean_flow_relative,

@@ -11,24 +11,35 @@ is the consecutive pair phi = (z, z') and the update is linear:
 
 The noise covariance Sigma_Delta is the two-sided autocorrelation sum of the
 stationary zero-mean sequence Delta_n = f(theta_star, Phi_n), evaluated
-exactly through the pair-chain Poisson equation, and the optimal asymptotic
-covariance is Sigma_theta = A_bar^{-1} Sigma_Delta A_bar^{-T}.  The
-asymptotic bias under step size alpha_n = n^{-rho} is
+exactly through the Poisson equation of the pair process, and the optimal
+asymptotic covariance is Sigma_theta = A_bar^{-1} Sigma_Delta A_bar^{-T}.
+The asymptotic bias under step size alpha_n = n^{-rho} is
 (1/(1-rho)) A_bar^{-1} Upsilon_bar with
 Upsilon_bar = E[(A - A_hat)(A theta_star + b)], A_hat the matrix Poisson
 solution of (I - P_hat) A_hat = A - A_bar.
+
+Each pair Poisson equation (I - P_hat) H = F - E[F] is solved on the base
+chain.  The pair kernel P_hat[(z, z'), (y, y')] = 1{y = z'} P(z', y') maps H
+to a function of z' alone, so the centered solution splits as
+
+    H(z, z') = F_c(z, z') + g(z'),    F_c = F - E[F],
+    (I - P) g = sum_y P(., y) F_c(., y),    varpi'g = 0,
+
+one n_z x n_z solve whose g also centers H under the pair law
+varpi(z) P(z, z').  Pair functions are stored with one row per pair,
+flattened as z * n_z + z'.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonZeroMean, SingularSystem, UnsupportedLambda
+from .errors import (ConfigError, NonZeroMean, RtdLabError, SingularSystem,
+                     UnsupportedLambda)
 from .features import FeatureMap, feature_mean
-from .markov import FiniteChain, pair_chain, poisson_solve_columns
+from .markov import FiniteChain, guarded_solve, poisson_solve_columns
 from .meanflow import b_bar as mean_b_bar
 
 VARIANT_TD0 = "td0"
@@ -38,8 +49,6 @@ VARIANT_FIXED_RELATIVE = "fixed_relative_td0"
 # rides the update direction psi(z), as in the adaptive algorithm once its
 # baseline estimate has converged
 VARIANT_VARPI_LIMIT = "varpi_relative_td0"
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,16 @@ class SensitivityReport:
     a_inv_prime_outer_residual: float
 
 
+def _scale(x: np.ndarray) -> float:
+    """max(1, max|x|), the reference size of tolerances on cost-scaled values."""
+    return max(1.0, float(np.max(np.abs(x))))
+
+
+def _pair_law(chain: FiniteChain) -> np.ndarray:
+    """Stationary law varpi(z) P(z, z') of the pair (Z_n, Z_{n+1})."""
+    return (chain.stationary[:, None] * chain.transition).reshape(-1)
+
+
 def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
                       delta_r: float, variant: str = VARIANT_TD0,
                       lam: float = 0.0) -> NoiseModel:
@@ -126,22 +145,56 @@ def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
         a = a - delta_r * lead[:, :, None] * psi_bar[None, None, :]
     b = np.broadcast_to((chain.cost_vec[:, None] * mat)[:, None, :],
                         (n, n, psi.dim)).reshape(n * n, psi.dim)
-    pi_hat = (chain.stationary[:, None] * chain.transition).reshape(n * n)
+    pi_hat = _pair_law(chain)
     a_bar = np.einsum("p,pij->ij", pi_hat, a)
     b_mean = pi_hat @ b
     b_exact = mean_b_bar(chain, psi, gamma, 0.0)
-    if np.max(np.abs(b_mean - b_exact)) > 1e-10:
-        raise AssertionError("pair-averaged b disagrees with closed form")
-    if np.linalg.cond(a_bar) > _COND_LIMIT:
-        raise SingularSystem("mean-flow matrix is singular; no stationary point")
-    theta_star = -np.linalg.solve(a_bar, b_mean)
+    if np.max(np.abs(b_mean - b_exact)) > 1e-10 * _scale(b_exact):
+        raise RtdLabError("pair-averaged b disagrees with closed form")
+    theta_star = -guarded_solve(a_bar, b_mean, SingularSystem, "mean-flow matrix")
     return NoiseModel(a_of_phi=a, b_of_phi=b, theta_star=theta_star,
                       a_bar=a_bar, b_bar=b_mean, gamma=gamma,
                       delta_r=delta_r, variant=variant)
 
 
-def sigma_delta(noise: NoiseModel, pair: FiniteChain) -> np.ndarray:
-    """Two-sided autocorrelation sum of Delta via the pair-chain Poisson equation.
+def _pair_poisson(chain: FiniteChain, f: np.ndarray) -> np.ndarray:
+    """Centered solution H of (I - P_hat) H = F - E[F], column by column.
+
+    Solved on the base chain through the split in the module docstring.
+    """
+    n = chain.n_z
+    f_c = (f - _pair_law(chain) @ f).reshape(n, n, -1)
+    g = poisson_solve_columns(chain, np.einsum("zy,zyk->zk", chain.transition, f_c))
+    return (f_c + g[None, :, :]).reshape(n * n, -1)
+
+
+def _check_plugback(chain: FiniteChain, rhs: np.ndarray, h: np.ndarray) -> None:
+    """Raise unless (I - P_hat) h = rhs - E[rhs] within 1e-9.
+
+    P_hat is applied without forming it: (P_hat h)(z, z') = sum_y P(z', y) h(z', y).
+    """
+    n = chain.n_z
+    h3 = h.reshape(n, n, -1)
+    p_hat_h = np.einsum("zy,zyk->zk", chain.transition, h3)[None, :, :]
+    resid = rhs - _pair_law(chain) @ rhs - (h3 - p_hat_h).reshape(n * n, -1)
+    if np.max(np.abs(resid)) > 1e-9:
+        raise SingularSystem("matrix Poisson plug-back residual too large")
+
+
+def _sigma_from(noise: NoiseModel, chain: FiniteChain, h_hat: np.ndarray) -> np.ndarray:
+    """Sigma_Delta from H_hat, the centered Poisson solution for Delta."""
+    delta = noise.delta_of_phi
+    w = _pair_law(chain)[:, None] * delta
+    mean = float(np.max(np.abs(w.sum(axis=0))))
+    if mean > 1e-8 * _scale(noise.b_bar):
+        raise NonZeroMean(f"Delta has stationary mean {mean:.3e}")
+    cross = w.T @ h_hat
+    sig = cross + cross.T - w.T @ delta
+    return 0.5 * (sig + sig.T)
+
+
+def sigma_delta(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
+    """Two-sided autocorrelation sum of Delta via the pair Poisson equation.
 
     With H_hat the centered solution of (I - P_hat) H_hat = Delta,
 
@@ -149,95 +202,55 @@ def sigma_delta(noise: NoiseModel, pair: FiniteChain) -> np.ndarray:
 
     the output is symmetrized to remove roundoff asymmetry.
     """
-    delta = noise.delta_of_phi
-    mean = pair.stationary @ delta
-    if np.max(np.abs(mean)) > 1e-8:
-        raise NonZeroMean(f"Delta has stationary mean {np.max(np.abs(mean)):.3e}")
-    h_hat = poisson_solve_columns(pair, delta)
-    w = pair.stationary[:, None] * delta
-    cross = w.T @ h_hat
-    r0 = w.T @ delta
-    sig = cross + cross.T - r0
-    return 0.5 * (sig + sig.T)
+    return _sigma_from(noise, chain, _pair_poisson(chain, noise.delta_of_phi))
 
 
 def sigma_theta_star(a_bar: np.ndarray, sigma_d: np.ndarray) -> np.ndarray:
     """Optimal averaged covariance A_bar^{-1} Sigma_Delta A_bar^{-T}."""
-    if np.linalg.cond(a_bar) > _COND_LIMIT:
-        raise SingularSystem("A_bar is not invertible")
-    inv = np.linalg.inv(a_bar)
+    inv = guarded_solve(a_bar, np.eye(len(a_bar)), SingularSystem, "A_bar")
     return inv @ sigma_d @ inv.T
 
 
-def matrix_poisson(noise: NoiseModel, pair: FiniteChain) -> np.ndarray:
+def matrix_poisson(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
     """Componentwise solution of (I - P_hat) A_hat = A - A_bar with E[A_hat] = 0."""
-    n_pair = noise.a_of_phi.shape[0]
-    d = noise.a_of_phi.shape[1]
+    n_pair, d, _ = noise.a_of_phi.shape
     rhs = (noise.a_of_phi - noise.a_bar).reshape(n_pair, d * d)
-    a_hat = poisson_solve_columns(pair, rhs)
-    resid = rhs - (pair.stationary @ rhs) - (a_hat - pair.transition @ a_hat)
-    if np.max(np.abs(resid)) > 1e-9:
-        raise SingularSystem("matrix Poisson plug-back residual too large")
+    a_hat = _pair_poisson(chain, rhs)
+    _check_plugback(chain, rhs, a_hat)
     return a_hat.reshape(n_pair, d, d)
 
 
-def upsilon_bar(noise: NoiseModel, pair: FiniteChain,
+def upsilon_bar(noise: NoiseModel, chain: FiniteChain,
                 a_hat: np.ndarray | None = None) -> np.ndarray:
     """Upsilon_bar = E[(A(phi) - A_hat(phi)) (A(phi) theta_star + b(phi))]."""
     if a_hat is None:
-        a_hat = matrix_poisson(noise, pair)
-    delta = noise.delta_of_phi
-    return np.einsum("p,pij,pj->i", pair.stationary, noise.a_of_phi - a_hat, delta)
+        a_hat = matrix_poisson(noise, chain)
+    return np.einsum("p,pij,pj->i", _pair_law(chain), noise.a_of_phi - a_hat,
+                     noise.delta_of_phi)
 
 
-def asymptotic_bias(noise: NoiseModel, pair: FiniteChain, rho: float) -> np.ndarray:
-    """Bias limit of (E[theta_n] - theta_star)/alpha_n for alpha_n = n^{-rho}."""
+def _bias(a_bar: np.ndarray, ups: np.ndarray, rho: float) -> np.ndarray:
+    """(1/(1-rho)) A_bar^{-1} Upsilon_bar."""
     if not 0.5 < rho < 1.0:
-        raise ValueError("rho must lie in (1/2, 1)")
-    ups = upsilon_bar(noise, pair)
-    return np.linalg.solve(noise.a_bar, ups) / (1.0 - rho)
+        raise ConfigError("rho must lie in (1/2, 1)")
+    return np.linalg.solve(a_bar, ups) / (1.0 - rho)
+
+
+def asymptotic_bias(noise: NoiseModel, chain: FiniteChain, rho: float) -> np.ndarray:
+    """Bias limit of (E[theta_n] - theta_star)/alpha_n for alpha_n = n^{-rho}."""
+    return _bias(noise.a_bar, upsilon_bar(noise, chain), rho)
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
                        delta_r: float, rho: float,
-                       variant: str = VARIANT_FIXED_RELATIVE,
-                       pair: FiniteChain | None = None) -> AsymptoticsReport:
+                       variant: str = VARIANT_FIXED_RELATIVE) -> AsymptoticsReport:
     """One-stop exact report: Sigma_Delta, Sigma_theta, bias, Upsilon_bar."""
-    if pair is None:
-        pair = pair_chain(chain)
     noise = build_noise_model(chain, psi, gamma, delta_r, variant)
-    sig_d = sigma_delta(noise, pair)
-    sig_t = sigma_theta_star(noise.a_bar, sig_d)
-    ups = upsilon_bar(noise, pair)
-    bias = np.linalg.solve(noise.a_bar, ups) / (1.0 - rho)
-    return AsymptoticsReport(sigma_delta=sig_d, sigma_theta_star=sig_t,
-                             bias=bias, upsilon_bar=ups, rho=rho)
-
-
-class ReportCache:
-    """Keyed cache of asymptotics reports for one (chain, psi).
-
-    Reads are lock-free on the underlying dict; insertion is serialized so
-    concurrent sweep workers can share an instance.
-    """
-
-    def __init__(self, chain: FiniteChain, psi: FeatureMap):
-        self._chain = chain
-        self._psi = psi
-        self._pair = pair_chain(chain)
-        self._store: dict[tuple, AsymptoticsReport] = {}
-        self._lock = threading.Lock()
-
-    def get(self, gamma: float, delta_r: float, rho: float,
-            variant: str) -> AsymptoticsReport:
-        key = (float(gamma), 0.0, float(delta_r), float(rho), variant)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        rep = asymptotics_report(self._chain, self._psi, gamma, delta_r, rho,
-                                 variant, self._pair)
-        with self._lock:
-            return self._store.setdefault(key, rep)
+    sig_d = sigma_delta(noise, chain)
+    ups = upsilon_bar(noise, chain)
+    return AsymptoticsReport(sigma_delta=sig_d,
+                             sigma_theta_star=sigma_theta_star(noise.a_bar, sig_d),
+                             bias=_bias(noise.a_bar, ups, rho), upsilon_bar=ups, rho=rho)
 
 
 def report_payload(report: AsymptoticsReport, gamma: float, lam: float,
@@ -256,8 +269,8 @@ def report_payload(report: AsymptoticsReport, gamma: float, lam: float,
     }
 
 
-def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float, rho: float,
-                pair: FiniteChain | None = None) -> SensitivityReport:
+def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
+                rho: float) -> SensitivityReport:
     """Closed-form derivatives at delta_r = 0 for the fixed relative variant.
 
     Base quantities are those of plain one-step TD.  With s = psi_bar'theta_star
@@ -270,15 +283,14 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float, rho: float,
 
     Sigma_Delta' follows by differentiating the Poisson representation of the
     two-sided sum (the derivative H_hat' solves the same Poisson system with
-    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  The covariance
-    and bias derivatives are then
+    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta, Delta'
+    and A - A_bar share one pair Poisson solve.  The covariance and bias
+    derivatives are then
 
         Sigma_theta' = A_bar^{-1} Sigma_Delta' A_bar^{-T}
                        - A_bar^{-1} A_bar' Sigma_theta - [A_bar^{-1} A_bar' Sigma_theta]'
         bias'        = A_bar^{-1} [ -A_bar' bias + Upsilon_bar'/(1 - rho) ].
     """
-    if pair is None:
-        pair = pair_chain(chain)
     noise = build_noise_model(chain, psi, gamma, 0.0, VARIANT_TD0)
     a_bar = noise.a_bar
     a_inv = np.linalg.inv(a_bar)
@@ -294,20 +306,22 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float, rho: float,
 
     s = float(psi_bar @ theta_star)
     delta = noise.delta_of_phi
-    delta_prime = s * ((noise.a_of_phi - a_bar) @ phi_bar)
+    a_dev = noise.a_of_phi - a_bar
+    delta_prime = s * (a_dev @ phi_bar)
 
-    h_hat = poisson_solve_columns(pair, delta)
-    h_hat_prime = poisson_solve_columns(pair, delta_prime)
-    w = pair.stationary
+    rhs = np.hstack([delta, delta_prime, a_dev.reshape(len(delta), d * d)])
+    h = _pair_poisson(chain, rhs)
+    h_hat, h_hat_prime = h[:, :d], h[:, d:2 * d]
+    _check_plugback(chain, rhs[:, 2 * d:], h[:, 2 * d:])
+    a_hat = h[:, 2 * d:].reshape(-1, d, d)
+    w = _pair_law(chain)
     cross = (w[:, None] * delta_prime).T @ h_hat + (w[:, None] * delta).T @ h_hat_prime
     r0_prime = (w[:, None] * delta_prime).T @ delta
     sig_d_prime = cross + cross.T - (r0_prime + r0_prime.T)
 
-    sig_d = sigma_delta(noise, pair)
-    sig_t = sigma_theta_star(a_bar, sig_d)
-    a_hat = matrix_poisson(noise, pair)
-    ups = upsilon_bar(noise, pair, a_hat)
-    bias = a_inv @ ups / (1.0 - rho)
+    sig_t = sigma_theta_star(a_bar, _sigma_from(noise, chain, h_hat))
+    ups = upsilon_bar(noise, chain, a_hat)
+    bias = _bias(a_bar, ups, rho)
     ups_prime = np.einsum("p,pij,pj->i", w, noise.a_of_phi - a_hat, delta_prime)
 
     correction = a_inv @ d_a_bar @ sig_t

@@ -27,13 +27,13 @@ import numpy as np
 
 from . import models
 from .asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                          ReportCache, asymptotics_report, build_noise_model,
+                          asymptotic_bias, asymptotics_report, build_noise_model,
                           report_payload, sensitivity, sigma_delta, sigma_theta_star)
-from .errors import RtdLabError
-from .features import FeatureMap, builtin_basis, feature_stats
+from .errors import ConfigError, RtdLabError
+from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
-from .markov import build_chain, load_model, pair_chain
+from .markov import build_chain, load_model
 from .meanflow import (dirichlet_report, mean_flow_relative, spectral_report)
 from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_noise_covariance,
                          estimate_stats, gamma_moment_check)
@@ -116,9 +116,13 @@ def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
     kw = dict(gamma=args.gamma, lam=args.lam, step=sched, variant=args.variant,
               delta_r=args.delta_r, eval_mode=args.eval_mode, seed=args.seed,
               pr_burn_in_fraction=args.burn_in)
-    if args.variant == "varpi_relative_fixed":
-        if bundle is None:
-            raise RtdLabError("varpi_relative_fixed on speed_scaling needs estimated psi_bar")
+    if args.variant in ("relative_fixed_mu", "varpi_relative_fixed") and bundle is None:
+        raise RtdLabError(f"{args.variant} needs the exact stationary baseline of a "
+                          "finite model")
+    if args.variant == "relative_fixed_mu":
+        # the stationary baseline, as in mean_flow_relative's default
+        kw["mu"] = baseline_mean(bundle.chain.stationary, bundle.psi)
+    elif args.variant == "varpi_relative_fixed":
         kw["psi_bar"] = bundle.stats.psi_bar
     return LearnerConfig(**kw)
 
@@ -192,7 +196,6 @@ def cmd_hist(args) -> int:
     else:
         env = model.env
         cfg = _learner_config(args, model)
-        pair = pair_chain(model.chain)
         # noise statistics of the algorithm actually run: the fixed variant
         # applies the baseline as a deterministic matrix, the others carry it
         # inside the temporal-difference scalar
@@ -205,7 +208,7 @@ def cmd_hist(args) -> int:
         noise = build_noise_model(model.chain, model.psi, args.gamma,
                                   args.delta_r if args.variant != "td" else 0.0, variant)
         theta_star = noise.theta_star
-        sig_t = sigma_theta_star(noise.a_bar, sigma_delta(noise, pair))
+        sig_t = sigma_theta_star(noise.a_bar, sigma_delta(noise, model.chain))
         overlay_src = "exact"
     runs = run_many(env, cfg, args.steps, args.runs, snapshot_plan=tuple(plan))
     samples = empirical_clt_samples(runs, theta_star,
@@ -235,11 +238,9 @@ def cmd_bias(args) -> int:
         raise RtdLabError("bias command requires a finite model")
     if args.lam != 0.0:
         raise RtdLabError("bias machinery is lam = 0 only")
-    pair = pair_chain(model.chain)
-    rep = asymptotics_report(model.chain, model.psi, args.gamma, args.delta_r,
-                             args.rho, VARIANT_FIXED_RELATIVE, pair)
     noise = build_noise_model(model.chain, model.psi, args.gamma, args.delta_r,
                               VARIANT_FIXED_RELATIVE)
+    bias = asymptotic_bias(noise, model.chain, args.rho)
     cfg = _learner_config(args, model)
     cfg = LearnerConfig(**{**cfg.__dict__, "variant": "varpi_relative_fixed",
                            "psi_bar": model.stats.psi_bar,
@@ -249,31 +250,28 @@ def cmd_bias(args) -> int:
     alpha_n = cfg.step.alpha(args.steps)
     emp = empirical_bias(runs, noise.theta_star, alpha_n)
     pr_samples = np.stack([(r.theta_pr - noise.theta_star) / alpha_n for r in runs])
-    iterate_pred = (1.0 - args.rho) * rep.bias
+    iterate_pred = (1.0 - args.rho) * bias
     rows = []
     for i in range(model.psi.dim):
         rows.append([i + 1, emp.value[i], emp.stderr[i], iterate_pred[i],
                      float(pr_samples[:, i].mean()),
                      float(pr_samples[:, i].std(ddof=1) / np.sqrt(len(runs))),
-                     rep.bias[i]])
+                     bias[i]])
     write_csv(out / "bias_table.csv",
               ["component", "empirical_iterate", "stderr_iterate", "predicted_iterate",
                "empirical_averaged", "stderr_averaged", "predicted_averaged"],
               rows)
     # ||bias||^2 curve over delta_r with tangent slope at 0
-    sens = sensitivity(model.chain, model.psi, args.gamma, args.rho, pair)
-    cache = ReportCache(model.chain, model.psi)
-    rep0 = cache.get(args.gamma, 0.0, args.rho, VARIANT_TD0)
-    slope = 2.0 * float(rep0.bias @ sens.d_bias)
-    curve = []
-    for dr in [0.1 * k for k in range(0, 11)]:
-        r = cache.get(args.gamma, dr, args.rho,
-                      VARIANT_FIXED_RELATIVE if dr > 0 else VARIANT_TD0)
-        curve.append([dr, float(r.bias @ r.bias)])
-    write_csv(out / "bias_curve.csv", ["delta_r", "bias_sq_norm"], curve)
+    sens = sensitivity(model.chain, model.psi, args.gamma, args.rho)
+    deltas = [0.1 * k for k in range(0, 11)]
+    biases = [asymptotics_report(model.chain, model.psi, args.gamma, dr, args.rho,
+                                 VARIANT_FIXED_RELATIVE if dr > 0 else VARIANT_TD0).bias
+              for dr in deltas]
+    write_csv(out / "bias_curve.csv", ["delta_r", "bias_sq_norm"],
+              [[dr, float(b @ b)] for dr, b in zip(deltas, biases)])
     write_json(out / "bias_meta.json", {
-        "slope_at_zero": slope,
-        "bias_sq_at_zero": float(rep0.bias @ rep0.bias),
+        "slope_at_zero": 2.0 * float(biases[0] @ sens.d_bias),
+        "bias_sq_at_zero": float(biases[0] @ biases[0]),
         "config": _resolved(args),
         "config_hash": config_hash(_resolved(args)),
     })
@@ -286,18 +284,17 @@ def cmd_sensitivity(args) -> int:
     model = resolve_model(args.model, args.basis)
     if isinstance(model, SpeedScalingModel):
         raise RtdLabError("sensitivity command requires a finite model")
-    pair = pair_chain(model.chain)
-    rep = sensitivity(model.chain, model.psi, args.gamma, args.rho, pair)
+    rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     h = args.fd_step
     r_p = asymptotics_report(model.chain, model.psi, args.gamma, h, args.rho,
-                             VARIANT_FIXED_RELATIVE, pair)
+                             VARIANT_FIXED_RELATIVE)
     r_m = asymptotics_report(model.chain, model.psi, args.gamma, -h, args.rho,
-                             VARIANT_FIXED_RELATIVE, pair)
+                             VARIANT_FIXED_RELATIVE)
     fd_sigma = (r_p.sigma_theta_star - r_m.sigma_theta_star) / (2 * h)
     fd_bias = (r_p.bias - r_m.bias) / (2 * h)
     base_variant = VARIANT_FIXED_RELATIVE if args.delta_r > 0 else VARIANT_TD0
     base = asymptotics_report(model.chain, model.psi, args.gamma, args.delta_r,
-                              args.rho, base_variant, pair)
+                              args.rho, base_variant)
     write_json(out / "asymptotics.json",
                report_payload(base, args.gamma, 0.0, args.delta_r, base_variant))
     write_json(out / "sensitivity.json", {
@@ -403,7 +400,8 @@ def cmd_moments(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
+    p.add_argument("--config", action=_ConfigFile, default=None,
+                   help="JSON config file; flags override")
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--model", type=str, default="finite3x2",
                    help="finite3x2 | speed_scaling | file:<path>")
@@ -443,22 +441,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list[str]) -> argparse.Namespace:
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    base = vars(args).copy()
-    # config file fills values the command line left at defaults
-    defaults = vars(parser.parse_args([argv[0], "--out", base["out"]])).copy()
-    for key, val in overrides.items():
-        if key not in base:
-            raise RtdLabError(f"unknown config key {key!r}")
-        if base[key] == defaults.get(key):
-            base[key] = val
-    ns = argparse.Namespace(**base)
-    return ns
+class _ConfigFile(argparse.Action):
+    """``--config``: load a JSON object into the subcommand's defaults.
+
+    ``main`` parses argv again afterwards, so flags given explicitly win.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
+        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", self.dest)}
+        for key, val in raw.items():
+            if key not in actions:
+                raise ConfigError(f"unknown config key {key!r}")
+            parser.set_defaults(**{key: _config_value(actions[key], key, val)})
+        setattr(namespace, self.dest, path)
+
+
+def _config_value(action: argparse.Action, key: str, val):
+    """``val`` converted with the flag's own type, as argparse converts its text."""
+    try:
+        if action.nargs == "*" and not isinstance(val, list):
+            raise ValueError("expected a list")
+        convert = action.type or str
+        out = [convert(str(v)) for v in val] if action.nargs == "*" else convert(str(val))
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: bad value {val!r} ({exc})") from exc
+    if action.choices is not None and out not in action.choices:
+        raise ConfigError(f"config key {key!r}: {val!r} is not one of {action.choices}")
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -466,7 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser, argv)
+        if args.config:
+            # the first pass loaded the config into defaults; flags now win
+            args = parser.parse_args(argv)
         return args.func(args)
     except RtdLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

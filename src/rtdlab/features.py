@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularResolvent
-from .markov import FiniteChain
+from .markov import FiniteChain, guarded_solve
 
-_COND_LIMIT = 1e12
 _RANK_RTOL = 1e-10
 _NORMALIZER_TOL = 1e-8
 
@@ -135,10 +134,8 @@ def resolvent_sum(chain: FiniteChain, psi: FeatureMap, beta: float) -> np.ndarra
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     n = chain.n_z
-    m = np.eye(n) - beta * chain.transition
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise SingularResolvent(f"I - {beta}*P is numerically singular")
-    resolvent_psi = np.linalg.solve(m, psi.matrix)
+    resolvent_psi = guarded_solve(np.eye(n) - beta * chain.transition, psi.matrix,
+                                  SingularResolvent, f"I - {beta}*P")
     d_psi = chain.stationary[:, None] * psi.matrix
     return d_psi.T @ (chain.transition @ resolvent_psi)
 

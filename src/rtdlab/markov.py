@@ -1,16 +1,16 @@
 """Exact finite-chain machinery.
 
 State-action chains induced by a randomized stationary policy, their
-stationary distributions, Poisson equations solved through the fundamental
-matrix, discounted value functions, and the pair-state chain used by the
-noise/bias analysis.  Everything here is deterministic linear algebra on
+stationary distributions, Poisson equations solved as one linear system on
+I - P + 1 varpi', discounted value functions, and the guarded linear solve
+the whole package uses.  Everything here is deterministic linear algebra on
 small dense matrices; simulation lives in :mod:`rtdlab.learner`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,14 @@ _UNICHAIN_RTOL = 1e-8
 
 # Condition-number ceiling beyond which linear solves are treated as singular.
 _COND_LIMIT = 1e12
+
+
+def guarded_solve(m: np.ndarray, rhs: np.ndarray, error: type[Exception],
+                  what: str) -> np.ndarray:
+    """Solve m x = rhs, raising ``error`` when cond(m) exceeds _COND_LIMIT."""
+    if np.linalg.cond(m) > _COND_LIMIT:
+        raise error(f"{what} is numerically singular")
+    return np.linalg.solve(m, rhs)
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,13 @@ class FiniteChain:
 
     ``transition[z, z'] = P_u(x, x') * policy(u' | x')`` for z = (x, u) and
     z' = (x', u').  ``stationary`` is the unique invariant pmf (assumption of a
-    unichain).  Pair chains built by :func:`pair_chain` reuse this container
-    with ``reachable`` flagging pairs of positive stationary mass.
+    unichain).
     """
 
     transition: np.ndarray
     cost_vec: np.ndarray
     stationary: np.ndarray
     state_action_shape: tuple[int, int] | None = None
-    reachable: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -180,35 +186,25 @@ def build_chain(mdp: FiniteMdp, policy: RandomizedPolicy) -> FiniteChain:
                        state_action_shape=(nx, nu))
 
 
-def fundamental_matrix(chain: FiniteChain) -> np.ndarray:
-    """(I - P + 1 varpi')^{-1}, the fundamental matrix of the chain."""
-    n = chain.n_z
-    m = np.eye(n) - chain.transition + np.outer(np.ones(n), chain.stationary)
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise SingularSystem("fundamental matrix is numerically singular")
-    return np.linalg.inv(m)
-
-
 def solve_poisson(chain: FiniteChain, g: np.ndarray) -> PoissonSolution:
-    """Solve (I - P) h = g - eta*1 with eta = varpi'g and varpi'h = 0.
-
-    Centering is automatic: applying varpi' to the fundamental-matrix system
-    annihilates the (I - P) part and leaves varpi'h = 0.
-    """
+    """Solve (I - P) h = g - eta*1 with eta = varpi'g and varpi'h = 0."""
     g = np.asarray(g, dtype=float)
     eta = float(chain.stationary @ g)
-    h = fundamental_matrix(chain) @ (g - eta)
-    return PoissonSolution(eta=eta, h=h)
+    return PoissonSolution(eta=eta, h=poisson_solve_columns(chain, g))
 
 
 def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
     """Column-wise Poisson solves: each column of ``g_cols`` is centered and solved.
 
-    Returns H with (I - P) H[:, j] = g_cols[:, j] - mean_j and varpi'H = 0.
+    Returns H with (I - P) H[:, j] = g_cols[:, j] - mean_j and varpi'H = 0,
+    from one solve of (I - P + 1 varpi') H = g_cols - means: applying varpi'
+    to that system annihilates the (I - P) part and leaves varpi'H = 0.
     """
     g_cols = np.asarray(g_cols, dtype=float)
     means = chain.stationary @ g_cols
-    return fundamental_matrix(chain) @ (g_cols - means)
+    n = chain.n_z
+    m = np.eye(n) - chain.transition + np.outer(np.ones(n), chain.stationary)
+    return guarded_solve(m, g_cols - means, SingularSystem, "I - P + 1 varpi'")
 
 
 def discounted_q(chain: FiniteChain, gamma: float) -> np.ndarray:
@@ -217,26 +213,6 @@ def discounted_q(chain: FiniteChain, gamma: float) -> np.ndarray:
         raise ValueError("gamma must lie in [0, 1)")
     n = chain.n_z
     return np.linalg.solve(np.eye(n) - gamma * chain.transition, chain.cost_vec)
-
-
-def pair_chain(chain: FiniteChain) -> FiniteChain:
-    """Chain on consecutive pairs (z, z'), flattened as z * n_z + z'.
-
-    Kernel: Phat[(z, z'), (z'', z''')] = 1{z'' = z'} P(z', z''').  Stationary:
-    varpi_hat(z, z') = varpi(z) P(z, z').  Pairs of zero mass are retained so
-    dimensions do not depend on the policy; they are flagged via ``reachable``.
-    """
-    n = chain.n_z
-    p = chain.transition
-    phat4 = np.zeros((n, n, n, n))
-    idx = np.arange(n)
-    phat4[:, idx, idx, :] = p[idx, :]
-    phat = phat4.reshape(n * n, n * n)
-    pi_hat = (chain.stationary[:, None] * p).reshape(n * n)
-    cost = np.repeat(chain.cost_vec, n)  # cost of the leading coordinate
-    tol = 1e-12 * max(1.0, float(pi_hat.max()))
-    return FiniteChain(transition=phat, cost_vec=cost, stationary=pi_hat,
-                       reachable=pi_hat > tol)
 
 
 def load_model(path: str | Path) -> tuple[FiniteMdp, RandomizedPolicy, np.ndarray | None]:

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNormalizer, NotSimple
+from .errors import NoNormalizer, NotSimple, SingularSystem
 from .features import (BaselineMean, FeatureMap, autocorrelation, baseline_mean,
                        feature_mean, find_normalizer, resolvent_sum)
-from .markov import FiniteChain
-
-_COND_LIMIT = 1e12
+from .markov import FiniteChain, guarded_solve
 
 # Grid over which eps_P approximates inf{gamma_beta : 0 <= beta < 1}; the gap
 # is continuous in beta so a coarse grid suffices.
@@ -138,10 +136,10 @@ def mean_flow_relative(chain: FiniteChain, psi: FeatureMap, gamma: float,
         psi_bar = feature_mean(chain, psi)
         a = a - (delta_r / (1.0 - lam * gamma)) * np.outer(psi_bar, base.psi_bar_mu)
     b = b_bar(chain, psi, gamma, lam)
-    if np.linalg.cond(a) > _COND_LIMIT:
+    try:
+        theta_star = -guarded_solve(a, b, SingularSystem, "mean-flow matrix")
+    except SingularSystem:
         theta_star = None
-    else:
-        theta_star = -np.linalg.solve(a, b)
     return MeanFlow(a_bar=a, b_bar=b, theta_star=theta_star, gamma=gamma,
                     lam=lam, delta_r=delta_r, baseline=base)
 
@@ -159,13 +157,16 @@ def spectral_report(a_bar: np.ndarray) -> SpectralReport:
 
 
 def _restrict_to_support(chain: FiniteChain):
-    """Support indices and the restricted (P, varpi); support is closed."""
+    """The restricted (P, varpi) on the support, which is closed, and a flag."""
     support = chain.support
     if len(support) == chain.n_z:
-        return support, chain.transition, chain.stationary, False
-    p = chain.transition[np.ix_(support, support)]
-    pi = chain.stationary[support]
-    return support, p, pi, True
+        return chain.transition, chain.stationary, False
+    return chain.transition[np.ix_(support, support)], chain.stationary[support], True
+
+
+def _k_beta(p: np.ndarray, beta: float) -> np.ndarray:
+    """K_beta = (1 - beta) P (I - beta P)^{-1}."""
+    return (1.0 - beta) * np.linalg.solve((np.eye(len(p)) - beta * p).T, p.T).T
 
 
 def spectral_gap(p: np.ndarray, pi: np.ndarray) -> float:
@@ -196,29 +197,19 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float,
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    support, p_sup, pi_sup, restricted = _restrict_to_support(chain)
-    n = chain.n_z
+    p_sup, pi_sup, restricted = _restrict_to_support(chain)
     r0 = autocorrelation(chain, psi, 0)
     m_beta = r0 - (1.0 - beta) * resolvent_sum(chain, psi, beta)
-    k_full = (1.0 - beta) * np.linalg.solve(
-        (np.eye(n) - beta * chain.transition).T, chain.transition.T).T
-    k_sup = (1.0 - beta) * np.linalg.solve(
-        (np.eye(len(support)) - beta * p_sup).T, p_sup.T).T
-    gap = spectral_gap(k_sup, pi_sup)
-
-    def gap_at(b: float) -> float:
-        kb = (1.0 - b) * np.linalg.solve(
-            (np.eye(len(support)) - b * p_sup).T, p_sup.T).T
-        return spectral_gap(kb, pi_sup)
-
-    eps_p = min(gap_at(b) for b in set(beta_grid) | {beta})
+    gaps = {b: spectral_gap(_k_beta(p_sup, b), pi_sup) for b in set(beta_grid) | {beta}}
+    gap = gaps[beta]
+    eps_p = min(gaps.values())
     varrho = None
     if gamma is not None and lam is not None:
         if abs(lam * gamma - beta) > 1e-12:
             raise ValueError("beta must equal lam*gamma when (gamma, lam) are given")
         varrho = gamma * (1.0 - lam) / (1.0 - beta)
-    return DirichletReport(beta=beta, k_beta=k_full, m_beta=m_beta, gap=gap,
-                           eps_p=eps_p, varrho=varrho,
+    return DirichletReport(beta=beta, k_beta=_k_beta(chain.transition, beta),
+                           m_beta=m_beta, gap=gap, eps_p=eps_p, varrho=varrho,
                            restricted_support=restricted,
                            degenerate=gap <= 1e-12)
 
@@ -229,10 +220,8 @@ def dirichlet_quadratic_form(chain: FiniteChain, psi: FeatureMap, beta: float,
 
     Independent route for the identity theta' M_beta theta = E_K(g, g).
     """
-    n = chain.n_z
     g = psi.matrix @ theta
-    k = (1.0 - beta) * np.linalg.solve(
-        (np.eye(n) - beta * chain.transition).T, chain.transition.T).T
+    k = _k_beta(chain.transition, beta)
     return float(np.sum(chain.stationary * g * (g - k @ g)))
 
 

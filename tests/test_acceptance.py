@@ -17,7 +17,7 @@ from rtdlab.features import (autocorrelation, baseline_mean, feature_mean, featu
                              finite_poly_basis, resolvent_sum, tabular_basis)
 from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
                             run)
-from rtdlab.markov import build_chain, discounted_q, pair_chain, solve_poisson
+from rtdlab.markov import build_chain, discounted_q, solve_poisson
 from rtdlab.meanflow import (dirichlet_report, eigen_perturbation, instability_probe,
                              mean_flow_relative, mean_flow_td_lambda, spectral_report)
 from rtdlab.speedscale import SpeedScalingModel, estimate_stats, gamma_moment_check
@@ -35,11 +35,6 @@ def chain():
 @pytest.fixture(scope="module")
 def psi():
     return finite_poly_basis(3, 2)
-
-
-@pytest.fixture(scope="module")
-def pair(chain):
-    return pair_chain(chain)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +134,7 @@ def test_criterion_04_spectral_gap_bounds(chain, psi):
               f"eps_P = {eps_p:.4f}")
 
 
-def test_criterion_05_uniform_stability(chain, psi, pair):
+def test_criterion_05_uniform_stability(chain, psi):
     deltas = (0.0, 0.5, 1.0, 5.0, 50.0)
     gammas = (0.9, 0.99, 0.999)
     lams = (0.0, 0.5, 0.9)
@@ -158,7 +153,7 @@ def test_criterion_05_uniform_stability(chain, psi, pair):
                     variant = VARIANT_VARPI_LIMIT if delta > 0 else VARIANT_TD0
                     noise = build_noise_model(chain, psi, gamma, delta, variant)
                     tr = float(np.trace(sigma_theta_star(noise.a_bar,
-                                                         sigma_delta(noise, pair))))
+                                                         sigma_delta(noise, chain))))
                     assert np.isfinite(tr)
                     worst_trace = max(worst_trace, tr)
                 if delta == 0.0 and lam == 0.0:
@@ -204,7 +199,7 @@ BIAS_SETTINGS = dict(gamma=0.99, rho=0.65, delta_r=0.5, n_steps=100_000, n_runs=
 
 
 @pytest.fixture(scope="module")
-def bias_experiment(chain, psi, env, pair):
+def bias_experiment(chain, psi, env):
     s = BIAS_SETTINGS
     stats = feature_stats(chain, psi)
     noise = build_noise_model(chain, psi, s["gamma"], s["delta_r"], VARIANT_FIXED_RELATIVE)
@@ -219,14 +214,14 @@ def bias_experiment(chain, psi, env, pair):
     return runs, noise
 
 
-def test_criterion_07_bias_reproduction(chain, psi, pair, bias_experiment):
+def test_criterion_07_bias_reproduction(chain, psi, bias_experiment):
     """The averaged-bias formula (1/(1-rho)) A_bar^{-1} Upsilon_bar describes
     the zero-burn-in averaged estimate; the raw final iterate obeys the same
     formula without the averaging factor 1/(1-rho).  Both are checked at 3
     Monte-Carlo standard errors."""
     s = BIAS_SETTINGS
     runs, noise = bias_experiment
-    ups = upsilon_bar(noise, pair)
+    ups = upsilon_bar(noise, chain)
     iterate_pred = np.linalg.solve(noise.a_bar, ups)
     averaged_pred = iterate_pred / (1 - s["rho"])
     alpha_n = StepSchedule(s["alpha0"], s["rho"]).alpha(s["n_steps"])
@@ -248,10 +243,10 @@ CLT_SETTINGS = dict(gamma=0.99, rho=0.65, delta_r=0.5, alpha0=0.05,
                     n_steps=100_000, n_runs=100, burn=0.2, seed=0)
 
 
-def test_criterion_08_clt_covariance(chain, psi, pair, env):
+def test_criterion_08_clt_covariance(chain, psi, env):
     s = CLT_SETTINGS
     noise = build_noise_model(chain, psi, s["gamma"], s["delta_r"], VARIANT_VARPI_LIMIT)
-    diag = np.diag(sigma_theta_star(noise.a_bar, sigma_delta(noise, pair)))
+    diag = np.diag(sigma_theta_star(noise.a_bar, sigma_delta(noise, chain)))
     sched = StepSchedule(s["alpha0"], s["rho"])
     prs = np.empty((s["n_runs"], 3))
     for i in range(s["n_runs"]):
@@ -266,14 +261,14 @@ def test_criterion_08_clt_covariance(chain, psi, pair, env):
     report(8, f"per-component variance ratio {np.round(ratio, 3)} within 25%")
 
 
-def test_criterion_09_sensitivity(chain, psi, pair):
+def test_criterion_09_sensitivity(chain, psi):
     gamma, rho, h = 0.99, 0.65, 1e-5
-    rep = sensitivity(chain, psi, gamma, rho, pair)
+    rep = sensitivity(chain, psi, gamma, rho)
 
     def at(dr):
         noise = build_noise_model(chain, psi, gamma, dr, VARIANT_FIXED_RELATIVE)
-        sig = sigma_theta_star(noise.a_bar, sigma_delta(noise, pair))
-        ups = upsilon_bar(noise, pair)
+        sig = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
+        ups = upsilon_bar(noise, chain)
         bias = np.linalg.solve(noise.a_bar, ups) / (1 - rho)
         return noise.theta_star, np.linalg.inv(noise.a_bar), sig, bias
 
@@ -293,10 +288,10 @@ def test_criterion_09_sensitivity(chain, psi, pair):
     psi_bar = feature_mean(chain, psi)
     assert np.array_equal(rep.d_a_bar, -np.outer(psi_bar, psi_bar))
     # slope of ||bias||^2 at zero vs secant over [0, 1e-4]
-    rep0 = asymptotics_report(chain, psi, gamma, 0.0, rho, VARIANT_TD0, pair)
+    rep0 = asymptotics_report(chain, psi, gamma, 0.0, rho, VARIANT_TD0)
     slope = 2.0 * float(rep0.bias @ rep.d_bias)
     hh = 1e-4
-    rep_h = asymptotics_report(chain, psi, gamma, hh, rho, VARIANT_FIXED_RELATIVE, pair)
+    rep_h = asymptotics_report(chain, psi, gamma, hh, rho, VARIANT_FIXED_RELATIVE)
     secant = (float(rep_h.bias @ rep_h.bias) - float(rep0.bias @ rep0.bias)) / hh
     assert abs(slope - secant) <= 0.01 * abs(secant)
     report(9, "finite-difference agreement: "

@@ -8,8 +8,11 @@ from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VAR
                                 sigma_theta_star, upsilon_bar)
 from rtdlab.errors import NonZeroMean, UnsupportedLambda
 from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
-from rtdlab.markov import FiniteChain, pair_chain, stationary_pmf
+from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
 from rtdlab.meanflow import mean_flow_relative, mean_flow_td_lambda
+
+import pair_oracle
+from pair_oracle import pair_chain
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ class TestSigmaDelta:
         c, psi = iid_pair_setup(seed=3)
         p = pair_chain(c)
         noise = build_noise_model(c, psi, 0.0, 0.0, VARIANT_TD0)
-        sig = sigma_delta(noise, p)
+        sig = sigma_delta(noise, c)
         delta = noise.delta_of_phi
         r0 = (p.stationary[:, None] * delta).T @ delta
         assert np.max(np.abs(sig - r0)) < 1e-12
@@ -82,7 +85,7 @@ class TestSigmaDelta:
         c, psi = iid_pair_setup(seed=3)
         p = pair_chain(c)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        sig = sigma_delta(noise, p)
+        sig = sigma_delta(noise, c)
         trunc = truncated_sigma(noise, p, 200)
         assert np.max(np.abs(sig - trunc)) < 1e-10
         assert np.max(np.abs(sig - sig.T)) < 1e-12
@@ -92,22 +95,22 @@ class TestSigmaDelta:
                                                  (VARIANT_VARPI_LIMIT, 0.5)])
     def test_matches_truncated_sum(self, chain, psi, pair, variant, delta_r):
         noise = build_noise_model(chain, psi, 0.99, delta_r, variant)
-        sig = sigma_delta(noise, pair)
+        sig = sigma_delta(noise, chain)
         trunc = truncated_sigma(noise, pair, 10_000)
         assert np.max(np.abs(sig - trunc)) < 1e-6
 
-    def test_nonzero_mean_rejected(self, chain, psi, pair):
+    def test_nonzero_mean_rejected(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
         bad = noise.__class__(a_of_phi=noise.a_of_phi, b_of_phi=noise.b_of_phi + 1.0,
                               theta_star=noise.theta_star, a_bar=noise.a_bar,
                               b_bar=noise.b_bar, gamma=noise.gamma,
                               delta_r=noise.delta_r, variant=noise.variant)
         with pytest.raises(NonZeroMean):
-            sigma_delta(bad, pair)
+            sigma_delta(bad, chain)
 
-    def test_psd(self, chain, psi, pair):
+    def test_psd(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        sig = sigma_delta(noise, pair)
+        sig = sigma_delta(noise, chain)
         assert np.min(np.linalg.eigvalsh(sig)) > -1e-9
 
 
@@ -129,16 +132,16 @@ class TestSigmaThetaStar:
         sig = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert np.allclose(sigma_theta_star(-np.eye(2), sig), sig)
 
-    def test_linear_scaling(self, chain, psi, pair):
+    def test_linear_scaling(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        sig = sigma_delta(noise, pair)
+        sig = sigma_delta(noise, chain)
         s1 = sigma_theta_star(noise.a_bar, sig)
         s4 = sigma_theta_star(noise.a_bar, 4 * sig)
         assert np.max(np.abs(s4 - 4 * s1)) < 1e-9
 
-    def test_finite_trace(self, chain, psi, pair):
+    def test_finite_trace(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        s = sigma_theta_star(noise.a_bar, sigma_delta(noise, pair))
+        s = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
         assert np.isfinite(np.trace(s))
         assert np.min(np.linalg.eigvalsh(s)) > -1e-9
 
@@ -146,32 +149,31 @@ class TestSigmaThetaStar:
         # tabular basis admits a normalizer: plain one-step TD covariance blows
         # up along gamma -> 1 while the stationary-baseline variant does not
         tab = tabular_basis(6)
-        pair = pair_chain(chain)
         td_traces, rel_traces = [], []
         for gamma in (0.9, 0.99, 0.999):
             n_td = build_noise_model(chain, tab, gamma, 0.0, VARIANT_TD0)
-            td_traces.append(np.trace(sigma_theta_star(n_td.a_bar, sigma_delta(n_td, pair))))
+            td_traces.append(np.trace(sigma_theta_star(n_td.a_bar, sigma_delta(n_td, chain))))
             n_rel = build_noise_model(chain, tab, gamma, 0.5, VARIANT_FIXED_RELATIVE)
-            rel_traces.append(np.trace(sigma_theta_star(n_rel.a_bar, sigma_delta(n_rel, pair))))
+            rel_traces.append(np.trace(sigma_theta_star(n_rel.a_bar, sigma_delta(n_rel, chain))))
         assert td_traces[0] < td_traces[1] < td_traces[2]
         assert td_traces[2] > 100 * rel_traces[2]
         assert max(rel_traces) < 10 * min(rel_traces)
 
 
 class TestMatrixPoisson:
-    def test_constant_coefficients_give_zero(self, chain, psi, pair):
+    def test_constant_coefficients_give_zero(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
         const = noise.__class__(a_of_phi=np.broadcast_to(noise.a_bar,
                                                          noise.a_of_phi.shape).copy(),
                                 b_of_phi=noise.b_of_phi, theta_star=noise.theta_star,
                                 a_bar=noise.a_bar, b_bar=noise.b_bar, gamma=noise.gamma,
                                 delta_r=0.0, variant=VARIANT_TD0)
-        a_hat = matrix_poisson(const, pair)
+        a_hat = matrix_poisson(const, chain)
         assert np.max(np.abs(a_hat)) < 1e-10
 
     def test_plugback_residual(self, chain, psi, pair):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        a_hat = matrix_poisson(noise, pair)
+        a_hat = matrix_poisson(noise, chain)
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         rhs = noise.a_of_phi - noise.a_bar
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -186,7 +188,7 @@ class TestMatrixPoisson:
         psi = FeatureMap(rng.standard_normal((4, 2)))
         pair = pair_chain(c)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        a_hat = matrix_poisson(noise, pair)
+        a_hat = matrix_poisson(noise, c)
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         assert np.max(np.abs(lhs - (noise.a_of_phi - noise.a_bar))) < 1e-9
 
@@ -194,7 +196,6 @@ class TestMatrixPoisson:
 class TestBias:
     def test_constant_a_zero_bias(self):
         c, psi = iid_pair_setup(seed=9)
-        p = pair_chain(c)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
         const = noise.__class__(a_of_phi=np.broadcast_to(noise.a_bar,
                                                          noise.a_of_phi.shape).copy(),
@@ -203,17 +204,17 @@ class TestBias:
                                 theta_star=noise.theta_star, a_bar=noise.a_bar,
                                 b_bar=noise.b_bar, gamma=0.9, delta_r=0.0,
                                 variant=VARIANT_TD0)
-        assert np.max(np.abs(asymptotic_bias(const, p, 0.65))) < 1e-10
+        assert np.max(np.abs(asymptotic_bias(const, c, 0.65))) < 1e-10
 
-    def test_rho_scaling(self, chain, psi, pair):
+    def test_rho_scaling(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        b65 = asymptotic_bias(noise, pair, 0.65)
-        b825 = asymptotic_bias(noise, pair, 0.825)
+        b65 = asymptotic_bias(noise, chain, 0.65)
+        b825 = asymptotic_bias(noise, chain, 0.825)
         # doubling 1/(1-rho) doubles the averaged-bias vector
         assert np.max(np.abs(b825 - 2 * b65)) < 1e-9
 
-    def test_consistency_identity(self, chain, psi, pair):
-        rep = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE, pair)
+    def test_consistency_identity(self, chain, psi):
+        rep = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
         resid = rep.sigma_theta_star @ np.zeros(3)  # noqa: F841 (structure check below)
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
         assert np.max(np.abs(noise.a_bar @ ((1 - rep.rho) * rep.bias) - rep.upsilon_bar)) < 1e-9
@@ -224,7 +225,7 @@ class TestBias:
         1/(1-rho) factor belongs to the averaged estimate)."""
         gamma, rho, dr = 0.99, 0.65, 0.5
         noise = build_noise_model(chain, psi, gamma, dr, VARIANT_FIXED_RELATIVE)
-        ups = upsilon_bar(noise, pair)
+        ups = upsilon_bar(noise, chain)
         iterate_pred = np.linalg.solve(noise.a_bar, ups)
         m = np.outer(pair.stationary, noise.theta_star)
         pt = pair.transition.T.copy()
@@ -249,8 +250,8 @@ class TestBias:
 
 
 @pytest.fixture(scope="module")
-def rep(chain, psi, pair):
-    return sensitivity(chain, psi, 0.99, 0.65, pair)
+def rep(chain, psi):
+    return sensitivity(chain, psi, 0.99, 0.65)
 
 
 class TestSensitivity:
@@ -259,12 +260,12 @@ class TestSensitivity:
         psi_bar = feature_mean(chain, psi)
         assert np.array_equal(rep.d_a_bar, -np.outer(psi_bar, psi_bar))
 
-    def test_d_a_inv_identity(self, chain, psi, pair, rep):
+    def test_d_a_inv_identity(self, chain, psi, rep):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
         a_inv = np.linalg.inv(noise.a_bar)
         assert np.max(np.abs(rep.d_a_inv + a_inv @ rep.d_a_bar @ a_inv)) < 1e-10
 
-    def _fd(self, chain, psi, pair, h, what):
+    def _fd(self, chain, psi, h, what):
         reps = {}
         for s in (+1, -1):
             noise = build_noise_model(chain, psi, 0.99, s * h, VARIANT_FIXED_RELATIVE)
@@ -273,25 +274,25 @@ class TestSensitivity:
             elif what == "a_inv":
                 reps[s] = np.linalg.inv(noise.a_bar)
             elif what == "sigma":
-                reps[s] = sigma_theta_star(noise.a_bar, sigma_delta(noise, pair))
+                reps[s] = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
             else:
-                reps[s] = asymptotic_bias(noise, pair, 0.65)
+                reps[s] = asymptotic_bias(noise, chain, 0.65)
         return (reps[+1] - reps[-1]) / (2 * h)
 
     @pytest.mark.parametrize("what,attr", [("theta", "d_theta_star"),
                                            ("a_inv", "d_a_inv"),
                                            ("sigma", "d_sigma"),
                                            ("bias", "d_bias")])
-    def test_matches_central_difference(self, chain, psi, pair, rep, what, attr):
-        fd = self._fd(chain, psi, pair, 1e-5, what)
+    def test_matches_central_difference(self, chain, psi, rep, what, attr):
+        fd = self._fd(chain, psi, 1e-5, what)
         closed = getattr(rep, attr)
         rel = np.max(np.abs(fd - closed)) / np.max(np.abs(fd))
         assert rel < 1e-3
 
-    def test_frozen_noise_values_differ(self, chain, psi, pair, rep):
+    def test_frozen_noise_values_differ(self, chain, psi, rep):
         # the simplified convention (noise derivatives forced to zero) is kept
         # for reference but does not reproduce the finite differences
-        fd = self._fd(chain, psi, pair, 1e-5, "sigma")
+        fd = self._fd(chain, psi, 1e-5, "sigma")
         rel = np.max(np.abs(fd - rep.d_sigma_frozen_noise)) / np.max(np.abs(fd))
         assert rel > 0.05
         assert np.max(np.abs(rep.sigma_delta_prime)) > 1.0
@@ -301,18 +302,126 @@ class TestSensitivity:
 
     def test_centered_features_zero_derivatives(self, chain, psi):
         centered = FeatureMap(psi.matrix - feature_mean(chain, psi))
-        pair = pair_chain(chain)
-        rep = sensitivity(chain, centered, 0.99, 0.65, pair)
+        rep = sensitivity(chain, centered, 0.99, 0.65)
         assert np.max(np.abs(rep.d_a_bar)) < 1e-12
         assert np.max(np.abs(rep.d_theta_star)) < 1e-10
         assert np.max(np.abs(rep.d_sigma)) < 1e-9
         assert np.max(np.abs(rep.d_bias)) < 1e-9
 
-    def test_bias_norm_slope(self, chain, psi, pair, rep):
+    def test_bias_norm_slope(self, chain, psi, rep):
         # slope of ||bias(delta)||^2 at zero vs a secant on [0, 1e-4]
-        rep0 = asymptotics_report(chain, psi, 0.99, 0.0, 0.65, VARIANT_TD0, pair)
+        rep0 = asymptotics_report(chain, psi, 0.99, 0.0, 0.65, VARIANT_TD0)
         slope = 2.0 * float(rep0.bias @ rep.d_bias)
         h = 1e-4
-        rep_h = asymptotics_report(chain, psi, 0.99, h, 0.65, VARIANT_FIXED_RELATIVE, pair)
+        rep_h = asymptotics_report(chain, psi, 0.99, h, 0.65, VARIANT_FIXED_RELATIVE)
         secant = (float(rep_h.bias @ rep_h.bias) - float(rep0.bias @ rep0.bias)) / h
         assert slope == pytest.approx(secant, rel=0.01)
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def random_unichain(n, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.gamma(1.0, 1.0, size=(n, n)) + 0.05
+    p /= p.sum(axis=1, keepdims=True)
+    return FiniteChain(transition=p, cost_vec=rng.standard_normal(n),
+                       stationary=stationary_pmf(p))
+
+
+def oracle_case(name):
+    """(chain, psi) for the base-chain vs pair-chain comparison."""
+    if name == "two_cycle":
+        c = FiniteChain(transition=[[0.0, 1.0], [1.0, 0.0]], cost_vec=[1.0, -0.5],
+                        stationary=[0.5, 0.5])
+    elif name == "transient":
+        # state 3 is left at once and never entered again: varpi(3) = 0
+        rng = np.random.default_rng(11)
+        p = rng.random((4, 4)) + 0.05
+        p[:, 3] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        c = FiniteChain(transition=p, cost_vec=rng.standard_normal(4),
+                        stationary=stationary_pmf(p))
+    else:
+        n = int(name.split("_")[1])
+        c = random_unichain(n, seed=100 + n)
+    # d < n_z: with d = n_z the two-cycle's TD fixed point is exact and Delta = 0
+    psi = FeatureMap(np.random.default_rng(c.n_z).standard_normal((c.n_z, min(3, c.n_z - 1))))
+    return c, psi
+
+
+ORACLE_CASES = ["random_2", "random_3", "random_5", "random_7", "random_10",
+                "two_cycle", "transient"]
+
+
+class TestBaseChainRoute:
+    """The base-chain split against the explicit pair chain (``pair_oracle``)."""
+
+    @pytest.mark.parametrize("variant,delta_r", [(VARIANT_TD0, 0.0),
+                                                 (VARIANT_FIXED_RELATIVE, 0.5),
+                                                 (VARIANT_VARPI_LIMIT, 0.5)])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_pair_chain_oracle(self, case, variant, delta_r):
+        c, psi = oracle_case(case)
+        pair = pair_chain(c)
+        noise = build_noise_model(c, psi, 0.9, delta_r, variant)
+        # relative to the lag-zero term E[Delta Delta']: on the two-cycle Delta
+        # alternates in sign along the cycle and Sigma_Delta is 0
+        delta = noise.delta_of_phi
+        r0 = (pair.stationary[:, None] * delta).T @ delta
+        err = np.max(np.abs(sigma_delta(noise, c) - pair_oracle.sigma_delta(noise, pair)))
+        assert err < 1e-10 * np.max(np.abs(r0))
+        assert rel_err(upsilon_bar(noise, c), pair_oracle.upsilon_bar(noise, pair)) < 1e-10
+        a_hat = matrix_poisson(noise, c)
+        assert rel_err(a_hat, pair_oracle.matrix_poisson(noise, pair)) < 1e-10
+        lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
+        rhs = noise.a_of_phi - noise.a_bar
+        assert rel_err(lhs, rhs) < 1e-10
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_sensitivity_matches_pair_chain_oracle(self, case):
+        c, psi = oracle_case(case)
+        rep = sensitivity(c, psi, 0.9, 0.65)
+        d_sigma, d_bias = pair_oracle.sensitivity(c, psi, 0.9, 0.65)
+        assert rel_err(rep.d_sigma, d_sigma) < 1e-10
+        assert rel_err(rep.d_bias, d_bias) < 1e-10
+
+    def test_report_at_200_states(self):
+        # the explicit pair chain of this chain would take 12.8 GB; Sigma_Delta
+        # is checked against its autocorrelation sum R(0) + sum_k (R(k) + R(k)')
+        # on the base chain, R(k) = W' P^{k-1} g for k >= 1
+        c = random_unichain(200, seed=3)
+        psi = FeatureMap(np.random.default_rng(4).standard_normal((200, 4)))
+        rep = asymptotics_report(c, psi, 0.9, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+        noise = build_noise_model(c, psi, 0.9, 0.5, VARIANT_FIXED_RELATIVE)
+        delta = noise.delta_of_phi.reshape(200, 200, 4)
+        pair_law = c.stationary[:, None] * c.transition
+        w = np.einsum("zy,zyi->yi", pair_law, delta)
+        g = np.einsum("zy,zyi->zi", c.transition, delta)
+        want = np.einsum("zy,zyi,zyj->ij", pair_law, delta, delta)
+        for _ in range(200):
+            r_k = w.T @ g
+            want = want + r_k + r_k.T
+            g = c.transition @ g
+        assert rel_err(rep.sigma_delta, want) < 1e-9
+        assert np.min(np.linalg.eigvalsh(rep.sigma_theta_star)) > 0
+        assert rel_err(noise.a_bar @ ((1 - rep.rho) * rep.bias), rep.upsilon_bar) < 1e-9
+
+
+class TestCostScaling:
+    def test_large_costs(self):
+        # with costs scaled by s, Sigma_Delta scales by s^2 and Upsilon_bar by s;
+        # closed-form checks inside the report must not fail on roundoff of size s
+        psi = finite_poly_basis(3, 2)
+
+        def report(s):
+            mdp = FiniteMdp(n_states=3, n_actions=2, kernel=models.FINITE_KERNEL,
+                            cost=s * models.FINITE_COST)
+            return asymptotics_report(build_chain(mdp, models.finite_eval_policy()),
+                                      psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+
+        s = 1e9
+        base, scaled = report(1.0), report(s)
+        assert rel_err(scaled.sigma_delta / s ** 2, base.sigma_delta) < 1e-9
+        assert rel_err(scaled.upsilon_bar / s, base.upsilon_bar) < 1e-9

@@ -145,6 +145,16 @@ class TestDirichletCmd:
             assert 0 < float(row[g]) <= 1.0
 
 
+class TestRunCmd:
+    def test_relative_fixed_mu(self, tmp_path):
+        rc = run_cli("run", "--out", str(tmp_path), "--variant", "relative_fixed_mu",
+                     "--runs", "1", "--steps", "1000")
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "runs.csv")
+        assert len(rows) == 3
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
 class TestModelFileInput:
     def test_file_model_with_explicit_features(self, tmp_path):
         path = tmp_path / "m.json"
@@ -184,6 +194,25 @@ class TestConfigFile:
                 "--steps", "50", "--runs", "1", "--seed", "9")
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["config"]["seed"] == 9
+
+    def test_flag_at_its_default_overrides_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 5}))
+        out = tmp_path / "out"
+        rc = run_cli("run", "--out", str(out), "--seed", "0", "--config", str(cfg_path),
+                     "--steps", "50", "--runs", "1")
+        assert rc == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["config"]["seed"] == 0
+
+    def test_badly_typed_value_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": "many"}))
+        rc = run_cli("run", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+                     "--steps", "10")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ConfigError"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
