@@ -23,10 +23,9 @@ from .features import (BaselineMean, FeatureMap, FeatureStats, NormalizerResult,
                        autocorrelation, baseline_mean, builtin_basis, feature_mean,
                        feature_mean_under, feature_stats, find_normalizer,
                        finite_poly_basis, resolvent_sum, tabular_basis)
-from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, LearnerState,
-                      RunResult, Snapshot, StepSchedule, Transition, empirical_bias,
-                      empirical_clt_samples, run, run_many, snapshot_indices,
-                      substream, td_step)
+from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, RunResult, Snapshot,
+                      StepSchedule, empirical_bias, empirical_clt_samples, run, run_many,
+                      snapshot_indices, substream)
 from .markov import (FiniteChain, FiniteMdp, PoissonSolution, RandomizedPolicy,
                      build_chain, discounted_q, load_model, save_model, solve_poisson,
                      stationary_pmf)

@@ -11,8 +11,9 @@ Subcommands
 
 All outputs are written under ``--out`` as CSV/JSON with full-precision
 floats and a configuration hash, so a rerun with the same configuration and
-seed is byte-identical.  Errors exit nonzero after printing a JSON object
-with ``error`` and ``message`` fields.
+seed is byte-identical.  The first write creates ``--out``, so a command
+rejected before it has output leaves no directory behind.  Errors exit
+nonzero after printing a JSON object with ``error`` and ``message`` fields.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ def write_csv(path: FsPath, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: FsPath, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
@@ -129,7 +132,6 @@ def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
 
 def cmd_eigs(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     gammas = args.gamma_grid or DEFAULT_GAMMA_GRID
     deltas = args.delta_grid or (0.0, args.delta_r)
@@ -176,7 +178,6 @@ def cmd_eigs(args) -> int:
 
 def cmd_hist(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     n0 = int(args.burn_in * args.steps)
     plan = snapshot_indices(max(n0, 1), args.steps, args.rho, args.snapshots) \
@@ -232,7 +233,6 @@ def cmd_hist(args) -> int:
 
 def cmd_bias(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     if isinstance(model, SpeedScalingModel):
         raise RtdLabError("bias command requires a finite model")
@@ -280,7 +280,6 @@ def cmd_bias(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     if isinstance(model, SpeedScalingModel):
         raise RtdLabError("sensitivity command requires a finite model")
@@ -323,7 +322,6 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_dirichlet(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     if isinstance(model, SpeedScalingModel):
         raise RtdLabError("dirichlet command requires a finite model")
@@ -351,7 +349,6 @@ def cmd_dirichlet(args) -> int:
 
 def cmd_run(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(args.model, args.basis)
     if isinstance(model, SpeedScalingModel):
         env = SpeedScalingEnv(model)
@@ -387,7 +384,6 @@ def cmd_run(args) -> int:
 
 def cmd_moments(args) -> int:
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mc = gamma_moment_check(SpeedScalingModel(), args.steps, args.seed)
     write_json(out / "gamma_moments.json", {
         "sample_mean": mc.sample_mean, "sample_var": mc.sample_var,

@@ -65,11 +65,8 @@ class StepSchedule:
 
     alpha0: float
     rho: float
-    kind: str = "polynomial"
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise ConfigError(f"unknown step schedule kind {self.kind!r}")
         if self.alpha0 <= 0:
             raise ConfigError("alpha0 must be positive")
         if not 0.5 < self.rho < 1.0:
@@ -99,7 +96,6 @@ class LearnerConfig:
     pr_burn_in_fraction: float = 0.2
     seed: int = 0
     theta0: np.ndarray | None = None
-    divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -124,74 +120,6 @@ class LearnerConfig:
         if not 0.0 <= self.pr_burn_in_fraction < 1.0:
             raise ConfigError("pr_burn_in_fraction must lie in [0, 1)")
 
-    def beta(self, n: int) -> float:
-        return float((np.array([float(n)]) ** (-self.baseline_step_rho))[0])
-
-
-@dataclass
-class LearnerState:
-    theta: np.ndarray
-    zeta: np.ndarray
-    psi_bar_est: np.ndarray
-    n: int = 0
-    pr_sum: np.ndarray | None = None
-    pr_count: int = 0
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One observed step: features of Z_n, cost, and the TD-target features.
-
-    ``psi_target`` must already reflect the evaluation mode (policy-averaged
-    features of X_{n+1}, features of Z_{n+1}, or of the split-sampled pair).
-    ``psi_next`` carries psi(Z_{n+1}) for the adaptive-baseline update.
-    """
-
-    psi: np.ndarray
-    cost: float
-    psi_target: np.ndarray
-    psi_next: np.ndarray
-
-
-def initial_state(config: LearnerConfig, dim: int, psi0: np.ndarray) -> LearnerState:
-    theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
-    return LearnerState(theta=theta, zeta=np.zeros(dim),
-                        psi_bar_est=np.asarray(psi0, float).copy(),
-                        n=0, pr_sum=np.zeros(dim), pr_count=0)
-
-
-def _correction(config: LearnerConfig, state: LearnerState) -> float:
-    """Scalar baseline correction inside the temporal-difference term."""
-    if config.variant == "td" or config.delta_r == 0.0 \
-            or config.variant == "varpi_relative_fixed":
-        return 0.0
-    if config.variant == "relative_fixed_mu":
-        return config.delta_r * float(config.mu.psi_bar_mu @ state.theta)
-    return config.delta_r * float(state.psi_bar_est @ state.theta)
-
-
-def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) -> LearnerState:
-    """One update; pure reference implementation (``run`` is the fast path)."""
-    if transition.psi_target is None:
-        raise MissingSplitSample("evaluation mode requires a target sample")
-    lg = config.lam * config.gamma
-    zeta = lg * state.zeta + transition.psi
-    d = (transition.cost
-         + config.gamma * float(transition.psi_target @ state.theta)
-         - float(transition.psi @ state.theta)
-         - _correction(config, state))
-    n_next = state.n + 1
-    update = d * zeta
-    if config.variant == "varpi_relative_fixed" and config.delta_r != 0.0:
-        psi_bar = np.asarray(config.psi_bar)
-        update = update - config.delta_r * float(psi_bar @ state.theta) * psi_bar
-    theta = state.theta + config.step.alpha(n_next) * update
-    psi_bar_est = state.psi_bar_est
-    if config.variant == "varpi_relative":
-        psi_bar_est = psi_bar_est + config.beta(n_next) * (transition.psi_next - psi_bar_est)
-    return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n_next,
-                        pr_sum=state.pr_sum, pr_count=state.pr_count)
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -210,7 +138,6 @@ class RunResult:
     seed: int
     run_index: int
     pr_count: int
-    trajectory_stats: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -242,11 +169,6 @@ class FiniteChainEnv:
             # policy-averaged features per state: sum_u policy(u|x) psi(x, u)
             self._psi_avg = np.stack([
                 self.policy[x] @ psi.matrix[x * nu:(x + 1) * nu] for x in range(nx)])
-            self._cum_policy = [self.policy[x].cumsum().tolist() for x in range(nx)]
-
-    @property
-    def supports_natural(self) -> bool:
-        return self.policy is not None
 
     @property
     def dim(self) -> int:
@@ -267,48 +189,42 @@ class FiniteChainEnv:
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
                     rng_split: np.random.Generator | None = None) -> Path:
+        if eval_mode not in EVAL_MODES:
+            raise ConfigError(f"unknown eval mode {eval_mode!r}")
+        if eval_mode != "on_policy" and self.policy is None:
+            raise ConfigError(f"{eval_mode} mode requires policy knowledge")
+        if eval_mode == "split_sampling" and rng_split is None:
+            raise MissingSplitSample("split sampling requires its own stream")
         traj = self.sample_states(n_steps, rng)
         psi_states = self.psi.matrix[traj]
         cost = self.chain.cost_vec[traj[:-1]]
+        nu = self.chain.state_action_shape[1]
         if eval_mode == "on_policy":
             target = psi_states[1:]
         elif eval_mode == "natural":
-            if not self.supports_natural:
-                raise ConfigError("natural mode requires policy knowledge")
-            nu = self.chain.state_action_shape[1]
             target = self._psi_avg[traj[1:] // nu]
-        elif eval_mode == "split_sampling":
-            if self.policy is None:
-                raise ConfigError("split sampling requires policy knowledge")
-            if rng_split is None:
-                raise MissingSplitSample("split sampling requires its own stream")
-            nu = self.chain.state_action_shape[1]
+        else:
             x_next = traj[1:] // nu
             us = rng_split.random(n_steps)
             cum = np.cumsum(self.policy, axis=1)
             u_split = np.minimum((us[:, None] > cum[x_next]).sum(axis=1), nu - 1)
             target = self.psi.matrix[x_next * nu + u_split]
-        else:
-            raise ConfigError(f"unknown eval mode {eval_mode!r}")
         return Path(psi_states=psi_states, cost=cost, psi_target=target, z_traj=traj)
 
-    def transitions(self, path: Path):
-        """Transition view of a sampled path, for the reference stepper."""
-        for t in range(len(path.cost)):
-            yield Transition(psi=path.psi_states[t], cost=float(path.cost[t]),
-                             psi_target=path.psi_target[t], psi_next=path.psi_states[t + 1])
 
+def _theta_loop(path: Path, config: LearnerConfig, n0: int, snapshot_plan: tuple[int, ...]
+                ) -> tuple[np.ndarray, np.ndarray, int, list[Snapshot]]:
+    """The theta recursion over a sampled path.
 
-def _theta_loop(path: Path, config: LearnerConfig, n0: int,
-                snapshot_plan: tuple[int, ...]) -> tuple[LearnerState, list[Snapshot]]:
-    """Sequential update loop; arithmetic identical to repeated ``td_step``."""
+    Returns the final iterate, the Polyak-Ruppert sum of the iterates from
+    n0 on, its count, and the snapshots.
+    """
     n_steps = len(path.cost)
     dim = path.psi_states.shape[1]
-    state = initial_state(config, dim, path.psi_states[0])
-    theta = state.theta
-    zeta = state.zeta
-    psi_bar_est = state.psi_bar_est
-    pr_sum = state.pr_sum
+    theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
+    zeta = np.zeros(dim)
+    psi_bar_est = np.asarray(path.psi_states[0], float).copy()
+    pr_sum = np.zeros(dim)
     pr_count = 0
     g = config.gamma
     lg = config.lam * config.gamma
@@ -318,7 +234,7 @@ def _theta_loop(path: Path, config: LearnerConfig, n0: int,
     cost = path.cost.tolist()
     psi_states = path.psi_states
     psi_target = path.psi_target
-    threshold = config.divergence_threshold
+    threshold = DIVERGENCE_THRESHOLD
     snaps: list[Snapshot] = []
     plan = sorted(set(int(s) for s in snapshot_plan))
     plan_pos = 0
@@ -373,40 +289,27 @@ def _theta_loop(path: Path, config: LearnerConfig, n0: int,
             snap(n_iter)
             plan_pos += 1
 
-    final = LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est,
-                         n=n_steps, pr_sum=pr_sum, pr_count=pr_count)
-    return final, snaps
+    return theta, pr_sum, pr_count, snaps
 
 
 def run(env, config: LearnerConfig, n_steps: int,
         snapshot_plan: tuple[int, ...] = (),
-        run_index: int = 0,
-        collect_trajectory_stats: bool = False) -> RunResult:
+        run_index: int = 0) -> RunResult:
     """One deterministic run: sample a path, iterate, average, snapshot.
 
     Raises :class:`NumericalDivergence` when the iterate norm passes the
     divergence threshold, as unstable mean flows eventually must.
     """
-    if config.eval_mode == "natural" and not env.supports_natural:
-        raise ConfigError("environment provides samples only; natural mode unavailable")
     rng = substream(config.seed, 2 * run_index)
     rng_split = (substream(config.seed, 2 * run_index + 1)
                  if config.eval_mode == "split_sampling" else None)
     path = env.sample_path(n_steps, config.eval_mode, rng, rng_split)
     n0 = int(config.pr_burn_in_fraction * n_steps)
-    state, snaps = _theta_loop(path, config, n0, snapshot_plan)
-    theta_pr = state.pr_sum / state.pr_count if state.pr_count else state.theta.copy()
-    stats = None
-    if collect_trajectory_stats:
-        body = path.psi_states[:-1]
-        stats = {
-            "r0": body.T @ body / len(body),
-            "r1": body.T @ path.psi_states[1:] / len(body),
-            "psi_bar": body.mean(axis=0),
-        }
-    return RunResult(theta_final=state.theta, theta_pr=theta_pr, snapshots=tuple(snaps),
+    theta, pr_sum, pr_count, snaps = _theta_loop(path, config, n0, snapshot_plan)
+    theta_pr = pr_sum / pr_count if pr_count else theta.copy()
+    return RunResult(theta_final=theta, theta_pr=theta_pr, snapshots=tuple(snaps),
                      n_steps=n_steps, seed=config.seed, run_index=run_index,
-                     pr_count=state.pr_count, trajectory_stats=stats)
+                     pr_count=pr_count)
 
 
 def run_many(env, config: LearnerConfig, n_steps: int, n_runs: int,

@@ -14,9 +14,9 @@ the mean-flow eigenvalue curves are built from those estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 from .learner import Path, substream
@@ -71,16 +71,15 @@ def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int,
                            seed_or_rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled workload path: returns (x, u, cost) with x, u of length n_steps + 1.
 
-    The linear recursion X_{k+1} = (1 - g) X_k + A_{k+1} is evaluated with a
-    linear filter over the pre-drawn arrival sequence, deterministically per
-    seed.
+    The linear recursion X_{k+1} = (1 - g) X_k + A_{k+1} runs step by step
+    over the pre-drawn arrival sequence, deterministically per seed.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
         else substream(int(seed_or_rng), 0)
     arrivals = rng.gamma(model.arrival_shape, model.arrival_scale, size=n_steps)
     decay = 1.0 - model.service_gain
-    x_rest, _ = lfilter([1.0], [1.0, -decay], arrivals, zi=[decay * model.x0])
-    x = np.concatenate(([model.x0], x_rest))
+    x = np.fromiter(accumulate(arrivals.tolist(), lambda xk, a: decay * xk + a,
+                               initial=model.x0), float, n_steps + 1)
     u = model.service_gain * x
     cost = model.cost(x[:-1], u[:-1])
     return x, u, cost
@@ -90,8 +89,6 @@ class SpeedScalingEnv:
     """Sample-only environment: on-policy evaluation (the policy is
     deterministic, so split sampling coincides with it); the natural mode is
     rejected because the policy is not exposed as a distribution."""
-
-    supports_natural = False
 
     def __init__(self, model: SpeedScalingModel):
         self.model = model

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rtdlab import models
 from rtdlab.cli import main
@@ -153,6 +154,20 @@ class TestRunCmd:
         _, rows = read_csv(tmp_path / "runs.csv")
         assert len(rows) == 3
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+class TestRejectedCommand:
+    @pytest.mark.parametrize("argv", [
+        ["bias", "--model", "speed_scaling"],
+        ["bias", "--lam", "0.5"],
+        ["run", "--model", "speed_scaling"],   # diverges at the default alpha0
+        ["run", "--rho", "0.4"],
+    ])
+    def test_writes_no_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "error" in json.loads(capsys.readouterr().out.strip())
+        assert not out.exists()
 
 
 class TestModelFileInput:

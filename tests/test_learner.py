@@ -3,12 +3,13 @@ import pytest
 
 from rtdlab import models
 from rtdlab.asymptotics import VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT, build_noise_model
-from rtdlab.errors import ConfigError, NumericalDivergence
-from rtdlab.features import feature_mean, feature_stats, finite_poly_basis
-from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, Transition,
-                            empirical_bias, empirical_clt_samples, initial_state, run,
-                            run_many, snapshot_indices, substream, td_step)
+from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
+from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_poly_basis
+from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
+                            empirical_clt_samples, run, run_many, snapshot_indices, substream)
 from rtdlab.markov import build_chain
+
+from learner_oracle import Transition, beta, initial_state, run_path, td_step, transitions
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestTdStep:
         rng = substream(cfg.seed, 0)
         path = env.sample_path(1, "on_policy", rng)
         st = initial_state(cfg, psi.dim, path.psi_states[0])
-        st1 = td_step(st, cfg, next(env.transitions(path)))
+        st1 = td_step(st, cfg, next(transitions(path)))
         expect = SCHED.alpha(1) * path.cost[0] * path.psi_states[0]
         assert np.array_equal(st1.theta, expect)
 
@@ -83,7 +84,7 @@ class TestTdStep:
         path = env.sample_path(3, "on_policy", rng)
         st = initial_state(cfg, psi.dim, path.psi_states[0])
         zeta = np.zeros(psi.dim)
-        for tr in env.transitions(path):
+        for tr in transitions(path):
             st = td_step(st, cfg, tr)
             zeta = 0.45 * zeta + tr.psi
         assert np.allclose(st.zeta, zeta, atol=0, rtol=0)
@@ -112,16 +113,15 @@ class TestTdStep:
 
 
 class TestRun:
-    def test_matches_reference_stepper_bitwise(self, env, psi):
+    def test_matches_reference_stepper_bitwise(self, env):
         cfg = config(variant="varpi_relative", delta_r=0.5, lam=0.4, gamma=0.9,
                      step=StepSchedule(0.01, 0.65), seed=42)
         n = 400
         res = run(env, cfg, n)
         path = env.sample_path(n, cfg.eval_mode, substream(cfg.seed, 0))
-        st = initial_state(cfg, psi.dim, path.psi_states[0])
-        for tr in env.transitions(path):
-            st = td_step(st, cfg, tr)
-        assert np.array_equal(st.theta, res.theta_final)
+        theta, theta_pr = run_path(cfg, path)
+        assert np.array_equal(theta, res.theta_final)
+        assert np.array_equal(theta_pr, res.theta_pr)
 
     def test_fixed_variant_matches_reference(self, env, psi, chain):
         stats = feature_stats(chain, psi)
@@ -130,10 +130,9 @@ class TestRun:
         n = 300
         res = run(env, cfg, n)
         path = env.sample_path(n, cfg.eval_mode, substream(cfg.seed, 0))
-        st = initial_state(cfg, psi.dim, path.psi_states[0])
-        for tr in env.transitions(path):
-            st = td_step(st, cfg, tr)
-        assert np.array_equal(st.theta, res.theta_final)
+        theta, theta_pr = run_path(cfg, path)
+        assert np.array_equal(theta, res.theta_final)
+        assert np.array_equal(theta_pr, res.theta_pr)
 
     def test_deterministic_rerun(self, env):
         cfg = config(variant="varpi_relative", delta_r=0.5, seed=31)
@@ -176,12 +175,21 @@ class TestRun:
         with pytest.raises(NumericalDivergence):
             run(env_d, cfg, 200_000)
 
-    def test_trajectory_stats(self, env, chain, psi):
-        cfg = config(seed=8)
-        res = run(env, cfg, 50_000, collect_trajectory_stats=True)
+    @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
+    @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",
+                                         "varpi_relative_fixed"])
+    def test_matches_oracle_bitwise(self, env, chain, psi, variant, eval_mode):
         stats = feature_stats(chain, psi)
-        assert np.max(np.abs(res.trajectory_stats["psi_bar"] - stats.psi_bar)) < 0.2
-        assert np.max(np.abs(res.trajectory_stats["r0"] - stats.r0)) < 1.0
+        lam = 0.0 if variant == "varpi_relative_fixed" else 0.3
+        cfg = config(variant=variant, delta_r=0.5, lam=lam, eval_mode=eval_mode, seed=17,
+                     mu=baseline_mean(chain.stationary, psi), psi_bar=stats.psi_bar,
+                     theta0=np.array([0.1, -0.2, 0.3]))
+        n = 300
+        res = run(env, cfg, n, run_index=2)
+        path = env.sample_path(n, eval_mode, substream(cfg.seed, 4), substream(cfg.seed, 5))
+        theta, theta_pr = run_path(cfg, path)
+        assert np.array_equal(theta, res.theta_final)
+        assert np.array_equal(theta_pr, res.theta_pr)
 
 
 class TestEvalModes:
@@ -218,6 +226,21 @@ class TestEvalModes:
         with pytest.raises(ConfigError):
             run(env_bare, config(eval_mode="natural"), 10)
 
+    def test_unservable_mode_rejected_before_sampling(self, chain, psi, monkeypatch):
+        env_bare = FiniteChainEnv(chain, psi, policy=None)
+
+        def fail(*args):
+            raise AssertionError("path sampled before the eval mode was checked")
+
+        monkeypatch.setattr(env_bare, "sample_states", fail)
+        for mode in ("natural", "split_sampling", "no_such_mode"):
+            with pytest.raises(ConfigError):
+                env_bare.sample_path(10, mode, substream(0, 0), substream(0, 1))
+        env_full = FiniteChainEnv(chain, psi, policy=models.FINITE_EVAL_POLICY)
+        monkeypatch.setattr(env_full, "sample_states", fail)
+        with pytest.raises(MissingSplitSample):
+            env_full.sample_path(10, "split_sampling", substream(0, 0))
+
     def test_modes_share_mean_flow(self, env, chain, psi):
         # all three targets have the same conditional mean given Z_n; the
         # learned parameters stay near each other on a long run
@@ -237,7 +260,7 @@ class TestAdaptiveBaseline:
         path = env.sample_path(n, "on_policy", substream(cfg.seed, 0))
         est = path.psi_states[0].copy()
         for t in range(n):
-            est = est + cfg.beta(t + 1) * (path.psi_states[t + 1] - est)
+            est = est + beta(cfg, t + 1) * (path.psi_states[t + 1] - est)
         expect = feature_mean(chain, psi)
         assert np.max(np.abs(est - expect)) < 0.05 * np.max(np.abs(expect))
 
