@@ -253,22 +253,6 @@ def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
                              bias=_bias(noise.a_bar, ups, rho), upsilon_bar=ups, rho=rho)
 
 
-def report_payload(report: AsymptoticsReport, gamma: float, lam: float,
-                   delta_r: float, variant: str) -> dict:
-    """JSON-ready view of a report with its parameter metadata."""
-    return {
-        "sigma_delta": report.sigma_delta.tolist(),
-        "sigma_theta_star": report.sigma_theta_star.tolist(),
-        "bias": report.bias.tolist(),
-        "upsilon_bar": report.upsilon_bar.tolist(),
-        "gamma": gamma,
-        "lambda": lam,
-        "delta_r": delta_r,
-        "rho": report.rho,
-        "variant": variant,
-    }
-
-
 def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
                 rho: float) -> SensitivityReport:
     """Closed-form derivatives at delta_r = 0 for the fixed relative variant.

@@ -9,16 +9,23 @@ Subcommands
     run         plain multi-run harness with per-run JSON and an aggregate CSV
     moments     arrival-distribution moment check for the speed-scaling model
 
-All outputs are written under ``--out`` as CSV/JSON with full-precision
-floats and a configuration hash, so a rerun with the same configuration and
-seed is byte-identical.  The first write creates ``--out``, so a command
-rejected before it has output leaves no directory behind.  Errors exit
-nonzero after printing a JSON object with ``error`` and ``message`` fields.
+Each ``cmd_*`` only computes: it returns its files as ``{name: (header,
+rows)}`` for a CSV and ``{name: dict}`` for a JSON file, and ``main`` writes
+them under ``--out`` with :func:`write_outputs` once the command has
+returned.  Floats are written at full precision and every JSON file carries
+the resolved ``config`` and its ``config_hash``, so a rerun with the same
+configuration and seed is byte-identical.  The counts ``--steps``,
+``--runs``, ``--probes`` and ``--snapshots`` are checked while the flags
+(or ``--config`` values) are parsed, before any work.  A rejected command,
+even one that fails late, writes nothing and leaves no ``--out`` directory;
+it exits 2 after printing a JSON object with ``error`` and ``message``
+fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -29,7 +36,7 @@ import numpy as np
 from . import models
 from .asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
                           asymptotic_bias, asymptotics_report, build_noise_model,
-                          report_payload, sensitivity, sigma_delta, sigma_theta_star)
+                          sensitivity, sigma_delta, sigma_theta_star)
 from .errors import ConfigError, RtdLabError
 from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -84,13 +91,27 @@ def _resolved(args: argparse.Namespace) -> dict:
             if k not in skip and not callable(v)}
 
 
+def write_outputs(out: FsPath, files: dict, args: argparse.Namespace) -> None:
+    """Write a command's files under ``out``.
+
+    A ``(header, rows)`` value is a CSV file; a dict is a JSON file, written
+    with the resolved configuration and its hash merged in.
+    """
+    config = _resolved(args)
+    meta = {"config": config, "config_hash": config_hash(config)}
+    for name, content in files.items():
+        if isinstance(content, tuple):
+            write_csv(out / name, *content)
+        else:
+            write_json(out / name, {**content, **meta})
+
+
 class ModelBundle:
     """A finite model resolved to chain + basis + environment."""
 
     def __init__(self, chain, psi: FeatureMap, policy):
         self.chain = chain
         self.psi = psi
-        self.policy = policy
         self.env = FiniteChainEnv(chain, psi, policy)
         self.stats = feature_stats(chain, psi)
 
@@ -98,20 +119,35 @@ class ModelBundle:
 def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
     if name == "speed_scaling":
         return SpeedScalingModel()
-    if name == "finite3x2":
-        mdp, policy = models.finite_mdp(), models.finite_eval_policy()
-        explicit = None
-    elif name.startswith("file:"):
-        mdp, policy, explicit = load_model(name[5:])
-    else:
-        raise RtdLabError(f"unknown model {name!r}")
-    chain = build_chain(mdp, policy)
-    if explicit is not None and basis == "file":
-        psi = FeatureMap(explicit)
-    else:
-        psi = builtin_basis(basis if basis != "file" else "finite_poly",
-                            mdp.n_states, mdp.n_actions)
+    try:
+        if name == "finite3x2":
+            mdp, policy = models.finite_mdp(), models.finite_eval_policy()
+            explicit = None
+        elif name.startswith("file:"):
+            mdp, policy, explicit = load_model(name[5:])
+        else:
+            raise RtdLabError(f"unknown model {name!r}")
+        chain = build_chain(mdp, policy)
+    except KeyError as exc:
+        raise ConfigError(f"model {name!r} has no key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot load model {name!r}: {exc}") from exc
+    try:
+        if explicit is not None and basis == "file":
+            psi = FeatureMap(explicit)
+        else:
+            psi = builtin_basis(basis if basis != "file" else "finite_poly",
+                                mdp.n_states, mdp.n_actions)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ModelBundle(chain, psi, policy.probs)
+
+
+def _finite_model(args) -> ModelBundle:
+    model = resolve_model(args.model, args.basis)
+    if isinstance(model, SpeedScalingModel):
+        raise RtdLabError(f"{args.command} command requires a finite model")
+    return model
 
 
 def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
@@ -130,61 +166,62 @@ def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
     return LearnerConfig(**kw)
 
 
-def cmd_eigs(args) -> int:
-    out = FsPath(args.out)
+def _run_many(args, model: ModelBundle | SpeedScalingModel) -> list:
+    """The ``--runs`` runs of the chosen variant, with the ``--snapshots`` plan."""
+    if isinstance(model, SpeedScalingModel):
+        env, cfg = SpeedScalingEnv(model), _learner_config(args, None)
+    else:
+        env, cfg = model.env, _learner_config(args, model)
+    plan = ()
+    if args.snapshots >= 2:
+        n0 = int(args.burn_in * args.steps)
+        try:
+            plan = tuple(snapshot_indices(max(n0, 1), args.steps, args.rho, args.snapshots))
+        except ValueError as exc:
+            raise ConfigError(f"no snapshot plan for --snapshots {args.snapshots} after "
+                              f"burn-in {n0} of --steps {args.steps}: {exc}") from exc
+    return run_many(env, cfg, args.steps, args.runs, snapshot_plan=plan)
+
+
+def _eigs_header(d: int, extra: tuple[str, ...] = ()) -> list[str]:
+    return (["gamma", "lambda", "delta_r"]
+            + [f"eig_re_{i+1}" for i in range(d)] + [f"eig_im_{i+1}" for i in range(d)]
+            + ["max_re", "cond", "hurwitz", *extra])
+
+
+def _spectral_row(gamma: float, lam: float, delta_r: float, rep) -> list:
+    return ([gamma, lam, delta_r] + list(rep.eigenvalues.real) + list(rep.eigenvalues.imag)
+            + [rep.max_real_part, rep.condition_number, rep.hurwitz])
+
+
+def cmd_eigs(args) -> dict:
     model = resolve_model(args.model, args.basis)
-    gammas = args.gamma_grid or DEFAULT_GAMMA_GRID
-    deltas = args.delta_grid or (0.0, args.delta_r)
-    rows = []
+    grid = [(g, dr) for g in args.gamma_grid or DEFAULT_GAMMA_GRID
+            for dr in args.delta_grid or (0.0, args.delta_r)
+            if args.lam * g < 1 - 1e-6]
     if isinstance(model, SpeedScalingModel):
         stats_list = [estimate_stats(model, args.steps, args.seed, stream=2 * i)
                       for i in range(args.runs)]
-        d = model.dim
-        for g in gammas:
-            for dr in deltas:
-                if args.lam * g >= 1 - 1e-6:
-                    continue
-                pooled = np.mean([s.mean_flow(g, dr) for s in stats_list], axis=0)
-                rep = spectral_report(pooled)
-                per = [np.min(np.abs(spectral_report(s.mean_flow(g, dr)).eigenvalues.real))
-                       for s in stats_list]
-                se = float(np.std(per, ddof=1) / np.sqrt(len(per))) if len(per) > 1 else 0.0
-                rows.append([g, args.lam, dr]
-                            + list(rep.eigenvalues.real) + list(rep.eigenvalues.imag)
-                            + [rep.max_real_part, rep.condition_number, rep.hurwitz,
-                               args.steps, args.runs, se])
-        header = (["gamma", "lambda", "delta_r"]
-                  + [f"eig_re_{i+1}" for i in range(d)] + [f"eig_im_{i+1}" for i in range(d)]
-                  + ["max_re", "cond", "hurwitz", "traj_steps", "n_traj", "min_abs_re_se"])
+        rows = []
+        for g, dr in grid:
+            rep = spectral_report(np.mean([s.mean_flow(g, dr) for s in stats_list], axis=0))
+            per = [np.min(np.abs(spectral_report(s.mean_flow(g, dr)).eigenvalues.real))
+                   for s in stats_list]
+            se = float(np.std(per, ddof=1) / np.sqrt(len(per))) if len(per) > 1 else 0.0
+            rows.append(_spectral_row(g, args.lam, dr, rep) + [args.steps, args.runs, se])
+        header = _eigs_header(model.dim, ("traj_steps", "n_traj", "min_abs_re_se"))
     else:
-        d = model.psi.dim
-        for g in gammas:
-            for dr in deltas:
-                if args.lam * g >= 1 - 1e-6:
-                    continue
-                flow = mean_flow_relative(model.chain, model.psi, g, args.lam, dr)
-                rep = spectral_report(flow.a_bar)
-                rows.append([g, args.lam, dr]
-                            + list(rep.eigenvalues.real) + list(rep.eigenvalues.imag)
-                            + [rep.max_real_part, rep.condition_number, rep.hurwitz])
-        header = (["gamma", "lambda", "delta_r"]
-                  + [f"eig_re_{i+1}" for i in range(d)] + [f"eig_im_{i+1}" for i in range(d)]
-                  + ["max_re", "cond", "hurwitz"])
-    write_csv(out / "eigs.csv", header, rows)
-    write_json(out / "eigs_meta.json", {"config": _resolved(args),
-                                        "config_hash": config_hash(_resolved(args))})
-    return 0
+        rows = [_spectral_row(g, args.lam, dr, spectral_report(
+                    mean_flow_relative(model.chain, model.psi, g, args.lam, dr).a_bar))
+                for g, dr in grid]
+        header = _eigs_header(model.psi.dim)
+    return {"eigs.csv": (header, rows), "eigs_meta.json": {}}
 
 
-def cmd_hist(args) -> int:
-    out = FsPath(args.out)
+def cmd_hist(args) -> dict:
     model = resolve_model(args.model, args.basis)
-    n0 = int(args.burn_in * args.steps)
-    plan = snapshot_indices(max(n0, 1), args.steps, args.rho, args.snapshots) \
-        if args.snapshots >= 2 else ()
+    runs = _run_many(args, model)
     if isinstance(model, SpeedScalingModel):
-        env = SpeedScalingEnv(model)
-        cfg = _learner_config(args, None)
         stats = estimate_stats(model, args.steps, args.seed, stream=10_001)
         a_bar = stats.mean_flow(args.gamma, args.delta_r)
         theta_star = stats.theta_star(args.gamma, args.delta_r)
@@ -195,8 +232,6 @@ def cmd_hist(args) -> int:
         sig_t = sigma_theta_star(a_bar, sig_d)
         overlay_src = "monte_carlo"
     else:
-        env = model.env
-        cfg = _learner_config(args, model)
         # noise statistics of the algorithm actually run: the fixed variant
         # applies the baseline as a deterministic matrix, the others carry it
         # inside the temporal-difference scalar
@@ -211,41 +246,33 @@ def cmd_hist(args) -> int:
         theta_star = noise.theta_star
         sig_t = sigma_theta_star(noise.a_bar, sigma_delta(noise, model.chain))
         overlay_src = "exact"
-    runs = run_many(env, cfg, args.steps, args.runs, snapshot_plan=tuple(plan))
     samples = empirical_clt_samples(runs, theta_star,
                                     source="snapshots" if args.snapshots >= 2 else "final")
     d = samples.shape[1]
-    write_csv(out / "hist_samples.csv",
-              [f"component_{i+1}" for i in range(d)],
-              [list(r) for r in samples])
-    write_json(out / "hist_overlay.json", {
-        "mean": [0.0] * d,
-        "variance": list(np.diag(sig_t)),
-        "sigma_theta_star": sig_t,
-        "theta_star": theta_star,
-        "overlay_source": overlay_src,
-        "n_samples": int(samples.shape[0]),
-        "config": _resolved(args),
-        "config_hash": config_hash(_resolved(args)),
-    })
-    return 0
+    return {
+        "hist_samples.csv": ([f"component_{i+1}" for i in range(d)],
+                             [list(r) for r in samples]),
+        "hist_overlay.json": {
+            "mean": [0.0] * d,
+            "variance": list(np.diag(sig_t)),
+            "sigma_theta_star": sig_t,
+            "theta_star": theta_star,
+            "overlay_source": overlay_src,
+            "n_samples": int(samples.shape[0]),
+        },
+    }
 
 
-def cmd_bias(args) -> int:
-    out = FsPath(args.out)
-    model = resolve_model(args.model, args.basis)
-    if isinstance(model, SpeedScalingModel):
-        raise RtdLabError("bias command requires a finite model")
+def cmd_bias(args) -> dict:
+    model = _finite_model(args)
     if args.lam != 0.0:
         raise RtdLabError("bias machinery is lam = 0 only")
     noise = build_noise_model(model.chain, model.psi, args.gamma, args.delta_r,
                               VARIANT_FIXED_RELATIVE)
     bias = asymptotic_bias(noise, model.chain, args.rho)
-    cfg = _learner_config(args, model)
-    cfg = LearnerConfig(**{**cfg.__dict__, "variant": "varpi_relative_fixed",
-                           "psi_bar": model.stats.psi_bar,
-                           "theta0": noise.theta_star,
-                           "pr_burn_in_fraction": 0.0})
+    cfg = dataclasses.replace(_learner_config(args, model), variant="varpi_relative_fixed",
+                              psi_bar=model.stats.psi_bar, theta0=noise.theta_star,
+                              pr_burn_in_fraction=0.0)
     runs = run_many(model.env, cfg, args.steps, args.runs)
     alpha_n = cfg.step.alpha(args.steps)
     emp = empirical_bias(runs, noise.theta_star, alpha_n)
@@ -257,32 +284,27 @@ def cmd_bias(args) -> int:
                      float(pr_samples[:, i].mean()),
                      float(pr_samples[:, i].std(ddof=1) / np.sqrt(len(runs))),
                      bias[i]])
-    write_csv(out / "bias_table.csv",
-              ["component", "empirical_iterate", "stderr_iterate", "predicted_iterate",
-               "empirical_averaged", "stderr_averaged", "predicted_averaged"],
-              rows)
     # ||bias||^2 curve over delta_r with tangent slope at 0
     sens = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     deltas = [0.1 * k for k in range(0, 11)]
     biases = [asymptotics_report(model.chain, model.psi, args.gamma, dr, args.rho,
                                  VARIANT_FIXED_RELATIVE if dr > 0 else VARIANT_TD0).bias
               for dr in deltas]
-    write_csv(out / "bias_curve.csv", ["delta_r", "bias_sq_norm"],
-              [[dr, float(b @ b)] for dr, b in zip(deltas, biases)])
-    write_json(out / "bias_meta.json", {
-        "slope_at_zero": 2.0 * float(biases[0] @ sens.d_bias),
-        "bias_sq_at_zero": float(biases[0] @ biases[0]),
-        "config": _resolved(args),
-        "config_hash": config_hash(_resolved(args)),
-    })
-    return 0
+    return {
+        "bias_table.csv": (["component", "empirical_iterate", "stderr_iterate",
+                            "predicted_iterate", "empirical_averaged", "stderr_averaged",
+                            "predicted_averaged"], rows),
+        "bias_curve.csv": (["delta_r", "bias_sq_norm"],
+                           [[dr, float(b @ b)] for dr, b in zip(deltas, biases)]),
+        "bias_meta.json": {
+            "slope_at_zero": 2.0 * float(biases[0] @ sens.d_bias),
+            "bias_sq_at_zero": float(biases[0] @ biases[0]),
+        },
+    }
 
 
-def cmd_sensitivity(args) -> int:
-    out = FsPath(args.out)
-    model = resolve_model(args.model, args.basis)
-    if isinstance(model, SpeedScalingModel):
-        raise RtdLabError("sensitivity command requires a finite model")
+def cmd_sensitivity(args) -> dict:
+    model = _finite_model(args)
     rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     h = args.fd_step
     r_p = asymptotics_report(model.chain, model.psi, args.gamma, h, args.rho,
@@ -294,37 +316,24 @@ def cmd_sensitivity(args) -> int:
     base_variant = VARIANT_FIXED_RELATIVE if args.delta_r > 0 else VARIANT_TD0
     base = asymptotics_report(model.chain, model.psi, args.gamma, args.delta_r,
                               args.rho, base_variant)
-    write_json(out / "asymptotics.json",
-               report_payload(base, args.gamma, 0.0, args.delta_r, base_variant))
-    write_json(out / "sensitivity.json", {
-        "d_theta_star": rep.d_theta_star,
-        "d_a_bar": rep.d_a_bar,
-        "d_a_inv": rep.d_a_inv,
-        "d_sigma": rep.d_sigma,
-        "d_bias": rep.d_bias,
-        "sigma_delta_prime": rep.sigma_delta_prime,
-        "upsilon_bar_prime": rep.upsilon_bar_prime,
-        "d_sigma_frozen_noise": rep.d_sigma_frozen_noise,
-        "d_bias_frozen_noise": rep.d_bias_frozen_noise,
-        "a_inv_prime_outer_residual": rep.a_inv_prime_outer_residual,
-        "fd_d_sigma": fd_sigma,
-        "fd_d_bias": fd_bias,
-        "fd_step": h,
-        "rel_err_d_sigma": float(np.max(np.abs(fd_sigma - rep.d_sigma))
-                                 / np.max(np.abs(fd_sigma))),
-        "rel_err_d_bias": float(np.max(np.abs(fd_bias - rep.d_bias))
-                                / np.max(np.abs(fd_bias))),
-        "config": _resolved(args),
-        "config_hash": config_hash(_resolved(args)),
-    })
-    return 0
+    return {
+        "asymptotics.json": {**dataclasses.asdict(base), "gamma": args.gamma, "lambda": 0.0,
+                             "delta_r": args.delta_r, "variant": base_variant},
+        "sensitivity.json": {
+            **dataclasses.asdict(rep),
+            "fd_d_sigma": fd_sigma,
+            "fd_d_bias": fd_bias,
+            "fd_step": h,
+            "rel_err_d_sigma": float(np.max(np.abs(fd_sigma - rep.d_sigma))
+                                     / np.max(np.abs(fd_sigma))),
+            "rel_err_d_bias": float(np.max(np.abs(fd_bias - rep.d_bias))
+                                    / np.max(np.abs(fd_bias))),
+        },
+    }
 
 
-def cmd_dirichlet(args) -> int:
-    out = FsPath(args.out)
-    model = resolve_model(args.model, args.basis)
-    if isinstance(model, SpeedScalingModel):
-        raise RtdLabError("dirichlet command requires a finite model")
+def cmd_dirichlet(args) -> dict:
+    model = _finite_model(args)
     stats = model.stats
     rng = np.random.default_rng(args.seed)
     probes = rng.standard_normal((args.probes, model.psi.dim))
@@ -337,65 +346,49 @@ def cmd_dirichlet(args) -> int:
         rows.append([beta, rep.gap, rep.eps_p, min(margins), int(rep.degenerate)])
         if rep.degenerate:
             warnings.append(f"degenerate spectral gap at beta={beta}")
-    write_csv(out / "dirichlet.csv",
-              ["beta", "gap", "eps_p", "min_probe_margin", "degenerate"], rows)
-    write_json(out / "dirichlet_meta.json", {
-        "warnings": warnings,
-        "config": _resolved(args),
-        "config_hash": config_hash(_resolved(args)),
-    })
-    return 0
+    return {"dirichlet.csv": (["beta", "gap", "eps_p", "min_probe_margin", "degenerate"], rows),
+            "dirichlet_meta.json": {"warnings": warnings}}
 
 
-def cmd_run(args) -> int:
-    out = FsPath(args.out)
-    model = resolve_model(args.model, args.basis)
-    if isinstance(model, SpeedScalingModel):
-        env = SpeedScalingEnv(model)
-        cfg = _learner_config(args, None)
-    else:
-        env = model.env
-        cfg = _learner_config(args, model)
-    n0 = int(args.burn_in * args.steps)
-    plan = snapshot_indices(max(n0, 1), args.steps, args.rho, args.snapshots) \
-        if args.snapshots >= 2 else ()
-    runs = run_many(env, cfg, args.steps, args.runs, snapshot_plan=tuple(plan))
-    meta = {"config": _resolved(args), "config_hash": config_hash(_resolved(args))}
-    agg_rows = []
-    for r in runs:
-        write_json(out / f"run_{r.run_index:04d}.json", {
-            "run_index": r.run_index,
-            "seed": r.seed,
-            "n_steps": r.n_steps,
-            "theta_final": r.theta_final,
-            "theta_pr": r.theta_pr,
-            "pr_count": r.pr_count,
-            "snapshots": [{"n": s.n, "theta": s.theta,
-                           "theta_pr": s.theta_pr, "pr_count": s.pr_count}
-                          for s in r.snapshots],
-            **meta,
-        })
-        for i in range(len(r.theta_final)):
-            agg_rows.append([r.run_index, i + 1, r.theta_pr[i], r.theta_final[i]])
-    write_csv(out / "runs.csv", ["run_id", "component", "theta_pr", "theta_final"], agg_rows)
-    write_json(out / "run_meta.json", meta)
-    return 0
+def cmd_run(args) -> dict:
+    runs = _run_many(args, resolve_model(args.model, args.basis))
+    files = {f"run_{r.run_index:04d}.json": {
+        "run_index": r.run_index,
+        "seed": r.seed,
+        "n_steps": r.n_steps,
+        "theta_final": r.theta_final,
+        "theta_pr": r.theta_pr,
+        "pr_count": r.pr_count,
+        "snapshots": [{"n": s.n, "theta": s.theta,
+                       "theta_pr": s.theta_pr, "pr_count": s.pr_count}
+                      for s in r.snapshots],
+    } for r in runs}
+    files["runs.csv"] = (["run_id", "component", "theta_pr", "theta_final"],
+                         [[r.run_index, i + 1, r.theta_pr[i], r.theta_final[i]]
+                          for r in runs for i in range(len(r.theta_final))])
+    files["run_meta.json"] = {}
+    return files
 
 
-def cmd_moments(args) -> int:
-    out = FsPath(args.out)
+def cmd_moments(args) -> dict:
     mc = gamma_moment_check(SpeedScalingModel(), args.steps, args.seed)
-    write_json(out / "gamma_moments.json", {
-        "sample_mean": mc.sample_mean, "sample_var": mc.sample_var,
-        "mean_se": mc.mean_se, "var_se": mc.var_se,
-        "expected_mean": mc.expected_mean, "expected_var": mc.expected_var,
-        "mean_ok": mc.mean_ok, "var_ok": mc.var_ok,
-        "config": _resolved(args), "config_hash": config_hash(_resolved(args)),
-    })
-    return 0
+    return {"gamma_moments.json": {**dataclasses.asdict(mc),
+                                   "mean_ok": mc.mean_ok, "var_ok": mc.var_ok}}
+
+
+def _count(flag: str, rule: str, ok):
+    """argparse type of an integer count; a value failing ``ok`` is a ConfigError."""
+    def count(text: str) -> int:
+        n = int(text)
+        if not ok(n):
+            raise ConfigError(f"{flag} must be {rule}, got {n}")
+        return n
+    count.__name__ = "int"  # argparse names the type when the text is no integer
+    return count
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    positive = (">= 1", lambda n: n >= 1)
     p.add_argument("--config", action=_ConfigFile, default=None,
                    help="JSON config file; flags override")
     p.add_argument("--out", type=str, required=True, help="output directory")
@@ -404,8 +397,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--basis", type=str, default="finite_poly",
                    help="finite_poly | tabular | file (explicit matrix from model file)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--steps", type=_count("--steps", *positive), default=100_000)
+    p.add_argument("--runs", type=_count("--runs", *positive), default=50)
     p.add_argument("--gamma", type=float, default=0.99)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--delta-r", dest="delta_r", type=float, default=0.5)
@@ -416,11 +409,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha0", type=float, default=0.02)
     p.add_argument("--rho", type=float, default=0.65)
     p.add_argument("--burn-in", dest="burn_in", type=float, default=0.2)
-    p.add_argument("--snapshots", type=int, default=0)
+    p.add_argument("--snapshots", type=_count("--snapshots", "0 or >= 2",
+                                              lambda n: n == 0 or n >= 2), default=0)
     p.add_argument("--gamma-grid", dest="gamma_grid", type=float, nargs="*", default=None)
     p.add_argument("--delta-grid", dest="delta_grid", type=float, nargs="*", default=None)
     p.add_argument("--beta-grid", dest="beta_grid", type=float, nargs="*", default=None)
-    p.add_argument("--probes", type=int, default=100)
+    p.add_argument("--probes", type=_count("--probes", *positive), default=100)
     p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
 
 
@@ -481,7 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # the first pass loaded the config into defaults; flags now win
             args = parser.parse_args(argv)
-        return args.func(args)
+        write_outputs(FsPath(args.out), args.func(args), args)
+        return 0
     except RtdLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2

@@ -148,11 +148,6 @@ class FeatureStats:
     sigma0: np.ndarray
     psi_bar: np.ndarray
     rank_sigma0: int
-    chain: FiniteChain
-    psi: FeatureMap
-
-    def resolvent_r(self, beta: float) -> np.ndarray:
-        return resolvent_sum(self.chain, self.psi, beta)
 
 
 def feature_stats(chain: FiniteChain, psi: FeatureMap) -> FeatureStats:
@@ -163,7 +158,7 @@ def feature_stats(chain: FiniteChain, psi: FeatureMap) -> FeatureStats:
     tol = _RANK_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
     rank = int(np.sum(sv > tol))
     return FeatureStats(r0=r0, sigma0=sigma0, psi_bar=psi_bar,
-                        rank_sigma0=rank, chain=chain, psi=psi)
+                        rank_sigma0=rank)
 
 
 def find_normalizer(psi: FeatureMap, support: np.ndarray) -> NormalizerResult:

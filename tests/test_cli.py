@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.cli import main
+from rtdlab.cli import config_hash, main
 from rtdlab.markov import save_model
 from rtdlab.meanflow import mean_flow_relative, spectral_report
 
@@ -156,18 +156,63 @@ class TestRunCmd:
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
+REJECTED = [
+    (["bias", "--model", "speed_scaling"], "RtdLabError"),
+    (["bias", "--lam", "0.5"], "RtdLabError"),
+    (["run", "--model", "speed_scaling"], "NumericalDivergence"),  # default alpha0
+    (["run", "--rho", "0.4"], "ConfigError"),
+    # fails in the sensitivity step, after the bias table is computed
+    (["bias", "--basis", "tabular", "--gamma", "1.0", "--runs", "2", "--steps", "2000"],
+     "SingularSystem"),
+    (["run", "--steps", "1", "--snapshots", "3"], "ConfigError"),
+    (["run", "--steps", "-5"], "ConfigError"),
+    (["run", "--runs", "-1"], "ConfigError"),
+    (["run", "--snapshots", "1"], "ConfigError"),
+    (["hist", "--runs", "0"], "ConfigError"),
+    (["eigs", "--model", "speed_scaling", "--runs", "0"], "ConfigError"),
+    (["dirichlet", "--probes", "0"], "ConfigError"),
+    (["eigs", "--basis", "nope"], "ConfigError"),
+    (["eigs", "--basis", "speedscale"], "ConfigError"),
+    (["eigs", "--model", "file:{tmp}/missing.json"], "ConfigError"),
+    (["eigs", "--model", "file:{tmp}/no_actions.json"], "ConfigError"),
+]
+
+
 class TestRejectedCommand:
-    @pytest.mark.parametrize("argv", [
-        ["bias", "--model", "speed_scaling"],
-        ["bias", "--lam", "0.5"],
-        ["run", "--model", "speed_scaling"],   # diverges at the default alpha0
-        ["run", "--rho", "0.4"],
-    ])
-    def test_writes_no_directory(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, error", REJECTED,
+                             ids=[f"argv{i}" for i in range(len(REJECTED))])
+    def test_writes_no_directory(self, tmp_path, capsys, argv, error):
+        (tmp_path / "no_actions.json").write_text(json.dumps({"n_states": 3}))
         out = tmp_path / "out"
+        argv = [a.format(tmp=tmp_path) for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
-        assert "error" in json.loads(capsys.readouterr().out.strip())
+        reply = capsys.readouterr().out.strip()
+        assert "\n" not in reply
+        assert json.loads(reply)["error"] == error
         assert not out.exists()
+
+
+TINY = [
+    ["eigs", "--gamma-grid", "0.9", "--delta-grid", "0", "0.5"],
+    ["hist", "--runs", "2", "--steps", "500", "--snapshots", "3"],
+    ["bias", "--runs", "2", "--steps", "500"],
+    ["sensitivity"],
+    ["dirichlet", "--probes", "5", "--beta-grid", "0.5"],
+    ["run", "--runs", "2", "--steps", "200"],
+    ["moments", "--steps", "1000"],
+]
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("argv", TINY, ids=[a[0] for a in TINY])
+    def test_every_json_file_carries_the_config(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        metas = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
+        assert metas
+        for meta in metas:
+            assert meta["config_hash"] == config_hash(meta["config"])
+            assert meta["config"] == metas[0]["config"]
+        assert metas[0]["config"]["command"] == argv[0]
 
 
 class TestModelFileInput:
@@ -228,6 +273,16 @@ class TestConfigFile:
         assert rc == 2
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"] == "ConfigError"
+
+    def test_bad_count_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": 0}))
+        out = tmp_path / "o"
+        rc = run_cli("run", "--out", str(out), "--config", str(cfg_path), "--steps", "10")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
