@@ -14,12 +14,17 @@ rows)}`` for a CSV and ``{name: dict}`` for a JSON file, and ``main`` writes
 them under ``--out`` with :func:`write_outputs` once the command has
 returned.  Floats are written at full precision and every JSON file carries
 the resolved ``config`` and its ``config_hash``, so a rerun with the same
-configuration and seed is byte-identical.  The counts ``--steps``,
-``--runs``, ``--probes`` and ``--snapshots`` are checked while the flags
-(or ``--config`` values) are parsed, before any work.  A rejected command,
-even one that fails late, writes nothing and leaves no ``--out`` directory;
-it exits 2 after printing a JSON object with ``error`` and ``message``
-fields.
+configuration and seed is byte-identical.
+
+Each subcommand takes ``--out``, ``--config`` and only the flags it reads
+(``COMMANDS``); a value it fixes, such as lam = 0 for ``hist`` and ``bias``,
+is recorded in ``config`` but no flag or ``--config`` key can set it.  The
+counts and the ranges of gamma, lam, delta_r, beta and the finite-difference
+step are checked while the flags (or ``--config`` values) are parsed, before
+any work.  Every rejection, argparse's own included (unknown flag, bad
+value, missing ``--out``), is an :class:`~rtdlab.errors.RtdLabError`: the
+command writes nothing, leaves no ``--out`` directory, prints a one-line
+JSON object with ``error`` and ``message`` fields and exits 2.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -199,7 +205,12 @@ def cmd_eigs(args) -> dict:
     grid = [(g, dr) for g in args.gamma_grid or DEFAULT_GAMMA_GRID
             for dr in args.delta_grid or (0.0, args.delta_r)
             if args.lam * g < 1 - 1e-6]
+    if not grid:
+        raise ConfigError(f"no gamma of the grid has lam * gamma < 1 at --lam {args.lam}")
     if isinstance(model, SpeedScalingModel):
+        if args.lam != 0.0:
+            raise ConfigError("the speed-scaling mean flow is estimated at lam = 0 only, "
+                              f"got --lam {args.lam}")
         stats_list = [estimate_stats(model, args.steps, args.seed, stream=2 * i)
                       for i in range(args.runs)]
         rows = []
@@ -265,14 +276,10 @@ def cmd_hist(args) -> dict:
 
 def cmd_bias(args) -> dict:
     model = _finite_model(args)
-    if args.lam != 0.0:
-        raise RtdLabError("bias machinery is lam = 0 only")
     noise = build_noise_model(model.chain, model.psi, args.gamma, args.delta_r,
                               VARIANT_FIXED_RELATIVE)
     bias = asymptotic_bias(noise, model.chain, args.rho)
-    cfg = dataclasses.replace(_learner_config(args, model), variant="varpi_relative_fixed",
-                              psi_bar=model.stats.psi_bar, theta0=noise.theta_star,
-                              pr_burn_in_fraction=0.0)
+    cfg = dataclasses.replace(_learner_config(args, model), theta0=noise.theta_star)
     runs = run_many(model.env, cfg, args.steps, args.runs)
     alpha_n = cfg.step.alpha(args.steps)
     emp = empirical_bias(runs, noise.theta_star, alpha_n)
@@ -376,58 +383,93 @@ def cmd_moments(args) -> dict:
                                    "mean_ok": mc.mean_ok, "var_ok": mc.var_ok}}
 
 
-def _count(flag: str, rule: str, ok):
-    """argparse type of an integer count; a value failing ``ok`` is a ConfigError."""
-    def count(text: str) -> int:
-        n = int(text)
-        if not ok(n):
-            raise ConfigError(f"{flag} must be {rule}, got {n}")
-        return n
-    count.__name__ = "int"  # argparse names the type when the text is no integer
-    return count
+def _checked(kind, rule: str, ok):
+    """argparse type: ``kind`` of the text, rejected unless ``ok`` holds."""
+    def check(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = kind.__name__  # argparse names the type when the text does not parse
+    return check
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    positive = (">= 1", lambda n: n >= 1)
-    p.add_argument("--config", action=_ConfigFile, default=None,
-                   help="JSON config file; flags override")
-    p.add_argument("--out", type=str, required=True, help="output directory")
-    p.add_argument("--model", type=str, default="finite3x2",
-                   help="finite3x2 | speed_scaling | file:<path>")
-    p.add_argument("--basis", type=str, default="finite_poly",
-                   help="finite_poly | tabular | file (explicit matrix from model file)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_count("--steps", *positive), default=100_000)
-    p.add_argument("--runs", type=_count("--runs", *positive), default=50)
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--delta-r", dest="delta_r", type=float, default=0.5)
-    p.add_argument("--variant", type=str, default="varpi_relative",
-                   help="td | relative_fixed_mu | varpi_relative | varpi_relative_fixed")
-    p.add_argument("--eval-mode", dest="eval_mode", type=str, default="on_policy",
-                   choices=EVAL_MODES)
-    p.add_argument("--alpha0", type=float, default=0.02)
-    p.add_argument("--rho", type=float, default=0.65)
-    p.add_argument("--burn-in", dest="burn_in", type=float, default=0.2)
-    p.add_argument("--snapshots", type=_count("--snapshots", "0 or >= 2",
-                                              lambda n: n == 0 or n >= 2), default=0)
-    p.add_argument("--gamma-grid", dest="gamma_grid", type=float, nargs="*", default=None)
-    p.add_argument("--delta-grid", dest="delta_grid", type=float, nargs="*", default=None)
-    p.add_argument("--beta-grid", dest="beta_grid", type=float, nargs="*", default=None)
-    p.add_argument("--probes", type=_count("--probes", *positive), default=100)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
+_POSITIVE = (">= 1", lambda n: n >= 1)
+_UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
+_DELTA_R = ("finite and >= 0", lambda x: 0 <= x < math.inf)
+
+# every flag a subcommand may take: dest -> add_argument keywords; the flag
+# is --<dest> with "_" as "-"
+FLAGS = {
+    "model": dict(default="finite3x2", help="finite3x2 | speed_scaling | file:<path>"),
+    "basis": dict(default="finite_poly",
+                  help="finite_poly | tabular | file (explicit matrix from model file)"),
+    "seed": dict(type=int, default=0),
+    "steps": dict(type=_checked(int, *_POSITIVE), default=100_000),
+    "runs": dict(type=_checked(int, *_POSITIVE), default=50),
+    "gamma": dict(type=_checked(float, *_UNIT), default=0.99),
+    "lam": dict(type=_checked(float, *_UNIT), default=0.0, aliases=("--lambda",)),
+    "delta_r": dict(type=_checked(float, *_DELTA_R), default=0.5),
+    "variant": dict(default="varpi_relative",
+                    help="td | relative_fixed_mu | varpi_relative | varpi_relative_fixed"),
+    "eval_mode": dict(default="on_policy", choices=EVAL_MODES),
+    "alpha0": dict(type=float, default=0.02),
+    "rho": dict(type=float, default=0.65),
+    "burn_in": dict(type=float, default=0.2),
+    "snapshots": dict(type=_checked(int, "0 or >= 2", lambda n: n == 0 or n >= 2), default=0),
+    "gamma_grid": dict(type=_checked(float, *_UNIT), nargs="*", default=None),
+    "delta_grid": dict(type=_checked(float, *_DELTA_R), nargs="*", default=None),
+    "beta_grid": dict(type=_checked(float, "in [0, 1)", lambda x: 0 <= x < 1),
+                      nargs="*", default=None),
+    "probes": dict(type=_checked(int, *_POSITIVE), default=100),
+    "fd_step": dict(type=_checked(float, "finite and > 0", lambda x: 0 < x < math.inf),
+                    default=1e-5),
+}
+
+# subcommand -> (the flags it reads, the values it fixes).  A fixed value is
+# recorded in ``config``, but no flag or ``--config`` key can set it: the
+# exact overlay of hist and the exact bias are for lam = 0 and on-policy
+# targets, and bias runs the fixed variant from theta_star without burn-in.
+COMMANDS = {
+    "eigs": ("model basis seed lam delta_r gamma_grid delta_grid steps runs", {}),
+    "hist": ("model basis seed steps runs gamma delta_r alpha0 rho variant burn_in snapshots",
+             {"lam": 0.0, "eval_mode": "on_policy"}),
+    "bias": ("model basis seed steps runs gamma delta_r alpha0 rho",
+             {"lam": 0.0, "eval_mode": "on_policy", "variant": "varpi_relative_fixed",
+              "burn_in": 0.0}),
+    "sensitivity": ("model basis seed gamma rho delta_r fd_step", {}),
+    "dirichlet": ("model basis seed probes beta_grid", {}),
+    "run": ("model basis seed steps runs gamma lam delta_r variant eval_mode alpha0 rho "
+            "burn_in snapshots", {}),
+    "moments": ("seed steps", {}),
+}
+
+# (subcommand, flag) -> keywords that replace the flag's own; bias reports
+# standard errors over its runs
+OVERRIDES = {("bias", "runs"): dict(type=_checked(int, ">= 2", lambda n: n >= 2))}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections (unknown flag, bad value, missing --out) are ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rtdlab",
-                                     description="relative TD policy-evaluation laboratory")
+    parser = _Parser(prog="rtdlab", description="relative TD policy-evaluation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("eigs", cmd_eigs), ("hist", cmd_hist), ("bias", cmd_bias),
-                     ("sensitivity", cmd_sensitivity), ("dirichlet", cmd_dirichlet),
-                     ("run", cmd_run), ("moments", cmd_moments)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(func=fn)
+    for name, (flags, fixed) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", action=_ConfigFile, default=None,
+                       help="JSON config file; flags override")
+        p.add_argument("--out", type=str, required=True, help="output directory")
+        for dest in flags.split():
+            spec = {**FLAGS[dest], **OVERRIDES.get((name, dest), {})}
+            p.add_argument("--" + dest.replace("_", "-"), *spec.pop("aliases", ()),
+                           dest=dest, **spec)
+        # looked up at each build, so a cmd_* replaced on the module is the one run
+        p.set_defaults(func=globals()[f"cmd_{name}"], **fixed)
     return parser
 
 
@@ -460,7 +502,7 @@ def _config_value(action: argparse.Action, key: str, val):
             raise ValueError("expected a list")
         convert = action.type or str
         out = [convert(str(v)) for v in val] if action.nargs == "*" else convert(str(val))
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"config key {key!r}: bad value {val!r} ({exc})") from exc
     if action.choices is not None and out not in action.choices:
         raise ConfigError(f"config key {key!r}: {val!r} is not one of {action.choices}")

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,8 @@ class TestRunCmd:
 
 REJECTED = [
     (["bias", "--model", "speed_scaling"], "RtdLabError"),
-    (["bias", "--lam", "0.5"], "RtdLabError"),
+    # bias takes no --lam: its exact bias is for lam = 0
+    (["bias", "--lam", "0.5"], "ConfigError"),
     (["run", "--model", "speed_scaling"], "NumericalDivergence"),  # default alpha0
     (["run", "--rho", "0.4"], "ConfigError"),
     # fails in the sensitivity step, after the bias table is computed
@@ -175,6 +177,26 @@ REJECTED = [
     (["eigs", "--basis", "speedscale"], "ConfigError"),
     (["eigs", "--model", "file:{tmp}/missing.json"], "ConfigError"),
     (["eigs", "--model", "file:{tmp}/no_actions.json"], "ConfigError"),
+    # flags a command cannot honour: hist and bias compare against the exact
+    # lam = 0, on-policy numbers, sensitivity is lam = 0, and the speed-scaling
+    # mean flow has no lam
+    (["hist", "--lam", "0.5"], "ConfigError"),
+    (["hist", "--eval-mode", "natural"], "ConfigError"),
+    (["bias", "--eval-mode", "natural"], "ConfigError"),
+    (["sensitivity", "--lam", "0.5"], "ConfigError"),
+    (["eigs", "--model", "speed_scaling", "--lam", "0.5"], "ConfigError"),
+    # argparse's own rejections
+    (["run", "--nope", "1"], "ConfigError"),
+    (["run", "--steps", "abc"], "ConfigError"),
+    (["eigs", "--gamma", "0.9"], "ConfigError"),  # no abbreviation of --gamma-grid
+    # bias reports standard errors over its runs
+    (["bias", "--runs", "1"], "ConfigError"),
+    # ranges
+    (["dirichlet", "--beta-grid", "1.0"], "ConfigError"),
+    (["eigs", "--delta-grid", "-1"], "ConfigError"),
+    (["sensitivity", "--fd-step", "0"], "ConfigError"),
+    (["eigs", "--lam", "2"], "ConfigError"),
+    (["eigs", "--lam", "1", "--gamma-grid", "1"], "ConfigError"),  # no lam * gamma < 1
 ]
 
 
@@ -214,6 +236,47 @@ class TestOutputWriter:
             assert meta["config"] == metas[0]["config"]
         assert metas[0]["config"]["command"] == argv[0]
 
+    @pytest.mark.parametrize("argv", TINY, ids=[a[0] for a in TINY])
+    def test_config_holds_the_flags_and_fixed_values(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        meta = json.loads(next(tmp_path.glob("*.json")).read_text())
+        flags, fixed = COMMAND_FLAGS[argv[0]]
+        assert set(meta["config"]) == set(flags.split()) | set(fixed) | {"command"}
+        for key, value in fixed.items():
+            assert meta["config"][key] == value
+
+
+# subcommand -> (flags it reads, values it fixes)
+COMMAND_FLAGS = {
+    "eigs": ("model basis seed lam delta_r gamma_grid delta_grid steps runs", {}),
+    "hist": ("model basis seed steps runs gamma delta_r alpha0 rho variant burn_in snapshots",
+             {"lam": 0.0, "eval_mode": "on_policy"}),
+    "bias": ("model basis seed steps runs gamma delta_r alpha0 rho",
+             {"lam": 0.0, "eval_mode": "on_policy", "variant": "varpi_relative_fixed",
+              "burn_in": 0.0}),
+    "sensitivity": ("model basis seed gamma rho delta_r fd_step", {}),
+    "dirichlet": ("model basis seed probes beta_grid", {}),
+    "run": ("model basis seed steps runs gamma lam delta_r variant eval_mode alpha0 rho "
+            "burn_in snapshots", {}),
+    "moments": ("seed steps", {}),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        flags = {"--" + dest.replace("_", "-") for dest in COMMAND_FLAGS[command][0].split()}
+        flags |= {"--help", "--config", "--out"} | ({"--lambda"} if "--lam" in flags else set())
+        assert listed == flags
+
+    def test_missing_out_rejected(self, capsys):
+        assert run_cli("eigs") == 2
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "ConfigError"
+
 
 class TestModelFileInput:
     def test_file_model_with_explicit_features(self, tmp_path):
@@ -239,12 +302,12 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"gamma": 0.9, "delta_r": 0.25}))
         out = tmp_path / "out"
-        rc = run_cli("eigs", "--out", str(out), "--config", str(cfg_path),
-                     "--gamma-grid", "0.9", "--delta-grid", "0.25")
+        rc = run_cli("sensitivity", "--out", str(out), "--config", str(cfg_path))
         assert rc == 0
-        meta = json.loads((out / "eigs_meta.json").read_text())
+        meta = json.loads((out / "asymptotics.json").read_text())
         assert meta["config"]["gamma"] == 0.9
         assert meta["config"]["delta_r"] == 0.25
+        assert meta["gamma"] == 0.9 and meta["delta_r"] == 0.25
 
     def test_flag_overrides_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -290,3 +353,17 @@ class TestConfigFile:
         rc = run_cli("run", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
                      "--steps", "10", "--runs", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("hist", "lam", 0.5),      # fixed, not settable
+        ("eigs", "gamma", 0.9),    # a key of another subcommand
+        ("bias", "runs", 1),       # the flag's own rule
+        ("eigs", "lam", 2),        # the flag's own range
+    ])
+    def test_key_the_command_cannot_take_rejected(self, tmp_path, capsys, command, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert run_cli(command, "--out", str(out), "--config", str(cfg_path)) == 2
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "ConfigError"
+        assert not out.exists()
