@@ -19,12 +19,17 @@ configuration and seed is byte-identical.
 Each subcommand takes ``--out``, ``--config`` and only the flags it reads
 (``COMMANDS``); a value it fixes, such as lam = 0 for ``hist`` and ``bias``,
 is recorded in ``config`` but no flag or ``--config`` key can set it.  The
-counts and the ranges of gamma, lam, delta_r, beta and the finite-difference
-step are checked while the flags (or ``--config`` values) are parsed, before
-any work.  Every rejection, argparse's own included (unknown flag, bad
-value, missing ``--out``), is an :class:`~rtdlab.errors.RtdLabError`: the
-command writes nothing, leaves no ``--out`` directory, prints a one-line
-JSON object with ``error`` and ``message`` fields and exits 2.
+keys of the ``--config`` JSON object are the subcommand's flags (``delta_r``
+for ``--delta-r``); ``main`` parses them as flags put before the command
+line's, so the same rules check them and the command line wins.  A list is
+a grid of numbers, a scalar for a grid flag is a one-value grid, and the
+last ``--config`` given is used.  The model name, the counts and the ranges
+of gamma, lam, delta_r, beta and the finite-difference step are checked as
+the flags are parsed, before any work.  Every rejection, argparse's own
+included (unknown flag, bad value, missing ``--out``), is an
+:class:`~rtdlab.errors.RtdLabError`: the command writes nothing, leaves no
+``--out`` directory, prints a one-line JSON object with ``error`` and
+``message`` fields and exits 2.
 """
 
 from __future__ import annotations
@@ -123,16 +128,17 @@ class ModelBundle:
 
 
 def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
+    """The model a ``--model`` value names; the flag's type has checked its form."""
     if name == "speed_scaling":
+        if basis != "finite_poly":
+            raise ConfigError(f"the speed-scaling model has its own basis, got --basis {basis}")
         return SpeedScalingModel()
     try:
         if name == "finite3x2":
             mdp, policy = models.finite_mdp(), models.finite_eval_policy()
             explicit = None
-        elif name.startswith("file:"):
-            mdp, policy, explicit = load_model(name[5:])
         else:
-            raise RtdLabError(f"unknown model {name!r}")
+            mdp, policy, explicit = load_model(name[5:])
         chain = build_chain(mdp, policy)
     except KeyError as exc:
         raise ConfigError(f"model {name!r} has no key {exc}") from exc
@@ -149,20 +155,13 @@ def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
     return ModelBundle(chain, psi, policy.probs)
 
 
-def _finite_model(args) -> ModelBundle:
-    model = resolve_model(args.model, args.basis)
-    if isinstance(model, SpeedScalingModel):
-        raise RtdLabError(f"{args.command} command requires a finite model")
-    return model
-
-
 def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
     sched = StepSchedule(alpha0=args.alpha0, rho=args.rho)
     kw = dict(gamma=args.gamma, lam=args.lam, step=sched, variant=args.variant,
               delta_r=args.delta_r, eval_mode=args.eval_mode, seed=args.seed,
               pr_burn_in_fraction=args.burn_in)
     if args.variant in ("relative_fixed_mu", "varpi_relative_fixed") and bundle is None:
-        raise RtdLabError(f"{args.variant} needs the exact stationary baseline of a "
+        raise ConfigError(f"{args.variant} needs the exact stationary baseline of a "
                           "finite model")
     if args.variant == "relative_fixed_mu":
         # the stationary baseline, as in mean_flow_relative's default
@@ -275,7 +274,7 @@ def cmd_hist(args) -> dict:
 
 
 def cmd_bias(args) -> dict:
-    model = _finite_model(args)
+    model = resolve_model(args.model, args.basis)
     noise = build_noise_model(model.chain, model.psi, args.gamma, args.delta_r,
                               VARIANT_FIXED_RELATIVE)
     bias = asymptotic_bias(noise, model.chain, args.rho)
@@ -311,7 +310,7 @@ def cmd_bias(args) -> dict:
 
 
 def cmd_sensitivity(args) -> dict:
-    model = _finite_model(args)
+    model = resolve_model(args.model, args.basis)
     rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     h = args.fd_step
     r_p = asymptotics_report(model.chain, model.psi, args.gamma, h, args.rho,
@@ -340,7 +339,7 @@ def cmd_sensitivity(args) -> dict:
 
 
 def cmd_dirichlet(args) -> dict:
-    model = _finite_model(args)
+    model = resolve_model(args.model, args.basis)
     stats = model.stats
     rng = np.random.default_rng(args.seed)
     probes = rng.standard_normal((args.probes, model.psi.dim))
@@ -398,10 +397,18 @@ _POSITIVE = (">= 1", lambda n: n >= 1)
 _UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
 _DELTA_R = ("finite and >= 0", lambda x: 0 <= x < math.inf)
 
+
+def _model_flag(*names: str) -> dict:
+    """``--model`` keywords: one of ``names`` or ``file:<path>``."""
+    rule = " | ".join((*names, "file:<path>"))
+    return dict(type=_checked(str, rule, lambda s: s in names or s.startswith("file:")),
+                help=rule)
+
+
 # every flag a subcommand may take: dest -> add_argument keywords; the flag
 # is --<dest> with "_" as "-"
 FLAGS = {
-    "model": dict(default="finite3x2", help="finite3x2 | speed_scaling | file:<path>"),
+    "model": dict(_model_flag("finite3x2", "speed_scaling"), default="finite3x2"),
     "basis": dict(default="finite_poly",
                   help="finite_poly | tabular | file (explicit matrix from model file)"),
     "seed": dict(type=int, default=0),
@@ -445,8 +452,11 @@ COMMANDS = {
 }
 
 # (subcommand, flag) -> keywords that replace the flag's own; bias reports
-# standard errors over its runs
-OVERRIDES = {("bias", "runs"): dict(type=_checked(int, ">= 2", lambda n: n >= 2))}
+# standard errors over its runs, and bias, sensitivity and dirichlet need the
+# exact chain of a finite model
+OVERRIDES = {("bias", "runs"): dict(type=_checked(int, ">= 2", lambda n: n >= 2)),
+             **{(name, "model"): _model_flag("finite3x2")
+                for name in ("bias", "sensitivity", "dirichlet")}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -461,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (flags, fixed) in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", action=_ConfigFile, default=None,
-                       help="JSON config file; flags override")
+        p.add_argument("--config", help="JSON object of flags; flags given here win")
         p.add_argument("--out", type=str, required=True, help="output directory")
         for dest in flags.split():
             spec = {**FLAGS[dest], **OVERRIDES.get((name, dest), {})}
@@ -473,40 +482,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _ConfigFile(argparse.Action):
-    """``--config``: load a JSON object into the subcommand's defaults.
-
-    ``main`` parses argv again afterwards, so flags given explicitly win.
-    """
-
-    def __call__(self, parser, namespace, path, option_string=None):
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", self.dest)}
-        for key, val in raw.items():
-            if key not in actions:
-                raise ConfigError(f"unknown config key {key!r}")
-            parser.set_defaults(**{key: _config_value(actions[key], key, val)})
-        setattr(namespace, self.dest, path)
-
-
-def _config_value(action: argparse.Action, key: str, val):
-    """``val`` converted with the flag's own type, as argparse converts its text."""
+def _config_flags(command: str, path: str) -> list[str]:
+    """The JSON object in ``path`` as flags of ``command``, for its parser to check."""
     try:
-        if action.nargs == "*" and not isinstance(val, list):
-            raise ValueError("expected a list")
-        convert = action.type or str
-        out = [convert(str(v)) for v in val] if action.nargs == "*" else convert(str(val))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"config key {key!r}: bad value {val!r} ({exc})") from exc
-    if action.choices is not None and out not in action.choices:
-        raise ConfigError(f"config key {key!r}: {val!r} is not one of {action.choices}")
-    return out
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flags = []
+    for key, val in raw.items():
+        if key not in COMMANDS[command][0].split():
+            raise ConfigError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(val, list):
+            flags.append(f"{flag}={val}")
+        elif "nargs" in FLAGS[key] and all(type(v) in (int, float) for v in val):
+            flags += [flag, *map(str, val)]
+        else:
+            raise ConfigError(f"config key {key!r}: {val!r} is not a grid of numbers")
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -515,8 +511,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # the first pass loaded the config into defaults; flags now win
-            args = parser.parse_args(argv)
+            # argv[0] is the subcommand; its flags from the file come before
+            # the command line's, so the command line wins
+            flags = _config_flags(args.command, args.config)
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
         write_outputs(FsPath(args.out), args.func(args), args)
         return 0
     except RtdLabError as exc:

@@ -35,6 +35,8 @@ from .markov import FiniteChain, guarded_solve
 # is continuous in beta so a coarse grid suffices.
 EPS_P_BETA_GRID = tuple(np.round(np.arange(0.0, 1.0, 0.1), 10)) + (0.99,)
 
+SIMPLE_TOL = 1e-8  # modulus separation eigen_perturbation calls a simple eigenvalue
+
 
 @dataclass(frozen=True)
 class MeanFlow:
@@ -186,8 +188,7 @@ def spectral_gap(p: np.ndarray, pi: np.ndarray) -> float:
 
 
 def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float,
-                     gamma: float | None = None, lam: float | None = None,
-                     beta_grid: tuple[float, ...] = EPS_P_BETA_GRID) -> DirichletReport:
+                     gamma: float | None = None, lam: float | None = None) -> DirichletReport:
     """K_beta, M_beta, the Poincare gap at beta, and the grid minimum eps_P.
 
     States of zero stationary mass are excluded from the adjoint computation
@@ -200,7 +201,7 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float,
     p_sup, pi_sup, restricted = _restrict_to_support(chain)
     r0 = autocorrelation(chain, psi, 0)
     m_beta = r0 - (1.0 - beta) * resolvent_sum(chain, psi, beta)
-    gaps = {b: spectral_gap(_k_beta(p_sup, b), pi_sup) for b in set(beta_grid) | {beta}}
+    gaps = {b: spectral_gap(_k_beta(p_sup, b), pi_sup) for b in set(EPS_P_BETA_GRID) | {beta}}
     gap = gaps[beta]
     eps_p = min(gaps.values())
     varrho = None
@@ -225,19 +226,18 @@ def dirichlet_quadratic_form(chain: FiniteChain, psi: FeatureMap, beta: float,
     return float(np.sum(chain.stationary * g * (g - k @ g)))
 
 
-def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray,
-                       simple_tol: float = 1e-8) -> PerturbationReport:
+def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> PerturbationReport:
     """Derivative at t = 0 of the smallest-modulus eigenvalue of A + t v w'.
 
     Uses left/right eigenvectors of the tracked eigenvalue:
     (eta_L'v)(w'eta_R)/(eta_L'eta_R).  Requires the smallest-modulus
     eigenvalue to be simple (second-smallest modulus separated by more than
-    ``simple_tol``).
+    ``SIMPLE_TOL``).
     """
     a = np.asarray(a_matrix, dtype=float)
     eigvals, right = np.linalg.eig(a)
     order = np.argsort(np.abs(eigvals))
-    if len(eigvals) > 1 and abs(abs(eigvals[order[1]]) - abs(eigvals[order[0]])) < simple_tol:
+    if len(eigvals) > 1 and abs(abs(eigvals[order[1]]) - abs(eigvals[order[0]])) < SIMPLE_TOL:
         raise NotSimple("smallest-modulus eigenvalue is not numerically simple")
     k = order[0]
     eta_r = right[:, k]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.cli import config_hash, main
+from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
 from rtdlab.markov import save_model
 from rtdlab.meanflow import mean_flow_relative, spectral_report
 
@@ -158,7 +158,7 @@ class TestRunCmd:
 
 
 REJECTED = [
-    (["bias", "--model", "speed_scaling"], "RtdLabError"),
+    (["bias", "--model", "speed_scaling"], "ConfigError"),
     # bias takes no --lam: its exact bias is for lam = 0
     (["bias", "--lam", "0.5"], "ConfigError"),
     (["run", "--model", "speed_scaling"], "NumericalDivergence"),  # default alpha0
@@ -197,6 +197,13 @@ REJECTED = [
     (["sensitivity", "--fd-step", "0"], "ConfigError"),
     (["eigs", "--lam", "2"], "ConfigError"),
     (["eigs", "--lam", "1", "--gamma-grid", "1"], "ConfigError"),  # no lam * gamma < 1
+    # the speed-scaling model has its own features and no exact chain
+    (["eigs", "--model", "speed_scaling", "--basis", "tabular", "--steps", "2000",
+      "--runs", "2"], "ConfigError"),
+    (["run", "--model", "speed_scaling", "--variant", "varpi_relative_fixed"], "ConfigError"),
+    (["hist", "--model", "speed_scaling", "--variant", "relative_fixed_mu"], "ConfigError"),
+    (["sensitivity", "--model", "speed_scaling"], "ConfigError"),
+    (["dirichlet", "--model", "speed_scaling"], "ConfigError"),
 ]
 
 
@@ -273,6 +280,12 @@ class TestParser:
         flags |= {"--help", "--config", "--out"} | ({"--lambda"} if "--lam" in flags else set())
         assert listed == flags
 
+    def test_tables_name_only_flags_that_are_read(self):
+        read = {name: set(flags.split()) for name, (flags, _) in COMMANDS.items()}
+        assert set(FLAGS) == set().union(*read.values())
+        for name, dest in OVERRIDES:
+            assert dest in read[name]
+
     def test_missing_out_rejected(self, capsys):
         assert run_cli("eigs") == 2
         assert json.loads(capsys.readouterr().out.strip())["error"] == "ConfigError"
@@ -294,7 +307,7 @@ class TestModelFileInput:
         rc = run_cli("eigs", "--out", str(tmp_path), "--model", "nope")
         assert rc == 2
         err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"] == "RtdLabError"
+        assert err["error"] == "ConfigError"
 
 
 class TestConfigFile:
@@ -308,6 +321,40 @@ class TestConfigFile:
         assert meta["config"]["gamma"] == 0.9
         assert meta["config"]["delta_r"] == 0.25
         assert meta["gamma"] == 0.9 and meta["delta_r"] == 0.25
+
+    def test_config_with_equals_sign(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gamma": 0.9}))
+        out = tmp_path / "out"
+        assert run_cli("sensitivity", "--out", str(out), f"--config={cfg_path}") == 0
+        assert json.loads((out / "asymptotics.json").read_text())["config"]["gamma"] == 0.9
+
+    def test_last_config_is_used(self, tmp_path):
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        first.write_text(json.dumps({"gamma": 0.9}))
+        last.write_text(json.dumps({"delta_r": 0.25}))
+        out = tmp_path / "out"
+        assert run_cli("sensitivity", "--out", str(out), "--config", str(first),
+                       "--config", str(last)) == 0
+        config = json.loads((out / "asymptotics.json").read_text())["config"]
+        assert config["gamma"] == 0.99 and config["delta_r"] == 0.25
+
+    def test_scalar_for_a_grid_is_one_value(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gamma_grid": 0.9, "delta_grid": [0, 0.5]}))
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--out", str(out), "--config", str(cfg_path)) == 0
+        _, rows = read_csv(out / "eigs.csv")
+        assert [(float(r[0]), float(r[2])) for r in rows] == [(0.9, 0.0), (0.9, 0.5)]
+
+    def test_grid_flag_overrides_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gamma_grid": [0.5, 0.6]}))
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--out", str(out), "--config", str(cfg_path),
+                       "--gamma-grid", "0.9", "--delta-grid", "0") == 0
+        _, rows = read_csv(out / "eigs.csv")
+        assert [float(r[0]) for r in rows] == [0.9]
 
     def test_flag_overrides_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -359,6 +406,15 @@ class TestConfigFile:
         ("eigs", "gamma", 0.9),    # a key of another subcommand
         ("bias", "runs", 1),       # the flag's own rule
         ("eigs", "lam", 2),        # the flag's own range
+        ("eigs", "model", "nope"),  # the flag's own type
+        ("bias", "model", "speed_scaling"),
+        ("eigs", "gamma_grid", ["--out", "x"]),  # a grid holds numbers only
+        ("eigs", "gamma_grid", [0.9, "0.99"]),
+        ("eigs", "gamma_grid", [True]),
+        ("sensitivity", "delta_r", [0.25]),      # a list for a scalar flag
+        ("run", "out", "x"),       # not a flag of the subcommand's own
+        ("run", "help", 1),
+        ("run", "config", "other.json"),
     ])
     def test_key_the_command_cannot_take_rejected(self, tmp_path, capsys, command, key, value):
         cfg_path = tmp_path / "cfg.json"
