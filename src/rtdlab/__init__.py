@@ -14,8 +14,8 @@ Layers:
 
 from .asymptotics import (AsymptoticsReport, NoiseModel, SensitivityReport,
                           asymptotic_bias, asymptotics_report, build_noise_model,
-                          matrix_poisson, sensitivity, sigma_delta, sigma_theta_star,
-                          upsilon_bar)
+                          matrix_poisson, noise_variant, sensitivity, sigma_delta,
+                          sigma_theta_star, upsilon_bar)
 from .errors import (ConfigError, MissingSplitSample, NoNormalizer, NonZeroMean,
                      NotSimple, NotUnichain, NumericalDivergence, RtdLabError,
                      SingularResolvent, SingularSystem, UnsupportedLambda)

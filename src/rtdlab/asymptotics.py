@@ -50,6 +50,14 @@ VARIANT_FIXED_RELATIVE = "fixed_relative_td0"
 # baseline estimate has converged
 VARIANT_VARPI_LIMIT = "varpi_relative_td0"
 
+# learner variant (``learner.VARIANTS``) -> noise model of its lam = 0 update
+NOISE_VARIANTS = {
+    "td": VARIANT_TD0,
+    "relative_fixed_mu": VARIANT_VARPI_LIMIT,
+    "varpi_relative": VARIANT_VARPI_LIMIT,
+    "varpi_relative_fixed": VARIANT_FIXED_RELATIVE,
+}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -114,6 +122,23 @@ def _scale(x: np.ndarray) -> float:
 def _pair_law(chain: FiniteChain) -> np.ndarray:
     """Stationary law varpi(z) P(z, z') of the pair (Z_n, Z_{n+1})."""
     return (chain.stationary[:, None] * chain.transition).reshape(-1)
+
+
+def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
+    """The noise model and baseline weight that describe learner ``variant``.
+
+    ``td``, and any variant at delta_r = 0, is plain TD(0) at delta_r = 0.
+    ``varpi_relative_fixed`` applies the baseline as a deterministic matrix
+    (``fixed_relative_td0``); ``varpi_relative`` carries it inside the
+    temporal-difference scalar (``varpi_relative_td0``).  So does
+    ``relative_fixed_mu``, whose update is that same model when its baseline
+    mu is the stationary pmf, as the command line runs it.
+    """
+    if variant not in NOISE_VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if NOISE_VARIANTS[variant] == VARIANT_TD0 or delta_r == 0.0:
+        return VARIANT_TD0, 0.0
+    return NOISE_VARIANTS[variant], delta_r
 
 
 def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,

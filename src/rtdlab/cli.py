@@ -45,9 +45,9 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import models
-from .asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                          asymptotic_bias, asymptotics_report, build_noise_model,
-                          sensitivity, sigma_delta, sigma_theta_star)
+from .asymptotics import (VARIANT_FIXED_RELATIVE, asymptotic_bias, asymptotics_report,
+                          build_noise_model, noise_variant, sensitivity, sigma_delta,
+                          sigma_theta_star)
 from .errors import ConfigError, RtdLabError
 from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -144,12 +144,12 @@ def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
         raise ConfigError(f"model {name!r} has no key {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load model {name!r}: {exc}") from exc
+    if basis == "file" and explicit is None:
+        raise ConfigError(f"--basis file needs a model file with a features matrix, "
+                          f"and {name} has none")
     try:
-        if explicit is not None and basis == "file":
-            psi = FeatureMap(explicit)
-        else:
-            psi = builtin_basis(basis if basis != "file" else "finite_poly",
-                                mdp.n_states, mdp.n_actions)
+        psi = (FeatureMap(explicit) if basis == "file"
+               else builtin_basis(basis, mdp.n_states, mdp.n_actions))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ModelBundle(chain, psi, policy.probs)
@@ -231,28 +231,18 @@ def cmd_eigs(args) -> dict:
 def cmd_hist(args) -> dict:
     model = resolve_model(args.model, args.basis)
     runs = _run_many(args, model)
+    # the noise statistics of the variant that ran; td is compared at delta_r = 0
+    variant, delta_r = noise_variant(args.variant, args.delta_r)
     if isinstance(model, SpeedScalingModel):
+        # only td and varpi_relative run here, so the baseline rides the TD scalar
         stats = estimate_stats(model, args.steps, args.seed, stream=10_001)
-        a_bar = stats.mean_flow(args.gamma, args.delta_r)
-        theta_star = stats.theta_star(args.gamma, args.delta_r)
-        correction = "matrix" if args.variant == "varpi_relative_fixed" else "scalar"
-        sig_d = estimate_noise_covariance(model, stats, args.gamma, args.delta_r,
-                                          args.steps, args.seed, stream=10_003,
-                                          correction=correction)
-        sig_t = sigma_theta_star(a_bar, sig_d)
+        theta_star = stats.theta_star(args.gamma, delta_r)
+        sig_d = estimate_noise_covariance(model, stats, args.gamma, delta_r,
+                                          args.steps, args.seed, stream=10_003)
+        sig_t = sigma_theta_star(stats.mean_flow(args.gamma, delta_r), sig_d)
         overlay_src = "monte_carlo"
     else:
-        # noise statistics of the algorithm actually run: the fixed variant
-        # applies the baseline as a deterministic matrix, the others carry it
-        # inside the temporal-difference scalar
-        if args.delta_r == 0 or args.variant == "td":
-            variant = VARIANT_TD0
-        elif args.variant == "varpi_relative_fixed":
-            variant = VARIANT_FIXED_RELATIVE
-        else:
-            variant = VARIANT_VARPI_LIMIT
-        noise = build_noise_model(model.chain, model.psi, args.gamma,
-                                  args.delta_r if args.variant != "td" else 0.0, variant)
+        noise = build_noise_model(model.chain, model.psi, args.gamma, delta_r, variant)
         theta_star = noise.theta_star
         sig_t = sigma_theta_star(noise.a_bar, sigma_delta(noise, model.chain))
         overlay_src = "exact"
@@ -275,27 +265,22 @@ def cmd_hist(args) -> dict:
 
 def cmd_bias(args) -> dict:
     model = resolve_model(args.model, args.basis)
-    noise = build_noise_model(model.chain, model.psi, args.gamma, args.delta_r,
-                              VARIANT_FIXED_RELATIVE)
+    variant, delta_r = noise_variant(args.variant, args.delta_r)
+    noise = build_noise_model(model.chain, model.psi, args.gamma, delta_r, variant)
     bias = asymptotic_bias(noise, model.chain, args.rho)
     cfg = dataclasses.replace(_learner_config(args, model), theta0=noise.theta_star)
     runs = run_many(model.env, cfg, args.steps, args.runs)
     alpha_n = cfg.step.alpha(args.steps)
-    emp = empirical_bias(runs, noise.theta_star, alpha_n)
-    pr_samples = np.stack([(r.theta_pr - noise.theta_star) / alpha_n for r in runs])
+    emp = empirical_bias([r.theta_final for r in runs], noise.theta_star, alpha_n)
+    avg = empirical_bias([r.theta_pr for r in runs], noise.theta_star, alpha_n)
     iterate_pred = (1.0 - args.rho) * bias
-    rows = []
-    for i in range(model.psi.dim):
-        rows.append([i + 1, emp.value[i], emp.stderr[i], iterate_pred[i],
-                     float(pr_samples[:, i].mean()),
-                     float(pr_samples[:, i].std(ddof=1) / np.sqrt(len(runs))),
-                     bias[i]])
+    rows = [[i + 1, emp.value[i], emp.stderr[i], iterate_pred[i], avg.value[i],
+             avg.stderr[i], bias[i]] for i in range(model.psi.dim)]
     # ||bias||^2 curve over delta_r with tangent slope at 0
     sens = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     deltas = [0.1 * k for k in range(0, 11)]
-    biases = [asymptotics_report(model.chain, model.psi, args.gamma, dr, args.rho,
-                                 VARIANT_FIXED_RELATIVE if dr > 0 else VARIANT_TD0).bias
-              for dr in deltas]
+    biases = [asymptotics_report(model.chain, model.psi, args.gamma, dr, args.rho, v).bias
+              for v, dr in (noise_variant(args.variant, d) for d in deltas)]
     return {
         "bias_table.csv": (["component", "empirical_iterate", "stderr_iterate",
                             "predicted_iterate", "empirical_averaged", "stderr_averaged",
@@ -319,9 +304,10 @@ def cmd_sensitivity(args) -> dict:
                              VARIANT_FIXED_RELATIVE)
     fd_sigma = (r_p.sigma_theta_star - r_m.sigma_theta_star) / (2 * h)
     fd_bias = (r_p.bias - r_m.bias) / (2 * h)
-    base_variant = VARIANT_FIXED_RELATIVE if args.delta_r > 0 else VARIANT_TD0
-    base = asymptotics_report(model.chain, model.psi, args.gamma, args.delta_r,
-                              args.rho, base_variant)
+    # the closed-form sensitivity is that of the fixed variant
+    base_variant, delta_r = noise_variant("varpi_relative_fixed", args.delta_r)
+    base = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho,
+                              base_variant)
     return {
         "asymptotics.json": {**dataclasses.asdict(base), "gamma": args.gamma, "lambda": 0.0,
                              "delta_r": args.delta_r, "variant": base_variant},
@@ -415,7 +401,7 @@ FLAGS = {
     "steps": dict(type=_checked(int, *_POSITIVE), default=100_000),
     "runs": dict(type=_checked(int, *_POSITIVE), default=50),
     "gamma": dict(type=_checked(float, *_UNIT), default=0.99),
-    "lam": dict(type=_checked(float, *_UNIT), default=0.0, aliases=("--lambda",)),
+    "lam": dict(type=_checked(float, *_UNIT), default=0.0),
     "delta_r": dict(type=_checked(float, *_DELTA_R), default=0.5),
     "variant": dict(default="varpi_relative",
                     help="td | relative_fixed_mu | varpi_relative | varpi_relative_fixed"),
@@ -475,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, required=True, help="output directory")
         for dest in flags.split():
             spec = {**FLAGS[dest], **OVERRIDES.get((name, dest), {})}
-            p.add_argument("--" + dest.replace("_", "-"), *spec.pop("aliases", ()),
-                           dest=dest, **spec)
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
         # looked up at each build, so a cmd_* replaced on the module is the one run
         p.set_defaults(func=globals()[f"cmd_{name}"], **fixed)
     return parser

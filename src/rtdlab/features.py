@@ -38,13 +38,6 @@ class FeatureMap:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def n_z(self) -> int:
-        return self.matrix.shape[0]
-
-    def eval(self, z: int) -> np.ndarray:
-        return self.matrix[z]
-
 
 @dataclass(frozen=True)
 class BaselineMean:

@@ -25,8 +25,8 @@ precomputed baseline applied as a deterministic matrix term,
                                           - delta_r psi_bar (psi_bar'theta_n) ],
 
 which has the same mean flow as the scalar-correction variants but different
-noise statistics; it is the variant the exact bias/covariance formulas of
-:mod:`rtdlab.asymptotics` describe under ``fixed_relative_td0``.
+noise statistics.  :func:`rtdlab.asymptotics.noise_variant` names the exact
+bias/covariance model of each variant.
 
 Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
@@ -169,10 +169,6 @@ class FiniteChainEnv:
             # policy-averaged features per state: sum_u policy(u|x) psi(x, u)
             self._psi_avg = np.stack([
                 self.policy[x] @ psi.matrix[x * nu:(x + 1) * nu] for x in range(nx)])
-
-    @property
-    def dim(self) -> int:
-        return self.psi.dim
 
     def sample_states(self, n_steps: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n_steps + 1).tolist()
@@ -345,17 +341,18 @@ def snapshot_indices(n0: int, n1: int, rho: float, n_snap: int) -> list[int]:
 class EmpiricalBias:
     value: np.ndarray
     stderr: np.ndarray
-    n_runs: int
 
 
-def empirical_bias(runs: list[RunResult], theta_star: np.ndarray,
+def empirical_bias(estimates: list[np.ndarray], theta_star: np.ndarray,
                    alpha_at_n: float) -> EmpiricalBias:
-    """Componentwise mean and standard error of (theta_N - theta_star)/alpha_N."""
-    runs = list(runs)
-    samples = np.stack([(r.theta_final - theta_star) / alpha_at_n for r in runs])
-    m = len(runs)
+    """Componentwise mean and standard error of (theta_N - theta_star)/alpha_N.
+
+    ``estimates`` holds one theta_N per run: final iterates or their averages.
+    """
+    samples = (np.stack(estimates) - theta_star) / alpha_at_n
+    m = len(samples)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(samples.shape[1], np.nan)
-    return EmpiricalBias(value=samples.mean(axis=0), stderr=stderr, n_runs=m)
+    return EmpiricalBias(value=samples.mean(axis=0), stderr=stderr)
 
 
 def empirical_clt_samples(runs: list[RunResult], theta_star: np.ndarray,

@@ -45,10 +45,6 @@ class MeanFlow:
     a_bar: np.ndarray
     b_bar: np.ndarray
     theta_star: np.ndarray | None
-    gamma: float
-    lam: float
-    delta_r: float
-    baseline: BaselineMean | None
 
     @property
     def singular(self) -> bool:
@@ -70,7 +66,6 @@ class DirichletReport:
     m_beta: np.ndarray
     gap: float
     eps_p: float
-    varrho: float | None
     restricted_support: bool
     degenerate: bool
 
@@ -142,8 +137,7 @@ def mean_flow_relative(chain: FiniteChain, psi: FeatureMap, gamma: float,
         theta_star = -guarded_solve(a, b, SingularSystem, "mean-flow matrix")
     except SingularSystem:
         theta_star = None
-    return MeanFlow(a_bar=a, b_bar=b, theta_star=theta_star, gamma=gamma,
-                    lam=lam, delta_r=delta_r, baseline=base)
+    return MeanFlow(a_bar=a, b_bar=b, theta_star=theta_star)
 
 
 def spectral_report(a_bar: np.ndarray) -> SpectralReport:
@@ -187,8 +181,7 @@ def spectral_gap(p: np.ndarray, pi: np.ndarray) -> float:
     return float(1.0 - np.max(np.abs(eigs)))
 
 
-def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float,
-                     gamma: float | None = None, lam: float | None = None) -> DirichletReport:
+def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> DirichletReport:
     """K_beta, M_beta, the Poincare gap at beta, and the grid minimum eps_P.
 
     States of zero stationary mass are excluded from the adjoint computation
@@ -204,13 +197,8 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float,
     gaps = {b: spectral_gap(_k_beta(p_sup, b), pi_sup) for b in set(EPS_P_BETA_GRID) | {beta}}
     gap = gaps[beta]
     eps_p = min(gaps.values())
-    varrho = None
-    if gamma is not None and lam is not None:
-        if abs(lam * gamma - beta) > 1e-12:
-            raise ValueError("beta must equal lam*gamma when (gamma, lam) are given")
-        varrho = gamma * (1.0 - lam) / (1.0 - beta)
     return DirichletReport(beta=beta, k_beta=_k_beta(chain.transition, beta),
-                           m_beta=m_beta, gap=gap, eps_p=eps_p, varrho=varrho,
+                           m_beta=m_beta, gap=gap, eps_p=eps_p,
                            restricted_support=restricted,
                            degenerate=gap <= 1e-12)
 
@@ -267,7 +255,6 @@ class InstabilityRow:
 @dataclass(frozen=True)
 class InstabilityTable:
     rows: tuple[InstabilityRow, ...]
-    xi_dot_psi_bar: float
     xi_dot_psi_bar_mu: float
     consistent: bool
 
@@ -286,9 +273,7 @@ def instability_probe(chain: FiniteChain, psi: FeatureMap, mu: BaselineMean | np
     if norm.xi is None:
         raise NoNormalizer("no normalizing vector; probe inapplicable")
     base = mu if isinstance(mu, BaselineMean) else baseline_mean(np.asarray(mu, float), psi)
-    xi = norm.xi
-    psi_bar = feature_mean(chain, psi)
-    sign_mu = float(xi @ base.psi_bar_mu)
+    sign_mu = float(norm.xi @ base.psi_bar_mu)
     predicted_stable = sign_mu > 0
     rows = []
     for g in gamma_grid:
@@ -307,5 +292,5 @@ def instability_probe(chain: FiniteChain, psi: FeatureMap, mu: BaselineMean | np
         consistent = extreme.hurwitz == predicted_stable
     else:
         consistent = True
-    return InstabilityTable(rows=tuple(rows), xi_dot_psi_bar=float(xi @ psi_bar),
-                            xi_dot_psi_bar_mu=sign_mu, consistent=consistent)
+    return InstabilityTable(rows=tuple(rows), xi_dot_psi_bar_mu=sign_mu,
+                            consistent=consistent)

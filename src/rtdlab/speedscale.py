@@ -61,11 +61,6 @@ class SpeedScalingModel:
     def dim(self) -> int:
         return 4
 
-    def eval(self, z) -> np.ndarray:
-        """Feature vector of a single pair z = (x, u)."""
-        x, u = z
-        return self.features(np.float64(x), np.float64(u))
-
 
 def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int,
                            seed_or_rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,10 +88,6 @@ class SpeedScalingEnv:
     def __init__(self, model: SpeedScalingModel):
         self.model = model
 
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
                     rng_split: np.random.Generator | None = None) -> Path:
@@ -116,7 +107,6 @@ class TrajectoryStats:
     r1: np.ndarray
     psi_bar: np.ndarray
     b_vec: np.ndarray   # E[c(Z) psi(Z)]
-    n_steps: int
 
     def mean_flow(self, gamma: float, delta_r: float = 0.0) -> np.ndarray:
         a = -self.r0 + gamma * self.r1
@@ -140,21 +130,18 @@ def estimate_stats(model: SpeedScalingModel, n_steps: int, seed: int,
         r1=body.T @ ahead / n,
         psi_bar=body.mean(axis=0),
         b_vec=(cost[:, None] * body).sum(axis=0) / n,
-        n_steps=n_steps,
     )
 
 
 def estimate_noise_covariance(model: SpeedScalingModel, stats: TrajectoryStats,
                               gamma: float, delta_r: float, n_steps: int,
-                              seed: int, stream: int = 0, window: int = 200,
-                              correction: str = "scalar") -> np.ndarray:
+                              seed: int, stream: int = 0, window: int = 200) -> np.ndarray:
     """Truncated two-sided autocorrelation estimate of the noise covariance.
 
     With d_n the one-step temporal-difference error at the estimated
-    stationary point, the noise is psi_n (d_n - delta_r psi_bar'theta*) for
-    the scalar-correction algorithms (``correction="scalar"``) and
-    psi_n d_n minus a constant for the fixed matrix correction
-    (``correction="matrix"``; constants drop out of the covariance).
+    stationary point, the noise is psi_n (d_n - delta_r psi_bar'theta*): the
+    baseline rides the temporal-difference scalar, as in ``varpi_relative``
+    (and in ``td`` at delta_r = 0), the variants this model runs.
     """
     theta_star = stats.theta_star(gamma, delta_r)
     rng = substream(seed, stream)
@@ -162,10 +149,8 @@ def estimate_noise_covariance(model: SpeedScalingModel, stats: TrajectoryStats,
     psi = model.features(x, u)
     body, ahead = psi[:-1], psi[1:]
     d = cost + gamma * ahead @ theta_star - body @ theta_star
-    if delta_r > 0 and correction == "scalar":
+    if delta_r > 0:
         d = d - delta_r * float(stats.psi_bar @ theta_star)
-    elif correction not in ("scalar", "matrix"):
-        raise ValueError(f"unknown correction kind {correction!r}")
     delta = body * d[:, None]
     delta = delta - delta.mean(axis=0)
     n = len(delta)

@@ -226,7 +226,7 @@ def test_criterion_07_bias_reproduction(chain, psi, bias_experiment):
     averaged_pred = iterate_pred / (1 - s["rho"])
     alpha_n = StepSchedule(s["alpha0"], s["rho"]).alpha(s["n_steps"])
 
-    emp = empirical_bias(runs, noise.theta_star, alpha_n)
+    emp = empirical_bias([r.theta_final for r in runs], noise.theta_star, alpha_n)
     z_raw = np.abs(emp.value - iterate_pred) / emp.stderr
     assert np.all(z_raw <= 3.0), z_raw
 

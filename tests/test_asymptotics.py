@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                asymptotic_bias, asymptotics_report, build_noise_model,
-                                matrix_poisson, sensitivity, sigma_delta,
-                                sigma_theta_star, upsilon_bar)
-from rtdlab.errors import NonZeroMean, UnsupportedLambda
+from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
+                                VARIANT_VARPI_LIMIT, asymptotic_bias, asymptotics_report,
+                                build_noise_model, matrix_poisson, noise_variant, sensitivity,
+                                sigma_delta, sigma_theta_star, upsilon_bar)
+from rtdlab.errors import ConfigError, NonZeroMean, UnsupportedLambda
 from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
+from rtdlab.learner import VARIANTS
 from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
 from rtdlab.meanflow import mean_flow_relative, mean_flow_td_lambda
 
@@ -64,6 +65,15 @@ class TestNoiseModel:
     def test_lambda_rejected(self, chain, psi):
         with pytest.raises(UnsupportedLambda):
             build_noise_model(chain, psi, 0.9, 0.0, VARIANT_TD0, lam=0.5)
+
+
+class TestNoiseVariant:
+    def test_every_learner_variant_has_a_noise_model(self):
+        assert set(NOISE_VARIANTS) == set(VARIANTS)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError):
+            noise_variant("nope", 0.5)
 
 
 class TestSigmaDelta:

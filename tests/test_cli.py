@@ -9,6 +9,7 @@ from rtdlab import models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
 from rtdlab.markov import save_model
 from rtdlab.meanflow import mean_flow_relative, spectral_report
+from rtdlab.speedscale import SpeedScalingModel, estimate_stats
 
 
 def read_csv(path: Path):
@@ -107,6 +108,16 @@ class TestHist:
         overlay = json.loads((tmp_path / "hist_overlay.json").read_text())
         assert overlay["overlay_source"] == "monte_carlo"
 
+    def test_speed_scaling_td_overlay_at_zero_baseline(self, tmp_path):
+        # td is compared with its own flow, at delta_r = 0 whatever --delta-r says
+        rc = run_cli("hist", "--out", str(tmp_path), "--model", "speed_scaling",
+                     "--steps", "5000", "--runs", "2", "--gamma", "0.9", "--seed", "4",
+                     "--delta-r", "1", "--variant", "td", "--alpha0", "1e-5", "--rho", "0.6")
+        assert rc == 0
+        overlay = json.loads((tmp_path / "hist_overlay.json").read_text())
+        stats = estimate_stats(SpeedScalingModel(), 5000, 4, stream=10_001)
+        assert overlay["theta_star"] == stats.theta_star(0.9, 0.0).tolist()
+
 
 class TestBias:
     def test_table_and_curve(self, tmp_path):
@@ -204,6 +215,7 @@ REJECTED = [
     (["hist", "--model", "speed_scaling", "--variant", "relative_fixed_mu"], "ConfigError"),
     (["sensitivity", "--model", "speed_scaling"], "ConfigError"),
     (["dirichlet", "--model", "speed_scaling"], "ConfigError"),
+    (["eigs", "--basis", "file"], "ConfigError"),  # finite3x2 has no feature matrix
 ]
 
 
@@ -277,7 +289,7 @@ class TestParser:
         assert exc.value.code == 0
         listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
         flags = {"--" + dest.replace("_", "-") for dest in COMMAND_FLAGS[command][0].split()}
-        flags |= {"--help", "--config", "--out"} | ({"--lambda"} if "--lam" in flags else set())
+        flags |= {"--help", "--config", "--out"}
         assert listed == flags
 
     def test_tables_name_only_flags_that_are_read(self):

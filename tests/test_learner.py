@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.asymptotics import VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT, build_noise_model
+from rtdlab.asymptotics import build_noise_model, noise_variant
 from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
 from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_poly_basis
-from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
-                            empirical_clt_samples, run, run_many, snapshot_indices, substream)
+from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
+                            empirical_bias, empirical_clt_samples, run, run_many,
+                            snapshot_indices, substream)
 from rtdlab.markov import build_chain
 
 from learner_oracle import Transition, beta, initial_state, run_path, td_step, transitions
@@ -89,27 +92,27 @@ class TestTdStep:
             zeta = 0.45 * zeta + tr.psi
         assert np.allclose(st.zeta, zeta, atol=0, rtol=0)
 
-    def test_linear_form_per_variant(self, chain, env, psi):
-        # lam = 0 update must equal theta + alpha (A(phi) theta + b(phi))
+    def test_linear_form_per_variant(self, chain, psi):
+        # the lam = 0 update of every variant, at delta_r = 0 and 0.5, equals
+        # theta + alpha (A(phi) theta + b(phi)) of the noise model noise_variant names
         stats = feature_stats(chain, psi)
-        rng = np.random.default_rng(3)
-        theta0 = rng.standard_normal(psi.dim)
-        for variant, nm, dr in (("td", "td0", 0.0),
-                                ("varpi_relative_fixed", VARIANT_FIXED_RELATIVE, 0.5),
-                                ("varpi_relative", VARIANT_VARPI_LIMIT, 0.5)):
+        theta0 = np.random.default_rng(3).standard_normal(psi.dim)
+        mu = baseline_mean(chain.stationary, psi)
+        for variant, delta_r in itertools.product(VARIANTS, (0.0, 0.5)):
+            nm, dr = noise_variant(variant, delta_r)
             noise = build_noise_model(chain, psi, 0.99, dr, nm)
-            cfg = config(variant=variant, delta_r=dr, theta0=theta0,
-                         psi_bar=stats.psi_bar if variant.endswith("fixed") else None)
-            for z in (0, 3, 5):
-                for zp in (1, 4):
-                    st = initial_state(cfg, psi.dim, psi.matrix[z])
-                    st.psi_bar_est = stats.psi_bar.copy()
-                    tr = Transition(psi=psi.matrix[z], cost=float(chain.cost_vec[z]),
-                                    psi_target=psi.matrix[zp], psi_next=psi.matrix[zp])
-                    st1 = td_step(st, cfg, tr)
-                    expect = theta0 + SCHED.alpha(1) * (
-                        noise.a_of_phi[z * 6 + zp] @ theta0 + noise.b_of_phi[z * 6 + zp])
-                    assert np.max(np.abs(st1.theta - expect)) < 1e-12, variant
+            cfg = config(variant=variant, delta_r=delta_r, theta0=theta0,
+                         psi_bar=stats.psi_bar if variant == "varpi_relative_fixed" else None,
+                         mu=mu if variant == "relative_fixed_mu" else None)
+            for z, zp in itertools.product((0, 3, 5), (1, 4)):
+                st = initial_state(cfg, psi.dim, psi.matrix[z])
+                st.psi_bar_est = stats.psi_bar.copy()
+                tr = Transition(psi=psi.matrix[z], cost=float(chain.cost_vec[z]),
+                                psi_target=psi.matrix[zp], psi_next=psi.matrix[zp])
+                st1 = td_step(st, cfg, tr)
+                expect = theta0 + SCHED.alpha(1) * (
+                    noise.a_of_phi[z * 6 + zp] @ theta0 + noise.b_of_phi[z * 6 + zp])
+                assert np.max(np.abs(st1.theta - expect)) < 1e-12, (variant, delta_r)
 
 
 class TestRun:
@@ -334,7 +337,7 @@ class TestEmpiricalEstimators:
         fake = [r.__class__(theta_final=theta_star, theta_pr=r.theta_pr,
                             snapshots=(), n_steps=r.n_steps, seed=r.seed,
                             run_index=r.run_index, pr_count=r.pr_count) for r in runs]
-        eb = empirical_bias(fake, theta_star, 0.01)
+        eb = empirical_bias([r.theta_final for r in fake], theta_star, 0.01)
         assert np.array_equal(eb.value, np.zeros(3))
 
     def test_bias_constructed_offset(self, env):
@@ -345,7 +348,7 @@ class TestEmpiricalEstimators:
         fake = [base.__class__(theta_final=theta_star + alpha * v, theta_pr=base.theta_pr,
                                snapshots=(), n_steps=50, seed=0, run_index=i, pr_count=1)
                 for i in range(4)]
-        eb = empirical_bias(fake, theta_star, alpha)
+        eb = empirical_bias([r.theta_final for r in fake], theta_star, alpha)
         assert np.allclose(eb.value, v, atol=1e-12)
 
     def test_clt_identical_runs_zero(self, env):

@@ -31,7 +31,7 @@ class TestModel:
 
     def test_feature_vector(self, model):
         x, u = 4.0, 2.0
-        psi = model.eval((x, u))
+        psi = model.features(x, u)
         assert psi.shape == (4,)
         assert psi[0] == pytest.approx(4 + 5 * 4.0)
         assert psi[1] == pytest.approx(8.0)
