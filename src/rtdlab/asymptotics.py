@@ -28,10 +28,16 @@ to a function of z' alone, so the centered solution splits as
 one n_z x n_z solve whose g also centers H under the pair law
 varpi(z) P(z, z').  Pair functions are stored with one row per pair,
 flattened as z * n_z + z'.
+
+A report (``asymptotics_report``, ``sensitivity`` and the single pieces
+``sigma_delta``, ``matrix_poisson``, ``upsilon_bar``) makes one such solve,
+stacked over the columns [Delta | A - A_bar], and inverts A_bar once for
+both Sigma_theta and the bias.  It keeps no per-pair array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +86,16 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
+    """Exact asymptotics of one noise model (``variant`` at ``delta_r``)."""
+
     sigma_delta: np.ndarray
     sigma_theta_star: np.ndarray
     bias: np.ndarray
     upsilon_bar: np.ndarray
+    theta_star: np.ndarray
     rho: float
+    variant: str
+    delta_r: float
 
 
 @dataclass(frozen=True)
@@ -152,9 +163,9 @@ def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
     if lam != 0.0:
         raise UnsupportedLambda("noise model requires the lam = 0 pair representation")
     if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ConfigError(f"unknown noise model {variant!r}")
     if variant == VARIANT_TD0 and delta_r != 0.0:
-        raise ValueError("variant td0 requires delta_r = 0")
+        raise ConfigError(f"noise model td0 requires delta_r = 0, got {delta_r}")
     n = chain.n_z
     mat = psi.matrix
     # A[(z, z')] = psi(z) (-psi(z) + gamma psi(z'))'
@@ -218,16 +229,42 @@ def _sigma_from(noise: NoiseModel, chain: FiniteChain, h_hat: np.ndarray) -> np.
     return 0.5 * (sig + sig.T)
 
 
-def sigma_delta(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
-    """Two-sided autocorrelation sum of Delta via the pair Poisson equation.
+# rho scales only the bias, which the single pieces below do not return
+_ANY_RHO = 0.75
 
-    With H_hat the centered solution of (I - P_hat) H_hat = Delta,
 
-        Sigma_Delta = E[Delta H_hat'] + E[H_hat Delta'] - E[Delta Delta'];
+def _exact(noise: NoiseModel, chain: FiniteChain, rho: float,
+           extra: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple:
+    """The report of ``noise``, with A_bar^{-1}, H_hat, A_hat and H_F.
 
-    the output is symmetrized to remove roundoff asymmetry.
+    The pair Poisson solutions of [Delta | A - A_bar | F] are H_hat, A_hat
+    (shaped (n_pair, d, d)) and H_F, where the columns F = ``extra(A_bar^{-1})``
+    are optional.  Sigma_Delta = E[Delta H_hat'] + E[H_hat Delta'] - E[Delta Delta']
+    (symmetrized), Upsilon_bar = E[(A - A_hat) Delta], Sigma_theta =
+    A_bar^{-1} Sigma_Delta A_bar^{-T} and bias = (1/(1-rho)) A_bar^{-1} Upsilon_bar.
     """
-    return _sigma_from(noise, chain, _pair_poisson(chain, noise.delta_of_phi))
+    if not 0.5 < rho < 1.0:
+        raise ConfigError("rho must lie in (1/2, 1)")
+    n_pair, d, _ = noise.a_of_phi.shape
+    a_inv = guarded_solve(noise.a_bar, np.eye(d), SingularSystem, "A_bar")
+    delta = noise.delta_of_phi
+    a_dev = (noise.a_of_phi - noise.a_bar).reshape(n_pair, d * d)
+    cols = [delta, a_dev] if extra is None else [delta, a_dev, extra(a_inv)]
+    h = _pair_poisson(chain, np.hstack(cols))
+    _check_plugback(chain, a_dev, h[:, d:d + d * d])
+    h_hat, a_hat = h[:, :d], h[:, d:d + d * d].reshape(n_pair, d, d)
+    sig_d = _sigma_from(noise, chain, h_hat)
+    ups = np.einsum("p,pij,pj->i", _pair_law(chain), noise.a_of_phi - a_hat, delta)
+    report = AsymptoticsReport(
+        sigma_delta=sig_d, sigma_theta_star=a_inv @ sig_d @ a_inv.T,
+        bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=noise.theta_star,
+        rho=rho, variant=noise.variant, delta_r=noise.delta_r)
+    return report, a_inv, h_hat, a_hat, h[:, d + d * d:]
+
+
+def sigma_delta(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
+    """Two-sided autocorrelation sum of Delta via the pair Poisson equation."""
+    return _exact(noise, chain, _ANY_RHO)[0].sigma_delta
 
 
 def sigma_theta_star(a_bar: np.ndarray, sigma_d: np.ndarray) -> np.ndarray:
@@ -238,44 +275,19 @@ def sigma_theta_star(a_bar: np.ndarray, sigma_d: np.ndarray) -> np.ndarray:
 
 def matrix_poisson(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
     """Componentwise solution of (I - P_hat) A_hat = A - A_bar with E[A_hat] = 0."""
-    n_pair, d, _ = noise.a_of_phi.shape
-    rhs = (noise.a_of_phi - noise.a_bar).reshape(n_pair, d * d)
-    a_hat = _pair_poisson(chain, rhs)
-    _check_plugback(chain, rhs, a_hat)
-    return a_hat.reshape(n_pair, d, d)
+    return _exact(noise, chain, _ANY_RHO)[3]
 
 
-def upsilon_bar(noise: NoiseModel, chain: FiniteChain,
-                a_hat: np.ndarray | None = None) -> np.ndarray:
+def upsilon_bar(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
     """Upsilon_bar = E[(A(phi) - A_hat(phi)) (A(phi) theta_star + b(phi))]."""
-    if a_hat is None:
-        a_hat = matrix_poisson(noise, chain)
-    return np.einsum("p,pij,pj->i", _pair_law(chain), noise.a_of_phi - a_hat,
-                     noise.delta_of_phi)
-
-
-def _bias(a_bar: np.ndarray, ups: np.ndarray, rho: float) -> np.ndarray:
-    """(1/(1-rho)) A_bar^{-1} Upsilon_bar."""
-    if not 0.5 < rho < 1.0:
-        raise ConfigError("rho must lie in (1/2, 1)")
-    return np.linalg.solve(a_bar, ups) / (1.0 - rho)
-
-
-def asymptotic_bias(noise: NoiseModel, chain: FiniteChain, rho: float) -> np.ndarray:
-    """Bias limit of (E[theta_n] - theta_star)/alpha_n for alpha_n = n^{-rho}."""
-    return _bias(noise.a_bar, upsilon_bar(noise, chain), rho)
+    return _exact(noise, chain, _ANY_RHO)[0].upsilon_bar
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
                        delta_r: float, rho: float,
                        variant: str = VARIANT_FIXED_RELATIVE) -> AsymptoticsReport:
-    """One-stop exact report: Sigma_Delta, Sigma_theta, bias, Upsilon_bar."""
-    noise = build_noise_model(chain, psi, gamma, delta_r, variant)
-    sig_d = sigma_delta(noise, chain)
-    ups = upsilon_bar(noise, chain)
-    return AsymptoticsReport(sigma_delta=sig_d,
-                             sigma_theta_star=sigma_theta_star(noise.a_bar, sig_d),
-                             bias=_bias(noise.a_bar, ups, rho), upsilon_bar=ups, rho=rho)
+    """One-stop exact report of noise model ``variant`` at ``delta_r``."""
+    return _exact(build_noise_model(chain, psi, gamma, delta_r, variant), chain, rho)[0]
 
 
 def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
@@ -292,52 +304,41 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
 
     Sigma_Delta' follows by differentiating the Poisson representation of the
     two-sided sum (the derivative H_hat' solves the same Poisson system with
-    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta, Delta'
-    and A - A_bar share one pair Poisson solve.  The covariance and bias
-    derivatives are then
+    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' rides the
+    base report's pair Poisson solve as its extra columns, and A_bar^{-1} is
+    the report's inverse.  The covariance and bias derivatives are then
 
         Sigma_theta' = A_bar^{-1} Sigma_Delta' A_bar^{-T}
                        - A_bar^{-1} A_bar' Sigma_theta - [A_bar^{-1} A_bar' Sigma_theta]'
         bias'        = A_bar^{-1} [ -A_bar' bias + Upsilon_bar'/(1 - rho) ].
     """
     noise = build_noise_model(chain, psi, gamma, 0.0, VARIANT_TD0)
-    a_bar = noise.a_bar
-    a_inv = np.linalg.inv(a_bar)
     psi_bar = feature_mean(chain, psi)
-    theta_star = noise.theta_star
-    d = psi.dim
+    s = float(psi_bar @ noise.theta_star)
 
+    def delta_prime_of(a_inv):
+        return s * ((noise.a_of_phi - noise.a_bar) @ (a_inv @ psi_bar))
+
+    base, a_inv, h_hat, a_hat, h_hat_prime = _exact(noise, chain, rho, delta_prime_of)
+    delta_prime = delta_prime_of(a_inv)
     d_a_bar = -np.outer(psi_bar, psi_bar)
     d_a_inv = -a_inv @ d_a_bar @ a_inv
-    d_theta = -a_inv @ d_a_bar @ theta_star
+    d_theta = -a_inv @ d_a_bar @ noise.theta_star
     phi_bar = a_inv @ psi_bar
     outer_residual = float(np.max(np.abs(d_a_inv - np.outer(phi_bar, phi_bar))))
 
-    s = float(psi_bar @ theta_star)
     delta = noise.delta_of_phi
-    a_dev = noise.a_of_phi - a_bar
-    delta_prime = s * (a_dev @ phi_bar)
-
-    rhs = np.hstack([delta, delta_prime, a_dev.reshape(len(delta), d * d)])
-    h = _pair_poisson(chain, rhs)
-    h_hat, h_hat_prime = h[:, :d], h[:, d:2 * d]
-    _check_plugback(chain, rhs[:, 2 * d:], h[:, 2 * d:])
-    a_hat = h[:, 2 * d:].reshape(-1, d, d)
     w = _pair_law(chain)
     cross = (w[:, None] * delta_prime).T @ h_hat + (w[:, None] * delta).T @ h_hat_prime
     r0_prime = (w[:, None] * delta_prime).T @ delta
     sig_d_prime = cross + cross.T - (r0_prime + r0_prime.T)
-
-    sig_t = sigma_theta_star(a_bar, _sigma_from(noise, chain, h_hat))
-    ups = upsilon_bar(noise, chain, a_hat)
-    bias = _bias(a_bar, ups, rho)
     ups_prime = np.einsum("p,pij,pj->i", w, noise.a_of_phi - a_hat, delta_prime)
 
-    correction = a_inv @ d_a_bar @ sig_t
+    correction = a_inv @ d_a_bar @ base.sigma_theta_star
     d_sigma = a_inv @ sig_d_prime @ a_inv.T - correction - correction.T
     d_sigma_frozen = -correction - correction.T
-    d_bias = a_inv @ (-d_a_bar @ bias + ups_prime / (1.0 - rho))
-    d_bias_frozen = a_inv @ (-d_a_bar @ bias)
+    d_bias = a_inv @ (-d_a_bar @ base.bias + ups_prime / (1.0 - rho))
+    d_bias_frozen = a_inv @ (-d_a_bar @ base.bias)
 
     return SensitivityReport(
         d_theta_star=d_theta, d_a_bar=d_a_bar, d_a_inv=d_a_inv,

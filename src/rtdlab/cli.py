@@ -45,9 +45,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import models
-from .asymptotics import (VARIANT_FIXED_RELATIVE, asymptotic_bias, asymptotics_report,
-                          build_noise_model, noise_variant, sensitivity, sigma_delta,
-                          sigma_theta_star)
+from .asymptotics import (VARIANT_FIXED_RELATIVE, asymptotics_report, noise_variant,
+                          sensitivity, sigma_theta_star)
 from .errors import ConfigError, RtdLabError
 from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -242,9 +241,8 @@ def cmd_hist(args) -> dict:
         sig_t = sigma_theta_star(stats.mean_flow(args.gamma, delta_r), sig_d)
         overlay_src = "monte_carlo"
     else:
-        noise = build_noise_model(model.chain, model.psi, args.gamma, delta_r, variant)
-        theta_star = noise.theta_star
-        sig_t = sigma_theta_star(noise.a_bar, sigma_delta(noise, model.chain))
+        exact = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
+        theta_star, sig_t = exact.theta_star, exact.sigma_theta_star
         overlay_src = "exact"
     samples = empirical_clt_samples(runs, theta_star,
                                     source="snapshots" if args.snapshots >= 2 else "final")
@@ -258,6 +256,8 @@ def cmd_hist(args) -> dict:
             "sigma_theta_star": sig_t,
             "theta_star": theta_star,
             "overlay_source": overlay_src,
+            "noise_model": variant,
+            "noise_delta_r": delta_r,
             "n_samples": int(samples.shape[0]),
         },
     }
@@ -266,16 +266,15 @@ def cmd_hist(args) -> dict:
 def cmd_bias(args) -> dict:
     model = resolve_model(args.model, args.basis)
     variant, delta_r = noise_variant(args.variant, args.delta_r)
-    noise = build_noise_model(model.chain, model.psi, args.gamma, delta_r, variant)
-    bias = asymptotic_bias(noise, model.chain, args.rho)
-    cfg = dataclasses.replace(_learner_config(args, model), theta0=noise.theta_star)
+    exact = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
+    cfg = dataclasses.replace(_learner_config(args, model), theta0=exact.theta_star)
     runs = run_many(model.env, cfg, args.steps, args.runs)
     alpha_n = cfg.step.alpha(args.steps)
-    emp = empirical_bias([r.theta_final for r in runs], noise.theta_star, alpha_n)
-    avg = empirical_bias([r.theta_pr for r in runs], noise.theta_star, alpha_n)
-    iterate_pred = (1.0 - args.rho) * bias
+    emp = empirical_bias([r.theta_final for r in runs], exact.theta_star, alpha_n)
+    avg = empirical_bias([r.theta_pr for r in runs], exact.theta_star, alpha_n)
+    iterate_pred = (1.0 - args.rho) * exact.bias
     rows = [[i + 1, emp.value[i], emp.stderr[i], iterate_pred[i], avg.value[i],
-             avg.stderr[i], bias[i]] for i in range(model.psi.dim)]
+             avg.stderr[i], exact.bias[i]] for i in range(model.psi.dim)]
     # ||bias||^2 curve over delta_r with tangent slope at 0
     sens = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     deltas = [0.1 * k for k in range(0, 11)]
@@ -290,6 +289,8 @@ def cmd_bias(args) -> dict:
         "bias_meta.json": {
             "slope_at_zero": 2.0 * float(biases[0] @ sens.d_bias),
             "bias_sq_at_zero": float(biases[0] @ biases[0]),
+            "noise_model": exact.variant,
+            "noise_delta_r": exact.delta_r,
         },
     }
 
@@ -298,19 +299,15 @@ def cmd_sensitivity(args) -> dict:
     model = resolve_model(args.model, args.basis)
     rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
     h = args.fd_step
-    r_p = asymptotics_report(model.chain, model.psi, args.gamma, h, args.rho,
-                             VARIANT_FIXED_RELATIVE)
-    r_m = asymptotics_report(model.chain, model.psi, args.gamma, -h, args.rho,
-                             VARIANT_FIXED_RELATIVE)
+    r_p, r_m = (asymptotics_report(model.chain, model.psi, args.gamma, sign * h, args.rho,
+                                   VARIANT_FIXED_RELATIVE) for sign in (1, -1))
     fd_sigma = (r_p.sigma_theta_star - r_m.sigma_theta_star) / (2 * h)
     fd_bias = (r_p.bias - r_m.bias) / (2 * h)
     # the closed-form sensitivity is that of the fixed variant
-    base_variant, delta_r = noise_variant("varpi_relative_fixed", args.delta_r)
-    base = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho,
-                              base_variant)
+    variant, delta_r = noise_variant("varpi_relative_fixed", args.delta_r)
+    base = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
     return {
-        "asymptotics.json": {**dataclasses.asdict(base), "gamma": args.gamma, "lambda": 0.0,
-                             "delta_r": args.delta_r, "variant": base_variant},
+        "asymptotics.json": {**dataclasses.asdict(base), "gamma": args.gamma, "lambda": 0.0},
         "sensitivity.json": {
             **dataclasses.asdict(rep),
             "fd_d_sigma": fd_sigma,

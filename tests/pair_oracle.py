@@ -79,3 +79,13 @@ def sensitivity(chain: FiniteChain, psi, gamma: float, rho: float):
     d_sigma = a_inv @ sig_d_prime @ a_inv.T - correction - correction.T
     d_bias = a_inv @ (-d_a_bar @ bias + ups_prime / (1.0 - rho))
     return d_sigma, d_bias
+
+
+def asymptotics(noise, pair: FiniteChain, rho: float) -> dict:
+    """The fields of an exact report, with A_bar and b_bar averaged under the pair law."""
+    a_inv = np.linalg.inv(np.einsum("p,pij->ij", pair.stationary, noise.a_of_phi))
+    sig_d = sigma_delta(noise, pair)
+    ups = upsilon_bar(noise, pair)
+    return {"theta_star": -a_inv @ (pair.stationary @ noise.b_of_phi),
+            "sigma_delta": sig_d, "sigma_theta_star": a_inv @ sig_d @ a_inv.T,
+            "upsilon_bar": ups, "bias": a_inv @ ups / (1.0 - rho)}

@@ -16,7 +16,7 @@ from rtdlab.errors import NumericalDivergence
 from rtdlab.features import (autocorrelation, baseline_mean, feature_mean, feature_stats,
                              finite_poly_basis, resolvent_sum, tabular_basis)
 from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
-                            run)
+                            run, run_many)
 from rtdlab.markov import build_chain, discounted_q, solve_poisson
 from rtdlab.meanflow import (dirichlet_report, eigen_perturbation, instability_probe,
                              mean_flow_relative, mean_flow_td_lambda, spectral_report)
@@ -203,15 +203,11 @@ def bias_experiment(chain, psi, env):
     s = BIAS_SETTINGS
     stats = feature_stats(chain, psi)
     noise = build_noise_model(chain, psi, s["gamma"], s["delta_r"], VARIANT_FIXED_RELATIVE)
-    sched = StepSchedule(s["alpha0"], s["rho"])
-    runs = []
-    for i in range(s["n_runs"]):
-        cfg = LearnerConfig(gamma=s["gamma"], lam=0.0, step=sched,
-                            variant="varpi_relative_fixed", delta_r=s["delta_r"],
-                            seed=s["seed"], psi_bar=stats.psi_bar,
-                            theta0=noise.theta_star, pr_burn_in_fraction=0.0)
-        runs.append(run(env, cfg, s["n_steps"], run_index=i))
-    return runs, noise
+    cfg = LearnerConfig(gamma=s["gamma"], lam=0.0, step=StepSchedule(s["alpha0"], s["rho"]),
+                        variant="varpi_relative_fixed", delta_r=s["delta_r"],
+                        seed=s["seed"], psi_bar=stats.psi_bar,
+                        theta0=noise.theta_star, pr_burn_in_fraction=0.0)
+    return run_many(env, cfg, s["n_steps"], s["n_runs"]), noise
 
 
 def test_criterion_07_bias_reproduction(chain, psi, bias_experiment):
@@ -247,14 +243,11 @@ def test_criterion_08_clt_covariance(chain, psi, env):
     s = CLT_SETTINGS
     noise = build_noise_model(chain, psi, s["gamma"], s["delta_r"], VARIANT_VARPI_LIMIT)
     diag = np.diag(sigma_theta_star(noise.a_bar, sigma_delta(noise, chain)))
-    sched = StepSchedule(s["alpha0"], s["rho"])
-    prs = np.empty((s["n_runs"], 3))
-    for i in range(s["n_runs"]):
-        cfg = LearnerConfig(gamma=s["gamma"], lam=0.0, step=sched,
-                            variant="varpi_relative", delta_r=s["delta_r"],
-                            seed=s["seed"], theta0=noise.theta_star,
-                            pr_burn_in_fraction=s["burn"])
-        prs[i] = run(env, cfg, s["n_steps"], run_index=i).theta_pr
+    cfg = LearnerConfig(gamma=s["gamma"], lam=0.0, step=StepSchedule(s["alpha0"], s["rho"]),
+                        variant="varpi_relative", delta_r=s["delta_r"],
+                        seed=s["seed"], theta0=noise.theta_star,
+                        pr_burn_in_fraction=s["burn"])
+    prs = np.stack([r.theta_pr for r in run_many(env, cfg, s["n_steps"], s["n_runs"])])
     samples = np.sqrt(s["n_steps"]) * (prs - noise.theta_star)
     ratio = samples.var(axis=0, ddof=1) / diag
     assert np.all(np.abs(ratio - 1.0) <= 0.25), ratio

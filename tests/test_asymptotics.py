@@ -3,7 +3,7 @@ import pytest
 
 from rtdlab import models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
-                                VARIANT_VARPI_LIMIT, asymptotic_bias, asymptotics_report,
+                                VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
                                 build_noise_model, matrix_poisson, noise_variant, sensitivity,
                                 sigma_delta, sigma_theta_star, upsilon_bar)
 from rtdlab.errors import ConfigError, NonZeroMean, UnsupportedLambda
@@ -74,6 +74,14 @@ class TestNoiseVariant:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             noise_variant("nope", 0.5)
+
+    def test_unknown_noise_model_rejected(self, chain, psi):
+        with pytest.raises(ConfigError):
+            build_noise_model(chain, psi, 0.9, 0.5, "nope")
+
+    def test_td0_with_baseline_rejected(self, chain, psi):
+        with pytest.raises(ConfigError):
+            asymptotics_report(chain, psi, 0.9, 0.5, 0.65, VARIANT_TD0)
 
 
 class TestSigmaDelta:
@@ -214,12 +222,11 @@ class TestBias:
                                 theta_star=noise.theta_star, a_bar=noise.a_bar,
                                 b_bar=noise.b_bar, gamma=0.9, delta_r=0.0,
                                 variant=VARIANT_TD0)
-        assert np.max(np.abs(asymptotic_bias(const, c, 0.65))) < 1e-10
+        assert np.max(np.abs(_exact(const, c, 0.65)[0].bias)) < 1e-10
 
     def test_rho_scaling(self, chain, psi):
-        noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        b65 = asymptotic_bias(noise, chain, 0.65)
-        b825 = asymptotic_bias(noise, chain, 0.825)
+        b65 = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE).bias
+        b825 = asymptotics_report(chain, psi, 0.99, 0.5, 0.825, VARIANT_FIXED_RELATIVE).bias
         # doubling 1/(1-rho) doubles the averaged-bias vector
         assert np.max(np.abs(b825 - 2 * b65)) < 1e-9
 
@@ -286,7 +293,8 @@ class TestSensitivity:
             elif what == "sigma":
                 reps[s] = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
             else:
-                reps[s] = asymptotic_bias(noise, chain, 0.65)
+                reps[s] = asymptotics_report(chain, psi, 0.99, s * h, 0.65,
+                                             VARIANT_FIXED_RELATIVE).bias
         return (reps[+1] - reps[-1]) / (2 * h)
 
     @pytest.mark.parametrize("what,attr", [("theta", "d_theta_star"),

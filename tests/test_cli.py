@@ -136,6 +136,19 @@ class TestBias:
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv,name,model,delta_r", [
+    (["hist", "--variant", "td", "--delta-r", "0.5"], "hist_overlay.json", "td0", 0.0),
+    (["hist", "--model", "speed_scaling", "--alpha0", "1e-5", "--variant", "varpi_relative",
+      "--delta-r", "1"], "hist_overlay.json", "varpi_relative_td0", 1.0),
+    (["bias", "--delta-r", "0.5"], "bias_meta.json", "fixed_relative_td0", 0.5),
+])
+def test_records_the_noise_model_it_compared(tmp_path, argv, name, model, delta_r):
+    rc = run_cli(*argv, "--out", str(tmp_path), "--steps", "2000", "--runs", "2")
+    assert rc == 0
+    meta = json.loads((tmp_path / name).read_text())
+    assert (meta["noise_model"], meta["noise_delta_r"]) == (model, delta_r)
+
+
 class TestSensitivityCmd:
     def test_report_with_fd_check(self, tmp_path):
         rc = run_cli("sensitivity", "--out", str(tmp_path))

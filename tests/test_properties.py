@@ -6,13 +6,15 @@ it may have a transient state that is left at once and never entered again.
 The runs are derandomized, so the suite sees the same examples every time.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                build_noise_model, matrix_poisson, sigma_delta,
-                                sigma_theta_star, upsilon_bar)
+                                asymptotics_report, build_noise_model, matrix_poisson,
+                                sigma_delta, sigma_theta_star, upsilon_bar)
 from rtdlab.features import FeatureMap, resolvent_sum
 from rtdlab.markov import FiniteChain, solve_poisson, stationary_pmf
 
@@ -109,3 +111,9 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
     assert np.max(np.abs(matrix_poisson(noise, c) - want)) < 1e-9 * scale(want)
     want = pair_oracle.upsilon_bar(noise, pair)
     assert np.max(np.abs(upsilon_bar(noise, c) - want)) < 1e-9 * scale(want)
+    rep = asymptotics_report(c, psi, gamma, delta_r, 0.65, name)
+    for key, want in pair_oracle.asymptotics(noise, pair, 0.65).items():
+        ref = r0 if key == "sigma_delta" else want
+        assert np.max(np.abs(getattr(rep, key) - want)) < 1e-9 * scale(ref), key
+    # the report keeps no per-pair array: its size does not grow with n_z
+    assert all(np.size(v) <= psi.dim ** 2 for v in dataclasses.asdict(rep).values())
