@@ -28,10 +28,29 @@ which has the same mean flow as the scalar-correction variants but different
 noise statistics.  :func:`rtdlab.asymptotics.noise_variant` names the exact
 bias/covariance model of each variant.
 
+Every variant is affine in theta_n, and the code runs it in that form:
+
+    theta_{n+1} = A_n theta_n + b_n,
+    A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
+    h_n = gamma psi_target_n - psi(Z_n) - delta_r baseline_n,
+    b_n = alpha_{n+1} c(Z_n) zeta_n,
+
+with the psi_bar psi_bar' term for ``varpi_relative_fixed`` only and
+baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
+``run_many`` steps all its runs together on a (runs, d) iterate, and ``run``
+is a batch of one.  Time is cut into blocks.  Before a block's theta loop,
+each run's stretch of path is sampled, and the step sizes, costs, traces,
+adaptive baseline estimates, A_n and b_n of every step of the block are
+computed for all runs at once; only the trace and baseline recursions loop
+over time there.  The theta loop then does one stacked ``A_n @ theta + b_n``
+per step, and the Polyak-Ruppert sums, snapshots and the divergence check
+follow per block.
+
 Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
 substream regardless of execution order; stream 2*i drives run i's
-trajectory and stream 2*i+1 its split-sampling draws.
+trajectory and stream 2*i+1 its split-sampling draws.  A run's results do
+not depend on the batch it ran in or on how its time was cut into blocks.
 """
 
 from __future__ import annotations
@@ -76,9 +95,9 @@ class StepSchedule:
         # one-element array power: bit-identical to the vectorized schedule
         return float(np.minimum(self.alpha0, np.array([float(n)]) ** (-self.rho))[0])
 
-    def alphas(self, n_steps: int) -> np.ndarray:
-        """alpha_1 .. alpha_{n_steps}."""
-        n = np.arange(1, n_steps + 1, dtype=float)
+    def alphas(self, n_steps: int, first: int = 0) -> np.ndarray:
+        """alpha_{first+1} .. alpha_{first+n_steps}."""
+        n = np.arange(first + 1, first + n_steps + 1, dtype=float)
         return np.minimum(self.alpha0, n ** (-self.rho))
 
 
@@ -142,12 +161,17 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Path:
-    """Prefetched per-step arrays driving the theta recursion."""
+    """Prefetched per-step arrays of one stretch of a run.
+
+    ``end`` is the last state of the stretch: ``sample_path(..., start=end)``
+    continues the same trajectory.
+    """
 
     psi_states: np.ndarray   # (N+1, d): features of Z_0 .. Z_N
     cost: np.ndarray         # (N,): c(Z_0) .. c(Z_{N-1})
     psi_target: np.ndarray   # (N, d): TD-target features per step
     z_traj: np.ndarray | None = None
+    end: object = None
 
 
 class FiniteChainEnv:
@@ -170,28 +194,38 @@ class FiniteChainEnv:
             self._psi_avg = np.stack([
                 self.policy[x] @ psi.matrix[x * nu:(x + 1) * nu] for x in range(nx)])
 
-    def sample_states(self, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n_steps + 1).tolist()
+    @property
+    def dim(self) -> int:
+        return self.psi.dim
+
+    def sample_states(self, n_steps: int, rng: np.random.Generator,
+                      start: int | None = None) -> np.ndarray:
+        """Z_0 .. Z_{n_steps}, one uniform per draw; Z_0 is ``start`` if given.
+
+        Drawing Z_0 and then the steps in stretches consumes the same uniforms
+        as one call, so a trajectory does not depend on how it is cut.
+        """
         cum_rows = self._cum_rows
         last = self.chain.n_z - 1
-        z = min(bisect_right(self._cum_init, u[0]), last)
-        traj = np.empty(n_steps + 1, dtype=np.int64)
-        traj[0] = z
-        for t in range(1, n_steps + 1):
-            z = min(bisect_right(cum_rows[z], u[t]), last)
-            traj[t] = z
-        return traj
+        z = min(bisect_right(self._cum_init, rng.random()), last) if start is None else start
+        traj = [z]
+        append = traj.append
+        for u in rng.random(n_steps).tolist():
+            z = min(bisect_right(cum_rows[z], u), last)
+            append(z)
+        return np.array(traj, dtype=np.int64)
 
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
-                    rng_split: np.random.Generator | None = None) -> Path:
+                    rng_split: np.random.Generator | None = None,
+                    start: int | None = None) -> Path:
         if eval_mode not in EVAL_MODES:
             raise ConfigError(f"unknown eval mode {eval_mode!r}")
         if eval_mode != "on_policy" and self.policy is None:
             raise ConfigError(f"{eval_mode} mode requires policy knowledge")
         if eval_mode == "split_sampling" and rng_split is None:
             raise MissingSplitSample("split sampling requires its own stream")
-        traj = self.sample_states(n_steps, rng)
+        traj = self.sample_states(n_steps, rng, start)
         psi_states = self.psi.matrix[traj]
         cost = self.chain.cost_vec[traj[:-1]]
         nu = self.chain.state_action_shape[1]
@@ -205,113 +239,160 @@ class FiniteChainEnv:
             cum = np.cumsum(self.policy, axis=1)
             u_split = np.minimum((us[:, None] > cum[x_next]).sum(axis=1), nu - 1)
             target = self.psi.matrix[x_next * nu + u_split]
-        return Path(psi_states=psi_states, cost=cost, psi_target=target, z_traj=traj)
+        return Path(psi_states=psi_states, cost=cost, psi_target=target, z_traj=traj,
+                    end=int(traj[-1]))
 
 
-def _theta_loop(path: Path, config: LearnerConfig, n0: int, snapshot_plan: tuple[int, ...]
-                ) -> tuple[np.ndarray, np.ndarray, int, list[Snapshot]]:
-    """The theta recursion over a sampled path.
+# A time block holds at most _BLOCK_STEPS steps and _BLOCK_ENTRIES entries of
+# its stacked A_n, so memory does not grow with the run length
+_BLOCK_STEPS = 4096
+_BLOCK_ENTRIES = 1 << 20
 
-    Returns the final iterate, the Polyak-Ruppert sum of the iterates from
-    n0 on, its count, and the snapshots.
+
+def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
+           snapshot_plan: tuple[int, ...]) -> list[RunResult]:
+    """The theta recursion for the runs ``run_indices``, stepped together.
+
+    Each block of time steps samples every run's next stretch, builds the
+    affine maps (A_n, b_n) of all its steps at once, and then applies them
+    one step at a time to the (runs, d) iterate.
     """
-    n_steps = len(path.cost)
-    dim = path.psi_states.shape[1]
-    theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
-    zeta = np.zeros(dim)
-    psi_bar_est = np.asarray(path.psi_states[0], float).copy()
-    pr_sum = np.zeros(dim)
-    pr_count = 0
-    g = config.gamma
-    lg = config.lam * config.gamma
-    dr = config.delta_r
-    variant = config.variant
-    alphas = config.step.alphas(n_steps).tolist()
-    cost = path.cost.tolist()
-    psi_states = path.psi_states
-    psi_target = path.psi_target
-    threshold = DIVERGENCE_THRESHOLD
-    snaps: list[Snapshot] = []
-    plan = sorted(set(int(s) for s in snapshot_plan))
-    plan_pos = 0
+    n_runs, dim = len(run_indices), env.dim
+    if n_runs == 0:
+        return []
+    rngs = [substream(config.seed, 2 * i) for i in run_indices]
+    splits = [substream(config.seed, 2 * i + 1) if config.eval_mode == "split_sampling"
+              else None for i in run_indices]
+    n0 = int(config.pr_burn_in_fraction * n_steps)
+    g, lg, dr, variant = config.gamma, config.lam * config.gamma, config.delta_r, config.variant
+    adaptive = variant == "varpi_relative" and dr != 0.0
     base_vec = (np.asarray(config.mu.psi_bar_mu, float)
-                if variant == "relative_fixed_mu" else None)
-    fixed_vec = (np.asarray(config.psi_bar, float)
-                 if variant == "varpi_relative_fixed" else None)
-    adaptive = variant == "varpi_relative"
-    betas = ((np.arange(1, n_steps + 1, dtype=float) ** (-config.baseline_step_rho)).tolist()
-             if adaptive else None)
+                if variant == "relative_fixed_mu" and dr != 0.0 else None)
+    fixed_term = (dr * np.outer(config.psi_bar, config.psi_bar)
+                  if variant == "varpi_relative_fixed" and dr != 0.0 else None)
+    eye = np.eye(dim)
+    matmul, add, sub, mul = np.matmul, np.add, np.subtract, np.multiply
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (n_runs * dim * dim)))
 
-    def snap(n_iter: int):
-        pr = pr_sum / pr_count if pr_count > 0 else None
-        snaps.append(Snapshot(n=n_iter, theta=theta.copy(), theta_pr=pr, pr_count=pr_count))
-
+    theta0 = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float)
+    theta = np.repeat(theta0.reshape(1, dim, 1), n_runs, axis=0)
+    zeta = np.zeros((n_runs, dim))
+    est = None
+    pr_sum = np.zeros((n_runs, dim, 1))
     if n0 == 0:
         pr_sum += theta
-        pr_count = 1
-    while plan_pos < len(plan) and plan[plan_pos] == 0:
-        snap(0)
-        plan_pos += 1
+    plan = sorted({int(s) for s in snapshot_plan if 0 <= s <= n_steps})
+    snaps: list[list[Snapshot]] = [[] for _ in run_indices]
 
-    for t in range(n_steps):
-        psi_row = psi_states[t]
-        if lg != 0.0:
-            zeta = lg * zeta + psi_row
-        else:
-            zeta = psi_row
-        if dr != 0.0 and (adaptive or base_vec is not None):
-            corr = dr * float((psi_bar_est if adaptive else base_vec) @ theta)
-        else:
-            corr = 0.0
-        d = cost[t] + g * float(psi_target[t] @ theta) - float(psi_row @ theta) - corr
-        update = d * zeta
-        if fixed_vec is not None and dr != 0.0:
-            update = update - dr * float(fixed_vec @ theta) * fixed_vec
-        theta = theta + alphas[t] * update
-        if adaptive:
-            psi_bar_est = psi_bar_est + betas[t] * (psi_states[t + 1] - psi_bar_est)
-        n_iter = t + 1
-        if n_iter >= n0:
-            pr_sum += theta
-            pr_count += 1
-        # cheap per-step trigger on the first component (catches nan too);
-        # full norm check every 64 steps
-        if not (abs(theta[0]) <= threshold) or (t & 63) == 0:
-            norm = float(np.max(np.abs(theta)))
-            if not (norm <= threshold):
+    def snap(n: int, theta_n: np.ndarray, sum_n: np.ndarray):
+        count = n - n0 + 1 if n >= n0 else 0
+        for r, out in enumerate(snaps):
+            pr = sum_n[r, :, 0] / count if count else None
+            out.append(Snapshot(n=n, theta=theta_n[r, :, 0].copy(), theta_pr=pr,
+                                pr_count=count))
+
+    if plan and plan[0] == 0:
+        snap(0, theta, pr_sum)
+    carry: list = [None] * n_runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, block):
+            k = min(block, n_steps - first)
+            paths = [env.sample_path(k, config.eval_mode, rng, split, carry[r])
+                     for r, (rng, split) in enumerate(zip(rngs, splits))]
+            carry = [p.end for p in paths]
+            psi = np.stack([p.psi_states for p in paths], axis=1)           # (k+1, R, d)
+            target = np.stack([p.psi_target for p in paths], axis=1)        # (k, R, d)
+            cost = np.stack([p.cost for p in paths], axis=1)                # (k, R)
+            alpha = config.step.alphas(k, first)
+
+            # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
+            if lg == 0.0:
+                traces = psi[:-1]
+            else:
+                traces = np.empty((k, n_runs, dim))
+                for p, z in zip(psi, traces):
+                    mul(lg, zeta, z)
+                    add(z, p, z)
+                    zeta = z
+            # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
+            h = g * target - psi[:-1]
+            if adaptive:
+                if est is None:
+                    est = psi[0]
+                ests = np.empty((k + 1, n_runs, dim))
+                ests[0] = est
+                betas = np.arange(first + 1, first + k + 1, dtype=float) \
+                    ** (-config.baseline_step_rho)
+                # psi_bar_est_{n+1} = psi_bar_est_n + beta_{n+1} (psi(Z_{n+1}) - psi_bar_est_n)
+                for beta, p, now, nxt in zip(betas.tolist(), psi[1:], ests, ests[1:]):
+                    sub(p, now, nxt)
+                    mul(nxt, beta, nxt)
+                    add(nxt, now, nxt)
+                est = ests[k]
+                h -= dr * ests[:-1]
+            elif base_vec is not None:
+                h -= dr * base_vec
+            # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
+            # b_n = alpha_{n+1} c(Z_n) zeta_n
+            a = traces[..., :, None] * h[..., None, :]
+            if fixed_term is not None:
+                a -= fixed_term
+            a *= alpha[:, None, None, None]
+            a += eye
+            b = (alpha[:, None] * cost)[..., None, None] * traces[..., None]
+
+            iterates = np.empty((k + 1, n_runs, dim, 1))
+            iterates[0] = theta
+            for a_n, b_n, now, nxt in zip(a, b, iterates, iterates[1:]):
+                matmul(a_n, now, nxt)
+                add(nxt, b_n, nxt)
+            theta = iterates[k]
+
+            if not np.abs(iterates[1:]).max() <= DIVERGENCE_THRESHOLD:
+                bad = ~(np.abs(iterates[1:]) <= DIVERGENCE_THRESHOLD).reshape(k, n_runs, dim)
+                t = int(np.argmax(bad.any(axis=(1, 2))))
+                r = int(np.argmax(bad[t].any(axis=1)))
+                norm = float(np.max(np.abs(iterates[t + 1, r])))
                 raise NumericalDivergence(
-                    f"|theta|_inf = {norm:.3e} beyond {threshold:.1e} at step {n_iter}")
-        if plan_pos < len(plan) and plan[plan_pos] == n_iter:
-            snap(n_iter)
-            plan_pos += 1
+                    f"run {run_indices[r]}: |theta|_inf = {norm:.3e} beyond "
+                    f"{DIVERGENCE_THRESHOLD:.1e} at step {first + t + 1}")
 
-    return theta, pr_sum, pr_count, snaps
+            # Polyak-Ruppert running sums, in step order: sums[i] is the sum
+            # through iterate n = lo - 1 + i
+            lo = max(n0, first + 1)
+            sums = np.cumsum(np.concatenate([pr_sum[None], iterates[lo - first:]]), axis=0)
+            pr_sum = sums[-1]
+            while plan and plan[0] <= first + k:
+                n = plan.pop(0)
+                if n > first:
+                    snap(n, iterates[n - first], sums[max(n - lo + 1, 0)])
+
+    pr_count = n_steps - n0 + 1
+    return [RunResult(theta_final=theta[r, :, 0].copy(), theta_pr=pr_sum[r, :, 0] / pr_count,
+                      snapshots=tuple(snaps[r]), n_steps=n_steps, seed=config.seed,
+                      run_index=i, pr_count=pr_count)
+            for r, i in enumerate(run_indices)]
 
 
 def run(env, config: LearnerConfig, n_steps: int,
         snapshot_plan: tuple[int, ...] = (),
         run_index: int = 0) -> RunResult:
-    """One deterministic run: sample a path, iterate, average, snapshot.
+    """One deterministic run: a batch of one on substreams 2*run_index / 2*run_index+1.
 
     Raises :class:`NumericalDivergence` when the iterate norm passes the
     divergence threshold, as unstable mean flows eventually must.
     """
-    rng = substream(config.seed, 2 * run_index)
-    rng_split = (substream(config.seed, 2 * run_index + 1)
-                 if config.eval_mode == "split_sampling" else None)
-    path = env.sample_path(n_steps, config.eval_mode, rng, rng_split)
-    n0 = int(config.pr_burn_in_fraction * n_steps)
-    theta, pr_sum, pr_count, snaps = _theta_loop(path, config, n0, snapshot_plan)
-    theta_pr = pr_sum / pr_count if pr_count else theta.copy()
-    return RunResult(theta_final=theta, theta_pr=theta_pr, snapshots=tuple(snaps),
-                     n_steps=n_steps, seed=config.seed, run_index=run_index,
-                     pr_count=pr_count)
+    return _batch(env, config, n_steps, (run_index,), snapshot_plan)[0]
 
 
 def run_many(env, config: LearnerConfig, n_steps: int, n_runs: int,
              snapshot_plan: tuple[int, ...] = ()) -> list[RunResult]:
-    """Independent runs on substreams 2*i / 2*i+1; order-independent results."""
-    return [run(env, config, n_steps, snapshot_plan, run_index=i) for i in range(n_runs)]
+    """Runs 0 .. n_runs-1 stepped together; run i equals ``run(..., run_index=i)``.
+
+    Raises :class:`NumericalDivergence`, naming the run and the step, when
+    any run diverges.
+    """
+    return _batch(env, config, n_steps, tuple(range(n_runs)), snapshot_plan)
 
 
 def snapshot_indices(n0: int, n1: int, rho: float, n_snap: int) -> list[int]:

@@ -62,19 +62,22 @@ class SpeedScalingModel:
         return 4
 
 
-def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int,
-                           seed_or_rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int, seed_or_rng,
+                           x0: float | None = None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled workload path: returns (x, u, cost) with x, u of length n_steps + 1.
 
     The linear recursion X_{k+1} = (1 - g) X_k + A_{k+1} runs step by step
-    over the pre-drawn arrival sequence, deterministically per seed.
+    over the pre-drawn arrival sequence, deterministically per seed, from
+    ``x0`` (default ``model.x0``).  Continuing from the last X of a path on
+    the same generator gives the path one longer call would have drawn.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
         else substream(int(seed_or_rng), 0)
     arrivals = rng.gamma(model.arrival_shape, model.arrival_scale, size=n_steps)
     decay = 1.0 - model.service_gain
     x = np.fromiter(accumulate(arrivals.tolist(), lambda xk, a: decay * xk + a,
-                               initial=model.x0), float, n_steps + 1)
+                               initial=model.x0 if x0 is None else x0), float, n_steps + 1)
     u = model.service_gain * x
     cost = model.cost(x[:-1], u[:-1])
     return x, u, cost
@@ -88,15 +91,20 @@ class SpeedScalingEnv:
     def __init__(self, model: SpeedScalingModel):
         self.model = model
 
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
-                    rng_split: np.random.Generator | None = None) -> Path:
+                    rng_split: np.random.Generator | None = None,
+                    start: float | None = None) -> Path:
         if eval_mode == "natural":
             raise ConfigError("speed-scaling environment provides samples only")
-        x, u, cost = simulate_speed_scaling(self.model, n_steps, rng)
+        x, u, cost = simulate_speed_scaling(self.model, n_steps, rng, start)
         psi_states = self.model.features(x, u)
         return Path(psi_states=psi_states, cost=cost,
-                    psi_target=psi_states[1:], z_traj=None)
+                    psi_target=psi_states[1:], z_traj=None, end=x[-1])
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
-"""One-step reference oracle for the theta recursion.
+"""One-step reference oracles for the theta recursion.
 
-rtdlab runs the recursion once, in ``learner.run``.  The tests check it
-against the step function kept here: ``td_step`` applies one update to an
-explicit state from one observed transition, written straight from the
-update rule in the ``rtdlab.learner`` docstring, and ``run_path`` folds it
-over a sampled path with the same Polyak-Ruppert average as ``run``.  Both
-do the same floating-point operations in the same order, so they agree with
-``run`` bit for bit.
+rtdlab runs the recursion once, in ``learner.run``/``learner.run_many``, in
+affine form theta_{n+1} = A_n theta_n + b_n.  The tests check it against two
+step functions kept here, each applying one update to an explicit state from
+one observed transition:
+
+* ``td_step`` builds A_n and b_n from the update rule with the same
+  elementwise operations, in the same order, as ``run`` and applies the 2-D
+  product ``A_n @ theta + b_n``, so it agrees with ``run`` bit for bit;
+* ``textbook_step`` writes the update as the ``rtdlab.learner`` docstring
+  states it, D = c + gamma psi_target'theta - psi'theta - correction and
+  theta + alpha D zeta, so it agrees with ``run`` to roundoff only, and a sign
+  or ordering error shared by ``run`` and ``td_step`` would show against it.
+
+``run_path`` folds either over a sampled path with the same Polyak-Ruppert
+average as ``run``.
 """
 
 from dataclasses import dataclass
@@ -60,50 +68,99 @@ def beta(config: LearnerConfig, n: int) -> float:
 
 def correction(config: LearnerConfig, state: LearnerState) -> float:
     """Scalar baseline correction inside the temporal-difference term."""
+    base = baseline(config, state)
+    return 0.0 if base is None else config.delta_r * float(base @ state.theta)
+
+
+def baseline(config: LearnerConfig, state: LearnerState) -> np.ndarray | None:
+    """Baseline vector of the scalar-correction variants, None for the others."""
     if config.variant == "td" or config.delta_r == 0.0 \
             or config.variant == "varpi_relative_fixed":
-        return 0.0
+        return None
     if config.variant == "relative_fixed_mu":
-        return config.delta_r * float(config.mu.psi_bar_mu @ state.theta)
-    return config.delta_r * float(state.psi_bar_est @ state.theta)
+        return np.asarray(config.mu.psi_bar_mu, float)
+    return state.psi_bar_est
 
 
-def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) -> LearnerState:
-    """One update of the recursion from ``state``."""
-    if transition.psi_target is None:
-        raise MissingSplitSample("evaluation mode requires a target sample")
-    lg = config.lam * config.gamma
-    zeta = lg * state.zeta + transition.psi
-    d = (transition.cost
-         + config.gamma * float(transition.psi_target @ state.theta)
-         - float(transition.psi @ state.theta)
-         - correction(config, state))
+def _advance(state: LearnerState, config: LearnerConfig, transition: Transition,
+             zeta: np.ndarray, theta: np.ndarray) -> LearnerState:
     n_next = state.n + 1
-    update = d * zeta
-    if config.variant == "varpi_relative_fixed" and config.delta_r != 0.0:
-        psi_bar = np.asarray(config.psi_bar)
-        update = update - config.delta_r * float(psi_bar @ state.theta) * psi_bar
-    theta = state.theta + config.step.alpha(n_next) * update
     psi_bar_est = state.psi_bar_est
     if config.variant == "varpi_relative":
         psi_bar_est = psi_bar_est + beta(config, n_next) * (transition.psi_next - psi_bar_est)
     return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n_next)
 
 
-def run_path(config: LearnerConfig, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Final iterate and Polyak-Ruppert average of ``td_step`` over ``path``.
+def affine_map(state: LearnerState, config: LearnerConfig,
+               transition: Transition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_n, b_n, zeta_n) of the step from ``state``.
+
+    A_n = I + alpha_n (zeta_n h_n' - delta_r psi_bar psi_bar') with the matrix
+    term for varpi_relative_fixed only, h_n = gamma psi_target - psi(Z_n)
+    - delta_r baseline_n, and b_n = alpha_n c_n zeta_n.
+    """
+    if transition.psi_target is None:
+        raise MissingSplitSample("evaluation mode requires a target sample")
+    zeta = config.lam * config.gamma * state.zeta + transition.psi
+    h = config.gamma * transition.psi_target - transition.psi
+    base = baseline(config, state)
+    if base is not None:
+        h = h - config.delta_r * base
+    m = np.outer(zeta, h)
+    if config.variant == "varpi_relative_fixed" and config.delta_r != 0.0:
+        m = m - config.delta_r * np.outer(config.psi_bar, config.psi_bar)
+    alpha = config.step.alpha(state.n + 1)
+    return np.eye(len(zeta)) + alpha * m, alpha * transition.cost * zeta, zeta
+
+
+def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) -> LearnerState:
+    """One update of the recursion from ``state``, in the affine form ``run`` uses."""
+    a, b, zeta = affine_map(state, config, transition)
+    return _advance(state, config, transition, zeta, a @ state.theta + b)
+
+
+def textbook_step(state: LearnerState, config: LearnerConfig,
+                  transition: Transition) -> LearnerState:
+    """One update in the order the update rule is written."""
+    if transition.psi_target is None:
+        raise MissingSplitSample("evaluation mode requires a target sample")
+    zeta = config.lam * config.gamma * state.zeta + transition.psi
+    d = (transition.cost
+         + config.gamma * float(transition.psi_target @ state.theta)
+         - float(transition.psi @ state.theta)
+         - correction(config, state))
+    update = d * zeta
+    if config.variant == "varpi_relative_fixed" and config.delta_r != 0.0:
+        psi_bar = np.asarray(config.psi_bar)
+        update = update - config.delta_r * float(psi_bar @ state.theta) * psi_bar
+    theta = state.theta + config.step.alpha(state.n + 1) * update
+    return _advance(state, config, transition, zeta, theta)
+
+
+def iterates(config: LearnerConfig, path: Path, step=td_step) -> list[np.ndarray]:
+    """theta_0 .. theta_N of ``step`` folded over ``path``."""
+    state = initial_state(config, path.psi_states.shape[1], path.psi_states[0])
+    out = [state.theta]
+    for tr in transitions(path):
+        state = step(state, config, tr)
+        out.append(state.theta)
+    return out
+
+
+def pr_average(thetas: list[np.ndarray], n0: int) -> np.ndarray:
+    """Polyak-Ruppert average of ``thetas[n0:]``, summed in step order."""
+    pr_sum = np.zeros_like(thetas[0])
+    for theta in thetas[n0:]:
+        pr_sum += theta
+    return pr_sum / (len(thetas) - n0)
+
+
+def run_path(config: LearnerConfig, path: Path,
+             step=td_step) -> tuple[np.ndarray, np.ndarray]:
+    """Final iterate and Polyak-Ruppert average of ``step`` over ``path``.
 
     The average runs over the iterates n0 .. N with n0 the burn-in fraction
     of N, as in ``learner.run``.
     """
-    n_steps = len(path.cost)
-    n0 = int(config.pr_burn_in_fraction * n_steps)
-    state = initial_state(config, path.psi_states.shape[1], path.psi_states[0])
-    pr_sum = np.zeros_like(state.theta)
-    if n0 == 0:
-        pr_sum += state.theta
-    for tr in transitions(path):
-        state = td_step(state, config, tr)
-        if state.n >= n0:
-            pr_sum += state.theta
-    return state.theta, pr_sum / (n_steps - n0 + 1)
+    thetas = iterates(config, path, step)
+    return thetas[-1], pr_average(thetas, int(config.pr_burn_in_fraction * len(path.cost)))

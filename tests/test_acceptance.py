@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Heavy Monte-Carlo experiments (criteria 7, 8) run once via module fixtures.
-Statistical criteria run at fixed seeds; the seeds were verified to be
-unexceptional (neighboring seeds pass as well).
+Statistical criteria run at fixed seeds.  README.md gives the pass rates of
+criteria 7 and 8 on fresh seeds: criterion 8 fails on about 4 seeds in 10.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -177,8 +179,11 @@ def test_criterion_06_instability_dichotomy():
     cfg_neg = LearnerConfig(gamma=gamma, lam=0.0, step=StepSchedule(0.5, 0.65),
                             variant="relative_fixed_mu", delta_r=delta, mu=mu_neg,
                             seed=17)
-    with pytest.raises(NumericalDivergence):
-        run(env_d, cfg_neg, 500_000)
+    # a numpy RuntimeWarning from the overflow past the threshold fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDivergence, match=r"at step \d+"):
+            run(env_d, cfg_neg, 500_000)
 
     flow_pos = mean_flow_relative(chain_d, psi_d, gamma, 0.0, delta, mu_pos)
     rep_pos = spectral_report(flow_pos.a_bar)

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedul
                             empirical_bias, empirical_clt_samples, run, run_many,
                             snapshot_indices, substream)
 from rtdlab.markov import build_chain
+from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
-from learner_oracle import Transition, beta, initial_state, run_path, td_step, transitions
+from learner_oracle import (Transition, beta, initial_state, run_path, td_step,
+                            textbook_step, transitions)
 
 
 @pytest.fixture(scope="module")
@@ -175,8 +179,32 @@ class TestRun:
         env_d = FiniteChainEnv(chain_d, psi_d, policy=policy.probs)
         cfg = LearnerConfig(gamma=0.999, lam=0.0, step=StepSchedule(2.0, 0.65),
                             variant="relative_fixed_mu", delta_r=1e-3, mu=mu_neg, seed=0)
+        # a numpy RuntimeWarning from the overflow past the threshold fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergence, match=r"at step \d+") as single:
+                run(env_d, cfg, 200_000)
+            with pytest.raises(NumericalDivergence, match=r"^run \d+: .* at step \d+$") as batch:
+                run_many(env_d, cfg, 200_000, 3)
+        # the named step is the first iterate past the threshold
+        step = int(re.search(r"at step (\d+)", str(single.value)).group(1))
+        run(env_d, cfg, step - 1)
         with pytest.raises(NumericalDivergence):
-            run(env_d, cfg, 200_000)
+            run(env_d, cfg, step)
+        # ... and the named run crosses it there, no run crossing it earlier
+        index, step = map(int, re.search(r"^run (\d+): .* at step (\d+)$",
+                                         str(batch.value)).groups())
+        run_many(env_d, cfg, step - 1, 3)
+        with pytest.raises(NumericalDivergence, match=f"at step {step}$"):
+            run(env_d, cfg, step, run_index=index)
+        # at the CLI's default step cap the speed-scaling iterates pass the
+        # threshold within a few steps and overflow long before the block ends
+        env_s = SpeedScalingEnv(SpeedScalingModel())
+        cfg_s = LearnerConfig(gamma=0.99, lam=0.0, step=StepSchedule(0.02, 0.65), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergence, match=r"^run 0: .* at step \d$"):
+                run(env_s, cfg_s, 1000)
 
     @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
     @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",
@@ -193,6 +221,39 @@ class TestRun:
         theta, theta_pr = run_path(cfg, path)
         assert np.array_equal(theta, res.theta_final)
         assert np.array_equal(theta_pr, res.theta_pr)
+
+
+    @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
+    @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",
+                                         "varpi_relative_fixed"])
+    def test_matches_textbook_order(self, env, chain, psi, variant, eval_mode):
+        # the update in the order it is written, D = c + gamma psi_target'theta
+        # - psi'theta - correction, agrees with the affine form to roundoff
+        stats = feature_stats(chain, psi)
+        lam = 0.0 if variant == "varpi_relative_fixed" else 0.3
+        cfg = config(variant=variant, delta_r=0.5, lam=lam, eval_mode=eval_mode, seed=23,
+                     mu=baseline_mean(chain.stationary, psi), psi_bar=stats.psi_bar,
+                     theta0=np.array([0.1, -0.2, 0.3]))
+        n = 2000
+        res = run(env, cfg, n, run_index=1)
+        path = env.sample_path(n, eval_mode, substream(cfg.seed, 2), substream(cfg.seed, 3))
+        theta, theta_pr = run_path(cfg, path, step=textbook_step)
+        for got, want in ((res.theta_final, theta), (res.theta_pr, theta_pr)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stretches_continue_the_trajectory(self, env):
+        # a path sampled in stretches, each from the last state of the one
+        # before, is the path one call draws
+        whole = env.sample_path(1000, "split_sampling", substream(8, 0), substream(8, 1))
+        rng, split, start, parts = substream(8, 0), substream(8, 1), None, []
+        for k in (1, 0, 400, 599):
+            parts.append(env.sample_path(k, "split_sampling", rng, split, start))
+            start = parts[-1].end
+        states = [parts[0].z_traj[:1]] + [p.z_traj[1:] for p in parts]
+        assert np.array_equal(np.concatenate(states), whole.z_traj)
+        for key in ("cost", "psi_target"):
+            assert np.array_equal(np.concatenate([getattr(p, key) for p in parts]),
+                                  getattr(whole, key))
 
 
 class TestEvalModes:

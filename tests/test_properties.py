@@ -1,23 +1,33 @@
-"""Property tests of the exact layer over small random unichains and bases.
+"""Property tests over small random unichains and bases.
 
-Each chain has 2 to 6 states.  It may be dense or sparse (a cycle through
+The exact layer: each chain has 2 to 6 states.  It may be dense or sparse (a cycle through
 the recurrent states keeps it irreducible, and a bare cycle is periodic), and
 it may have a transient state that is left at once and never entered again.
 The runs are derandomized, so the suite sees the same examples every time.
+
+The learner: a batch of runs, cut into time blocks of any length, gives
+each run the bits of the same run alone.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
                                 asymptotics_report, build_noise_model, matrix_poisson,
                                 sigma_delta, sigma_theta_star, upsilon_bar)
-from rtdlab.features import FeatureMap, resolvent_sum
-from rtdlab.markov import FiniteChain, solve_poisson, stationary_pmf
+from rtdlab import learner
+from rtdlab.features import FeatureMap, baseline_mean, feature_mean, resolvent_sum
+from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
+                            run, run_many, substream)
+from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
+                           solve_poisson, stationary_pmf)
 
+import learner_oracle
 import pair_oracle
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,3 +127,64 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
         assert np.max(np.abs(getattr(rep, key) - want)) < 1e-9 * scale(ref), key
     # the report keeps no per-pair array: its size does not grow with n_z
     assert all(np.size(v) <= psi.dim ** 2 for v in dataclasses.asdict(rep).values())
+
+
+@st.composite
+def learner_cases(draw, variant):
+    """(env, config, n_steps, snapshot plan) of ``variant`` on a random state-action chain."""
+    nx, nu = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.gamma(1.0, 1.0, (nu, nx, nx))
+    probs = rng.gamma(1.0, 1.0, (nx, nu))
+    mdp = FiniteMdp(nx, nu, kernel / kernel.sum(axis=2, keepdims=True),
+                    rng.standard_normal((nx, nu)))
+    policy = RandomizedPolicy(probs / probs.sum(axis=1, keepdims=True))
+    chain = build_chain(mdp, policy)
+    psi = FeatureMap(rng.standard_normal((nx * nu, draw(st.integers(1, 3)))))
+    lam = 0.0 if variant == "varpi_relative_fixed" else draw(st.sampled_from([0.5, 0.0]))
+    n_steps = draw(st.integers(1, 150))
+    config = LearnerConfig(
+        gamma=0.9, lam=lam,
+        step=StepSchedule(0.05, 0.65), variant=variant,
+        delta_r=draw(st.sampled_from([0.5, 0.0])), eval_mode=draw(st.sampled_from(EVAL_MODES)),
+        mu=baseline_mean(chain.stationary, psi), psi_bar=feature_mean(chain, psi),
+        pr_burn_in_fraction=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 99)),
+        theta0=draw(st.sampled_from([None, rng.standard_normal(psi.dim)])))
+    plan = tuple(draw(st.sets(st.integers(0, n_steps), max_size=4)))
+    return FiniteChainEnv(chain, psi, policy.probs), config, n_steps, plan
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_rows_are_single_runs(variant):
+    batch_rows_are_single_runs(variant)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.data(), st.sampled_from([1, 2, 5]), st.sampled_from([1, 2, 7]))
+def batch_rows_are_single_runs(variant, data, n_runs, block):
+    env, config, n_steps, plan = data.draw(learner_cases(variant))
+    with mock.patch.object(learner, "_BLOCK_STEPS", block):
+        batch = run_many(env, config, n_steps, n_runs, snapshot_plan=plan)
+    for i, got in enumerate(batch):
+        want = run(env, config, n_steps, snapshot_plan=plan, run_index=i)
+        assert got.run_index == want.run_index == i and got.pr_count == want.pr_count
+        assert np.array_equal(got.theta_final, want.theta_final)
+        assert np.array_equal(got.theta_pr, want.theta_pr)
+        assert [s.n for s in got.snapshots] == sorted(plan)
+        for s, t in zip(got.snapshots, want.snapshots):
+            assert s.n == t.n and s.pr_count == t.pr_count
+            assert np.array_equal(s.theta, t.theta)
+            assert (s.theta_pr is None) == (t.theta_pr is None)
+            assert s.theta_pr is None or np.array_equal(s.theta_pr, t.theta_pr)
+    # and the last run, snapshots included, is the one-step oracle's fold over its path
+    i = n_runs - 1
+    path = env.sample_path(n_steps, config.eval_mode, substream(config.seed, 2 * i),
+                           substream(config.seed, 2 * i + 1))
+    thetas = learner_oracle.iterates(config, path)
+    n0 = int(config.pr_burn_in_fraction * n_steps)
+    assert np.array_equal(thetas[-1], batch[i].theta_final)
+    assert np.array_equal(learner_oracle.pr_average(thetas, n0), batch[i].theta_pr)
+    for s in batch[i].snapshots:
+        assert np.array_equal(s.theta, thetas[s.n])
+        if s.n >= n0:
+            assert np.array_equal(s.theta_pr, learner_oracle.pr_average(thetas[:s.n + 1], n0))

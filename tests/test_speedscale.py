@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rtdlab
+from rtdlab import learner
 from rtdlab.errors import ConfigError
 from rtdlab.learner import LearnerConfig, StepSchedule, run, substream
 from rtdlab.meanflow import spectral_report
@@ -130,6 +132,23 @@ class TestEnv:
                             variant="td", eval_mode="natural", seed=1)
         with pytest.raises(ConfigError):
             run(env, cfg, 10)
+
+    def test_stretches_continue_the_path(self, model):
+        env = SpeedScalingEnv(model)
+        whole = env.sample_path(500, "on_policy", substream(9, 0))
+        rng, start, parts = substream(9, 0), None, []
+        for k in (1, 0, 200, 299):
+            parts.append(env.sample_path(k, "on_policy", rng, None, start))
+            start = parts[-1].end
+        assert np.array_equal(np.concatenate([p.cost for p in parts]), whole.cost)
+        assert np.array_equal(np.concatenate([p.psi_target for p in parts]), whole.psi_target)
+        # so a run does not depend on how its time is cut into blocks
+        cfg = LearnerConfig(gamma=0.9, lam=0.0, step=StepSchedule(1e-6, 0.6),
+                            variant="varpi_relative", delta_r=1.0, seed=3,
+                            baseline_step_rho=0.51)
+        with mock.patch.object(learner, "_BLOCK_STEPS", 7):
+            cut = run(env, cfg, 300)
+        assert np.array_equal(cut.theta_final, run(env, cfg, 300).theta_final)
 
     def test_on_policy_path_shapes(self, model):
         env = SpeedScalingEnv(model)
