@@ -41,10 +41,25 @@ baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
 is a batch of one.  Time is cut into blocks.  Before a block's theta loop,
 each run's stretch of path is sampled, and the step sizes, costs, traces,
 adaptive baseline estimates, A_n and b_n of every step of the block are
-computed for all runs at once; only the trace and baseline recursions loop
-over time there.  The theta loop then does one stacked ``A_n @ theta + b_n``
-per step, and the Polyak-Ruppert sums, snapshots and the divergence check
-follow per block.
+computed for all runs at once.  The theta loop then does one stacked
+``A_n @ theta + b_n`` per step, and the Polyak-Ruppert sums, snapshots and
+the divergence check follow per block.
+
+The trace and the baseline estimate are first-order linear filters
+y_n = a_n y_{n-1} + x_n: the trace with a_n = lam*gamma and x_n = psi(Z_n),
+the baseline (as y_n = psi_bar_est_{n+1}) with a_n = 1 - beta_{n+1} and
+x_n = beta_{n+1} psi(Z_{n+1}).  Both are evaluated by one segment rule.  Time
+is cut into segments of _SEG steps starting at multiples of _SEG, and for
+position j of a segment
+
+    u_0 = x_0,   u_j = a_j u_{j-1} + x_j,   P_j = a_0 ... a_j,
+    y_j = u_j + P_j y_end,
+
+with y_end the filter's value at the end of the segment before (its initial
+value for the first).  The u recursion runs over the _SEG positions for
+every segment of a block at once, and only the y_end carry steps from
+segment to segment.  A block is a whole number of segments, so a run's bits
+do not depend on its batch or on how its time was cut into blocks.
 
 Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
@@ -186,8 +201,10 @@ class FiniteChainEnv:
         self.chain = chain
         self.psi = psi
         self.policy = None if policy is None else np.asarray(policy, float)
-        self._cum_rows = [row.cumsum().tolist() for row in chain.transition]
-        self._cum_init = chain.stationary.cumsum().tolist()
+        # cumulative rows ending in inf: bisect_right lands on the last state
+        # exactly when a uniform is at or above the row's rounded sum
+        self._cum_rows = [row.cumsum()[:-1].tolist() + [np.inf] for row in chain.transition]
+        self._cum_init = chain.stationary.cumsum()[:-1].tolist() + [np.inf]
         if self.policy is not None:
             nx, nu = chain.state_action_shape
             # policy-averaged features per state: sum_u policy(u|x) psi(x, u)
@@ -206,12 +223,11 @@ class FiniteChainEnv:
         as one call, so a trajectory does not depend on how it is cut.
         """
         cum_rows = self._cum_rows
-        last = self.chain.n_z - 1
-        z = min(bisect_right(self._cum_init, rng.random()), last) if start is None else start
+        z = bisect_right(self._cum_init, rng.random()) if start is None else start
         traj = [z]
         append = traj.append
         for u in rng.random(n_steps).tolist():
-            z = min(bisect_right(cum_rows[z], u), last)
+            z = bisect_right(cum_rows[z], u)
             append(z)
         return np.array(traj, dtype=np.int64)
 
@@ -244,9 +260,38 @@ class FiniteChainEnv:
 
 
 # A time block holds at most _BLOCK_STEPS steps and _BLOCK_ENTRIES entries of
-# its stacked A_n, so memory does not grow with the run length
+# its stacked A_n, so memory does not grow with the run length, but at least
+# one segment of _SEG steps
 _BLOCK_STEPS = 4096
 _BLOCK_ENTRIES = 1 << 20
+_SEG = 64
+
+
+def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """y_0 .. y_{k-1} of y_n = a_n y_{n-1} + x_n with y_{-1} = ``carry``.
+
+    ``a`` holds one gain per step, ``x`` is (k, ...) and ``carry`` one y.  The
+    block must start at a multiple of _SEG; the module docstring gives the
+    segment rule.
+    """
+    k = len(x)
+    width = min(_SEG, k)
+    n_seg = -(-k // width)
+    y = np.zeros((n_seg * width,) + x.shape[1:])
+    y[:k] = x
+    y = y.reshape((n_seg, width) + x.shape[1:])
+    gains = np.ones(n_seg * width)
+    gains[:k] = a
+    gains = gains.reshape((n_seg, width) + (1,) * (x.ndim - 1))
+    decayed = np.empty((n_seg,) + x.shape[1:])
+    for j in range(1, width):
+        np.multiply(gains[:, j], y[:, j - 1], decayed)
+        np.add(y[:, j], decayed, y[:, j])
+    prods = np.multiply.accumulate(gains, axis=1)
+    for y_seg, p in zip(y, prods):
+        y_seg += p * carry
+        carry = y_seg[-1]
+    return y.reshape((-1,) + x.shape[1:])[:k]
 
 
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
@@ -271,8 +316,8 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     fixed_term = (dr * np.outer(config.psi_bar, config.psi_bar)
                   if variant == "varpi_relative_fixed" and dr != 0.0 else None)
     eye = np.eye(dim)
-    matmul, add, sub, mul = np.matmul, np.add, np.subtract, np.multiply
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (n_runs * dim * dim)))
+    matmul, add = np.matmul, np.add
+    block = _SEG * max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (n_runs * dim * dim)) // _SEG)
 
     theta0 = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float)
     theta = np.repeat(theta0.reshape(1, dim, 1), n_runs, axis=0)
@@ -309,25 +354,18 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
             if lg == 0.0:
                 traces = psi[:-1]
             else:
-                traces = np.empty((k, n_runs, dim))
-                for p, z in zip(psi, traces):
-                    mul(lg, zeta, z)
-                    add(z, p, z)
-                    zeta = z
+                traces = _linear_filter(np.full(k, lg), psi[:-1], zeta)
+                zeta = traces[-1]
             # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
             h = g * target - psi[:-1]
             if adaptive:
                 if est is None:
                     est = psi[0]
-                ests = np.empty((k + 1, n_runs, dim))
-                ests[0] = est
                 betas = np.arange(first + 1, first + k + 1, dtype=float) \
                     ** (-config.baseline_step_rho)
-                # psi_bar_est_{n+1} = psi_bar_est_n + beta_{n+1} (psi(Z_{n+1}) - psi_bar_est_n)
-                for beta, p, now, nxt in zip(betas.tolist(), psi[1:], ests, ests[1:]):
-                    sub(p, now, nxt)
-                    mul(nxt, beta, nxt)
-                    add(nxt, now, nxt)
+                # psi_bar_est_{n+1} = (1 - beta_{n+1}) psi_bar_est_n + beta_{n+1} psi(Z_{n+1})
+                ests = np.concatenate([est[None], _linear_filter(
+                    1.0 - betas, betas[:, None, None] * psi[1:], est)])
                 est = ests[k]
                 h -= dr * ests[:-1]
             elif base_vec is not None:

@@ -7,11 +7,17 @@ one observed transition:
 
 * ``td_step`` builds A_n and b_n from the update rule with the same
   elementwise operations, in the same order, as ``run`` and applies the 2-D
-  product ``A_n @ theta + b_n``, so it agrees with ``run`` bit for bit;
+  product ``A_n @ theta + b_n``.  It steps the trace and the adaptive
+  baseline by the segment rule of ``run`` (see the ``rtdlab.learner``
+  docstring), one step at a time: at a step that starts a segment of
+  ``learner._SEG`` steps it sets u = x, P = a and the carry to the filter's
+  current value, and at every other step u <- a u + x and P <- P a; the new
+  value is u + P carry.  So it agrees with ``run`` bit for bit;
 * ``textbook_step`` writes the update as the ``rtdlab.learner`` docstring
   states it, D = c + gamma psi_target'theta - psi'theta - correction and
-  theta + alpha D zeta, so it agrees with ``run`` to roundoff only, and a sign
-  or ordering error shared by ``run`` and ``td_step`` would show against it.
+  theta + alpha D zeta, with the sequential trace and baseline recursions, so
+  it agrees with ``run`` to roundoff only, and a sign or ordering error shared
+  by ``run`` and ``td_step`` would show against it.
 
 ``run_path`` folds either over a sampled path with the same Polyak-Ruppert
 average as ``run``.
@@ -21,8 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rtdlab import learner
 from rtdlab.errors import MissingSplitSample
 from rtdlab.learner import LearnerConfig, Path
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Segment-rule state of a linear filter y_n = a_n y_{n-1} + x_n."""
+
+    u: np.ndarray
+    p: float
+    carry: np.ndarray
 
 
 @dataclass
@@ -31,6 +47,8 @@ class LearnerState:
     zeta: np.ndarray
     psi_bar_est: np.ndarray
     n: int = 0
+    trace: Segment | None = None       # of zeta, at td_step's last step
+    baseline: Segment | None = None    # of psi_bar_est, at td_step's last step
 
 
 @dataclass(frozen=True)
@@ -82,18 +100,19 @@ def baseline(config: LearnerConfig, state: LearnerState) -> np.ndarray | None:
     return state.psi_bar_est
 
 
-def _advance(state: LearnerState, config: LearnerConfig, transition: Transition,
-             zeta: np.ndarray, theta: np.ndarray) -> LearnerState:
-    n_next = state.n + 1
-    psi_bar_est = state.psi_bar_est
-    if config.variant == "varpi_relative":
-        psi_bar_est = psi_bar_est + beta(config, n_next) * (transition.psi_next - psi_bar_est)
-    return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n_next)
+def filter_step(seg: Segment | None, n: int, a: float, x: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, Segment]:
+    """The filter's value at position ``n`` from its value ``y`` at n - 1."""
+    if n % learner._SEG == 0:
+        seg = Segment(u=x, p=a, carry=y)
+    else:
+        seg = Segment(u=a * seg.u + x, p=seg.p * a, carry=seg.carry)
+    return seg.u + seg.p * seg.carry, seg
 
 
-def affine_map(state: LearnerState, config: LearnerConfig,
-               transition: Transition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A_n, b_n, zeta_n) of the step from ``state``.
+def affine_map(state: LearnerState, config: LearnerConfig, transition: Transition,
+               zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A_n, b_n) of the step from ``state`` with trace ``zeta``.
 
     A_n = I + alpha_n (zeta_n h_n' - delta_r psi_bar psi_bar') with the matrix
     term for varpi_relative_fixed only, h_n = gamma psi_target - psi(Z_n)
@@ -101,7 +120,6 @@ def affine_map(state: LearnerState, config: LearnerConfig,
     """
     if transition.psi_target is None:
         raise MissingSplitSample("evaluation mode requires a target sample")
-    zeta = config.lam * config.gamma * state.zeta + transition.psi
     h = config.gamma * transition.psi_target - transition.psi
     base = baseline(config, state)
     if base is not None:
@@ -110,13 +128,22 @@ def affine_map(state: LearnerState, config: LearnerConfig,
     if config.variant == "varpi_relative_fixed" and config.delta_r != 0.0:
         m = m - config.delta_r * np.outer(config.psi_bar, config.psi_bar)
     alpha = config.step.alpha(state.n + 1)
-    return np.eye(len(zeta)) + alpha * m, alpha * transition.cost * zeta, zeta
+    return np.eye(len(zeta)) + alpha * m, alpha * transition.cost * zeta
 
 
 def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) -> LearnerState:
-    """One update of the recursion from ``state``, in the affine form ``run`` uses."""
-    a, b, zeta = affine_map(state, config, transition)
-    return _advance(state, config, transition, zeta, a @ state.theta + b)
+    """One update of the recursion from ``state``, in the form ``run`` uses."""
+    n = state.n
+    zeta, trace = filter_step(state.trace, n, config.lam * config.gamma, transition.psi,
+                              state.zeta)
+    a, b = affine_map(state, config, transition, zeta)
+    psi_bar_est, baseline_seg = state.psi_bar_est, state.baseline
+    if config.variant == "varpi_relative":
+        g = beta(config, n + 1)
+        psi_bar_est, baseline_seg = filter_step(baseline_seg, n, 1.0 - g,
+                                                g * transition.psi_next, psi_bar_est)
+    return LearnerState(theta=a @ state.theta + b, zeta=zeta, psi_bar_est=psi_bar_est,
+                        n=n + 1, trace=trace, baseline=baseline_seg)
 
 
 def textbook_step(state: LearnerState, config: LearnerConfig,
@@ -134,7 +161,11 @@ def textbook_step(state: LearnerState, config: LearnerConfig,
         psi_bar = np.asarray(config.psi_bar)
         update = update - config.delta_r * float(psi_bar @ state.theta) * psi_bar
     theta = state.theta + config.step.alpha(state.n + 1) * update
-    return _advance(state, config, transition, zeta, theta)
+    psi_bar_est = state.psi_bar_est
+    if config.variant == "varpi_relative":
+        psi_bar_est = psi_bar_est + beta(config, state.n + 1) * (transition.psi_next
+                                                                 - psi_bar_est)
+    return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=state.n + 1)
 
 
 def iterates(config: LearnerConfig, path: Path, step=td_step) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rtdlab import models
+from rtdlab import learner, models
 from rtdlab.asymptotics import build_noise_model, noise_variant
 from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
 from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_poly_basis
@@ -15,7 +15,7 @@ from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedul
 from rtdlab.markov import build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
-from learner_oracle import (Transition, beta, initial_state, run_path, td_step,
+from learner_oracle import (Transition, beta, filter_step, initial_state, run_path, td_step,
                             textbook_step, transitions)
 
 
@@ -117,6 +117,39 @@ class TestTdStep:
                 expect = theta0 + SCHED.alpha(1) * (
                     noise.a_of_phi[z * 6 + zp] @ theta0 + noise.b_of_phi[z * 6 + zp])
                 assert np.max(np.abs(st1.theta - expect)) < 1e-12, (variant, delta_r)
+
+
+class TestLinearFilter:
+    # block lengths in whole segments plus a last remainder, as _batch cuts time
+    CUTS = {"one_block": ((4, 44),), "three_blocks": ((2, 0), (1, 0), (1, 44)),
+            "short_last": ((2, 0), (0, 20)), "short_only": ((0, 5),)}
+
+    @pytest.mark.parametrize("gains", ["random", "constant", "first_zero"])
+    @pytest.mark.parametrize("cuts", list(CUTS))
+    def test_matches_segment_rule_fold(self, gains, cuts):
+        lengths = [n_seg * learner._SEG + rest for n_seg, rest in self.CUTS[cuts]]
+        k = sum(lengths)
+        rng = np.random.default_rng(k)
+        a = {"random": rng.random(k), "constant": np.full(k, 0.45),
+             # the baseline's gains 1 - beta_n with beta_1 = 1
+             "first_zero": 1.0 - np.arange(1, k + 1, dtype=float) ** -0.55}[gains]
+        x = rng.standard_normal((k, 3, 2))
+        y0 = rng.standard_normal((3, 2))
+        got, carry, first = [], y0, 0
+        for length in lengths:
+            got.append(learner._linear_filter(a[first:first + length],
+                                              x[first:first + length], carry))
+            carry, first = got[-1][-1], first + length
+        got = np.concatenate(got)
+        want, seq, y, z, state = [], [], y0, y0, None
+        for n in range(k):
+            y, state = filter_step(state, n, float(a[n]), x[n], y)
+            z = a[n] * z + x[n]
+            want.append(y)
+            seq.append(z)
+        assert np.array_equal(got, np.stack(want))
+        # and the segment rule evaluates the sequential recursion to roundoff
+        assert np.max(np.abs(got - np.stack(seq))) <= 1e-13 * np.max(np.abs(seq))
 
 
 class TestRun:

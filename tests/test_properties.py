@@ -5,8 +5,8 @@ the recurrent states keeps it irreducible, and a bare cycle is periodic), and
 it may have a transient state that is left at once and never entered again.
 The runs are derandomized, so the suite sees the same examples every time.
 
-The learner: a batch of runs, cut into time blocks of any length, gives
-each run the bits of the same run alone.
+The learner: a batch of runs, cut into time blocks of any whole number of
+trace/baseline segments, gives each run the bits of the same run alone.
 """
 
 import dataclasses
@@ -160,9 +160,16 @@ def test_batch_rows_are_single_runs(variant):
 
 
 @settings(PROPERTY, max_examples=25)
-@given(st.data(), st.sampled_from([1, 2, 5]), st.sampled_from([1, 2, 7]))
-def batch_rows_are_single_runs(variant, data, n_runs, block):
+@given(st.data(), st.sampled_from([1, 2, 5]), st.sampled_from([1, 2, 7]),
+       st.sampled_from([1, 3, learner._SEG]))
+def batch_rows_are_single_runs(variant, data, n_runs, block, seg):
     env, config, n_steps, plan = data.draw(learner_cases(variant))
+    with mock.patch.object(learner, "_SEG", seg):
+        check_batch_rows(env, config, n_steps, plan, n_runs, block)
+
+
+def check_batch_rows(env, config, n_steps, plan, n_runs, block):
+    # blocks of max(1, block // _SEG) segments
     with mock.patch.object(learner, "_BLOCK_STEPS", block):
         batch = run_many(env, config, n_steps, n_runs, snapshot_plan=plan)
     for i, got in enumerate(batch):

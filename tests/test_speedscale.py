@@ -142,13 +142,15 @@ class TestEnv:
             start = parts[-1].end
         assert np.array_equal(np.concatenate([p.cost for p in parts]), whole.cost)
         assert np.array_equal(np.concatenate([p.psi_target for p in parts]), whole.psi_target)
-        # so a run does not depend on how its time is cut into blocks
-        cfg = LearnerConfig(gamma=0.9, lam=0.0, step=StepSchedule(1e-6, 0.6),
-                            variant="varpi_relative", delta_r=1.0, seed=3,
-                            baseline_step_rho=0.51)
-        with mock.patch.object(learner, "_BLOCK_STEPS", 7):
-            cut = run(env, cfg, 300)
-        assert np.array_equal(cut.theta_final, run(env, cfg, 300).theta_final)
+        # so a run, its trace and baseline estimate included, does not depend
+        # on how its time is cut into blocks
+        for lam in (0.0, 0.5):
+            cfg = LearnerConfig(gamma=0.9, lam=lam, step=StepSchedule(1e-6, 0.6),
+                                variant="varpi_relative", delta_r=1.0, seed=3,
+                                baseline_step_rho=0.51)
+            with mock.patch.object(learner, "_BLOCK_STEPS", 7):
+                cut = run(env, cfg, 300)
+            assert np.array_equal(cut.theta_final, run(env, cfg, 300).theta_final)
 
     def test_on_policy_path_shapes(self, model):
         env = SpeedScalingEnv(model)
