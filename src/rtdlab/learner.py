@@ -37,29 +37,32 @@ Every variant is affine in theta_n, and the code runs it in that form:
 
 with the psi_bar psi_bar' term for ``varpi_relative_fixed`` only and
 baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
-``run_many`` steps all its runs together on a (runs, d) iterate, and ``run``
-is a batch of one.  Time is cut into blocks.  Before a block's theta loop,
-each run's stretch of path is sampled, and the step sizes, costs, traces,
-adaptive baseline estimates, A_n and b_n of every step of the block are
-computed for all runs at once.  The theta loop then does one stacked
-``A_n @ theta + b_n`` per step, and the Polyak-Ruppert sums, snapshots and
-the divergence check follow per block.
+``run_many`` steps all its runs together, and ``run`` is a batch of one.
+Time is cut into blocks.  For each block, each run's stretch of path is
+sampled, and the step sizes, costs, traces, adaptive baseline estimates,
+A_n and b_n of every step of the block are computed for all runs at once.
+The iterates of the block then come from one segment rule, and the
+Polyak-Ruppert sums, snapshots and the divergence check follow per block.
 
-The trace and the baseline estimate are first-order linear filters
-y_n = a_n y_{n-1} + x_n: the trace with a_n = lam*gamma and x_n = psi(Z_n),
-the baseline (as y_n = psi_bar_est_{n+1}) with a_n = 1 - beta_{n+1} and
-x_n = beta_{n+1} psi(Z_{n+1}).  Both are evaluated by one segment rule.  Time
-is cut into segments of _SEG steps starting at multiples of _SEG, and for
-position j of a segment
+The segment rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n
+of the learner: theta (y_n = theta_{n+1} with the d x d maps above), the
+trace (A_n = lam*gamma, b_n = psi(Z_n)) and the baseline estimate
+(y_n = psi_bar_est_n, A_n = 1 - beta_n, b_n = beta_n psi(Z_n), with beta_0 = 1
+so that psi_bar_est_0 = psi(Z_0)), the last two with 1 x 1 maps acting on
+each feature.  Time is cut into segments
+of _SEG steps starting at multiples of _SEG, and for position j of a
+segment the map [P_j | u_j] composed since the segment start is
 
-    u_0 = x_0,   u_j = a_j u_{j-1} + x_j,   P_j = a_0 ... a_j,
-    y_j = u_j + P_j y_end,
+    [P_0 | u_0] = [A_0 | b_0],   [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j],
+    y_j = P_j y_end + u_j,
 
-with y_end the filter's value at the end of the segment before (its initial
-value for the first).  The u recursion runs over the _SEG positions for
-every segment of a block at once, and only the y_end carry steps from
-segment to segment.  A block is a whole number of segments, so a run's bits
-do not depend on its batch or on how its time was cut into blocks.
+with y_end the value at the end of the segment before (the value before the
+block for the first).  Every matrix product sums its terms in order of the
+inner index, with separate multiplies and adds.  The composition runs over
+the _SEG positions for every segment of a block at once, only the y_end
+carry steps from segment to segment, and the y_j of all positions come from
+one vectorised product.  A block is a whole number of segments, so a run's
+bits do not depend on its batch or on how its time was cut into blocks.
 
 Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
@@ -267,31 +270,82 @@ _BLOCK_ENTRIES = 1 << 20
 _SEG = 64
 
 
-def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """y_0 .. y_{k-1} of y_n = a_n y_{n-1} + x_n with y_{-1} = ``carry``.
+def _segments(x: np.ndarray) -> np.ndarray:
+    """Per-step values (k, runs, ...) of a block in segment layout (W, ..., S, runs).
 
-    ``a`` holds one gain per step, ``x`` is (k, ...) and ``carry`` one y.  The
-    block must start at a multiple of _SEG; the module docstring gives the
-    segment rule.
+    Step s*W + j of the block sits at position j of segment s, with W =
+    min(_SEG, k) and S = ceil(k / W) segments; positions past step k - 1 hold
+    zeros.
     """
-    k = len(x)
+    k, n_runs = x.shape[:2]
     width = min(_SEG, k)
-    n_seg = -(-k // width)
-    y = np.zeros((n_seg * width,) + x.shape[1:])
-    y[:k] = x
-    y = y.reshape((n_seg, width) + x.shape[1:])
-    gains = np.ones(n_seg * width)
-    gains[:k] = a
-    gains = gains.reshape((n_seg, width) + (1,) * (x.ndim - 1))
-    decayed = np.empty((n_seg,) + x.shape[1:])
-    for j in range(1, width):
-        np.multiply(gains[:, j], y[:, j - 1], decayed)
-        np.add(y[:, j], decayed, y[:, j])
-    prods = np.multiply.accumulate(gains, axis=1)
-    for y_seg, p in zip(y, prods):
-        y_seg += p * carry
-        carry = y_seg[-1]
-    return y.reshape((-1,) + x.shape[1:])[:k]
+    full, rest = divmod(k, width)
+    out = np.zeros((width,) + x.shape[2:] + (full + (rest > 0), n_runs))
+    steps = np.moveaxis(out, (0, -2, -1), (1, 0, 2))    # (S, W, runs, ...)
+    steps[:full] = x[:full * width].reshape((full, width) + x.shape[1:])
+    steps[full:, :rest] = x[full * width:]
+    return out
+
+
+def _unsegment(y: np.ndarray, k: int) -> np.ndarray:
+    """The inverse of :func:`_segments`: (W, ..., S, runs) back to (k, runs, ...)."""
+    y = np.moveaxis(y, (0, -2, -1), (1, 0, 2))
+    return y.reshape((-1,) + y.shape[2:])[:k]
+
+
+def _product(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_k a[k] * x[k], summed in order of k: one matrix product per item."""
+    np.multiply(a[0], x[0], out)
+    if len(x) > 1:
+        part = np.empty_like(out)
+        for k in range(1, len(x)):
+            out += np.multiply(a[k], x[k], part)
+    return out
+
+
+def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """y_n = A_n y_{n-1} + b_n over one block, y before the block = ``carry``.
+
+    ``m`` holds the maps [A_n | b_n] in segment layout (W, p, p+1, ..., S,
+    runs) and is overwritten by the segment maps [P_j | u_j]; ``carry`` is
+    (p, ..., runs) and y comes back as (W, p, ..., S, runs).  The block must
+    start at a multiple of _SEG; the module docstring gives the segment rule.
+    """
+    p = m.shape[1]
+    acc = np.empty_like(m[0])
+    for prev, new in zip(m, m[1:]):
+        # [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j]
+        _product(new[:, :p, None].swapaxes(0, 1), prev, acc)
+        acc[:, p] += new[:, p]
+        np.copyto(new, acc)
+    # the value before each segment, stepped from segment end to segment end
+    end_p, end_u = m[-1, :, :p].swapaxes(0, 1), m[-1, :, p]
+    starts = np.empty(carry.shape[:-1] + m.shape[-2:])
+    starts[..., 0, :] = carry
+    for s in range(1, m.shape[-2]):
+        start = _product(end_p[..., s - 1, :], starts[..., s - 1, :], starts[..., s, :])
+        start += end_u[..., s - 1, :]
+    y = _product(np.moveaxis(m[:, :, :p], 2, 0), starts, np.empty(m[:, :, p].shape))
+    y += m[:, :, p]
+    return y
+
+
+def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """y_n = a_n y_{n-1} + x_n over one block: the affine scan with 1 x 1 maps.
+
+    In segment layout, the gains ``a`` (W, S, runs) act on every component
+    of ``x`` (W, ..., S, runs), and ``carry`` (..., runs) is y before the
+    block.
+    """
+    m = np.empty((len(x), 1, 2) + x.shape[1:])
+    m[:, 0, 0] = a.reshape(a.shape[:1] + (1,) * (x.ndim - 3) + a.shape[1:])
+    m[:, 0, 1] = x
+    return _affine_scan(m, carry[None])[:, 0]
+
+
+def _last(y: np.ndarray, k: int) -> np.ndarray:
+    """The value at the last of the k steps of a block in segment layout: (..., runs)."""
+    return y[(k - 1) % len(y), ..., -1, :].copy()
 
 
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
@@ -299,8 +353,8 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     """The theta recursion for the runs ``run_indices``, stepped together.
 
     Each block of time steps samples every run's next stretch, builds the
-    affine maps (A_n, b_n) of all its steps at once, and then applies them
-    one step at a time to the (runs, d) iterate.
+    affine maps (A_n, b_n) of all its steps at once, and evaluates the
+    iterates by the segment rule.
     """
     n_runs, dim = len(run_indices), env.dim
     if n_runs == 0:
@@ -315,15 +369,13 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
                 if variant == "relative_fixed_mu" and dr != 0.0 else None)
     fixed_term = (dr * np.outer(config.psi_bar, config.psi_bar)
                   if variant == "varpi_relative_fixed" and dr != 0.0 else None)
-    eye = np.eye(dim)
-    matmul, add = np.matmul, np.add
+    eye = np.eye(dim)[:, :, None, None]
     block = _SEG * max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (n_runs * dim * dim)) // _SEG)
 
     theta0 = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float)
-    theta = np.repeat(theta0.reshape(1, dim, 1), n_runs, axis=0)
-    zeta = np.zeros((n_runs, dim))
-    est = None
-    pr_sum = np.zeros((n_runs, dim, 1))
+    theta = np.repeat(theta0[None], n_runs, axis=0)
+    zeta = est = np.zeros((dim, n_runs))     # before step 0
+    pr_sum = np.zeros((n_runs, dim))
     if n0 == 0:
         pr_sum += theta
     plan = sorted({int(s) for s in snapshot_plan if 0 <= s <= n_steps})
@@ -332,9 +384,8 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     def snap(n: int, theta_n: np.ndarray, sum_n: np.ndarray):
         count = n - n0 + 1 if n >= n0 else 0
         for r, out in enumerate(snaps):
-            pr = sum_n[r, :, 0] / count if count else None
-            out.append(Snapshot(n=n, theta=theta_n[r, :, 0].copy(), theta_pr=pr,
-                                pr_count=count))
+            pr = sum_n[r] / count if count else None
+            out.append(Snapshot(n=n, theta=theta_n[r].copy(), theta_pr=pr, pr_count=count))
 
     if plan and plan[0] == 0:
         snap(0, theta, pr_sum)
@@ -350,44 +401,47 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
             cost = np.stack([p.cost for p in paths], axis=1)                # (k, R)
             alpha = config.step.alphas(k, first)
 
+            # per-step values in segment layout (W, ..., S, R)
+            psi_n = _segments(psi[:-1])
+            al = _segments(np.broadcast_to(alpha[:, None], (k, n_runs)))
             # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
             if lg == 0.0:
-                traces = psi[:-1]
+                zs = psi_n
             else:
-                traces = _linear_filter(np.full(k, lg), psi[:-1], zeta)
-                zeta = traces[-1]
+                zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
+                zeta = _last(zs, k)
             # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
-            h = g * target - psi[:-1]
+            h = g * _segments(target) - psi_n
             if adaptive:
-                if est is None:
-                    est = psi[0]
-                betas = np.arange(first + 1, first + k + 1, dtype=float) \
+                # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
+                # beta_n = n^-baseline_step_rho and beta_0 = 1
+                betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
                     ** (-config.baseline_step_rho)
-                # psi_bar_est_{n+1} = (1 - beta_{n+1}) psi_bar_est_n + beta_{n+1} psi(Z_{n+1})
-                ests = np.concatenate([est[None], _linear_filter(
-                    1.0 - betas, betas[:, None, None] * psi[1:], est)])
-                est = ests[k]
-                h -= dr * ests[:-1]
+                bs = _segments(np.broadcast_to(betas[:, None], (k, n_runs)))
+                ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est)
+                est = _last(ests, k)
+                h -= dr * ests
             elif base_vec is not None:
-                h -= dr * base_vec
+                h -= dr * base_vec[:, None, None]
+            # [A_n | b_n] in segment layout (W, d, d+1, S, R):
             # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
             # b_n = alpha_{n+1} c(Z_n) zeta_n
-            a = traces[..., :, None] * h[..., None, :]
+            maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
+            a = maps[:, :, :dim]
+            np.multiply(zs[:, :, None], h[:, None], out=a)
             if fixed_term is not None:
-                a -= fixed_term
-            a *= alpha[:, None, None, None]
+                a -= fixed_term[:, :, None, None]
+            a *= al[:, None, None]
             a += eye
-            b = (alpha[:, None] * cost)[..., None, None] * traces[..., None]
+            np.multiply((al * _segments(cost))[:, None], zs, out=maps[:, :, dim])
 
-            iterates = np.empty((k + 1, n_runs, dim, 1))
+            iterates = np.empty((k + 1, n_runs, dim))
             iterates[0] = theta
-            for a_n, b_n, now, nxt in zip(a, b, iterates, iterates[1:]):
-                matmul(a_n, now, nxt)
-                add(nxt, b_n, nxt)
+            iterates[1:] = _unsegment(_affine_scan(maps, theta.T), k)
             theta = iterates[k]
 
             if not np.abs(iterates[1:]).max() <= DIVERGENCE_THRESHOLD:
-                bad = ~(np.abs(iterates[1:]) <= DIVERGENCE_THRESHOLD).reshape(k, n_runs, dim)
+                bad = ~(np.abs(iterates[1:]) <= DIVERGENCE_THRESHOLD)
                 t = int(np.argmax(bad.any(axis=(1, 2))))
                 r = int(np.argmax(bad[t].any(axis=1)))
                 norm = float(np.max(np.abs(iterates[t + 1, r])))
@@ -406,7 +460,7 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
                     snap(n, iterates[n - first], sums[max(n - lo + 1, 0)])
 
     pr_count = n_steps - n0 + 1
-    return [RunResult(theta_final=theta[r, :, 0].copy(), theta_pr=pr_sum[r, :, 0] / pr_count,
+    return [RunResult(theta_final=theta[r].copy(), theta_pr=pr_sum[r] / pr_count,
                       snapshots=tuple(snaps[r]), n_steps=n_steps, seed=config.seed,
                       run_index=i, pr_count=pr_count)
             for r, i in enumerate(run_indices)]

@@ -6,18 +6,21 @@ step functions kept here, each applying one update to an explicit state from
 one observed transition:
 
 * ``td_step`` builds A_n and b_n from the update rule with the same
-  elementwise operations, in the same order, as ``run`` and applies the 2-D
-  product ``A_n @ theta + b_n``.  It steps the trace and the adaptive
-  baseline by the segment rule of ``run`` (see the ``rtdlab.learner``
-  docstring), one step at a time: at a step that starts a segment of
-  ``learner._SEG`` steps it sets u = x, P = a and the carry to the filter's
-  current value, and at every other step u <- a u + x and P <- P a; the new
-  value is u + P carry.  So it agrees with ``run`` bit for bit;
+  elementwise operations, in the same order, as ``run``.  It steps theta,
+  the trace and the adaptive baseline by the segment rule of ``run`` (see
+  the ``rtdlab.learner`` docstring), one step at a time: at a step that
+  starts a segment of ``learner._SEG`` steps it sets the map [P | u] to
+  [A_n | b_n] and the carry to the current value, and at every other step
+  [P | u] <- A_n [P | u] + [0 | b_n]; the new value is P carry + u, each
+  product summed in order of its inner index.  The trace and the baseline
+  use 1 x 1 maps on each feature; the baseline's position is the step of
+  the estimate, and ``initial_state`` takes its step 0 (gain 0, input
+  psi(Z_0)).  So it agrees with ``run`` bit for bit;
 * ``textbook_step`` writes the update as the ``rtdlab.learner`` docstring
   states it, D = c + gamma psi_target'theta - psi'theta - correction and
-  theta + alpha D zeta, with the sequential trace and baseline recursions, so
-  it agrees with ``run`` to roundoff only, and a sign or ordering error shared
-  by ``run`` and ``td_step`` would show against it.
+  theta + alpha D zeta, with the sequential theta, trace and baseline
+  recursions, so it agrees with ``run`` to roundoff only, and a sign or
+  ordering error shared by ``run`` and ``td_step`` would show against it.
 
 ``run_path`` folds either over a sampled path with the same Polyak-Ruppert
 average as ``run``.
@@ -34,10 +37,13 @@ from rtdlab.learner import LearnerConfig, Path
 
 @dataclass(frozen=True)
 class Segment:
-    """Segment-rule state of a linear filter y_n = a_n y_{n-1} + x_n."""
+    """Segment-rule state of an affine recursion y_n = A_n y_{n-1} + b_n.
 
-    u: np.ndarray
-    p: float
+    ``m`` is the map [P | u] composed since the segment started and ``carry``
+    the value before the segment.
+    """
+
+    m: np.ndarray
     carry: np.ndarray
 
 
@@ -47,8 +53,9 @@ class LearnerState:
     zeta: np.ndarray
     psi_bar_est: np.ndarray
     n: int = 0
+    iterate: Segment | None = None     # of theta, at td_step's last step
     trace: Segment | None = None       # of zeta, at td_step's last step
-    baseline: Segment | None = None    # of psi_bar_est, at td_step's last step
+    baseline: Segment | None = None    # of psi_bar_est, at step n
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,11 @@ class Transition:
 
 def initial_state(config: LearnerConfig, dim: int, psi0: np.ndarray) -> LearnerState:
     theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
-    return LearnerState(theta=theta, zeta=np.zeros(dim),
-                        psi_bar_est=np.asarray(psi0, float).copy())
+    # psi_bar_est_0 = psi(Z_0): the baseline filter's step 0, with beta_0 = 1
+    psi_bar_est, baseline_seg = filter_step(None, 0, 0.0, np.asarray(psi0, float),
+                                            np.zeros(dim))
+    return LearnerState(theta=theta, zeta=np.zeros(dim), psi_bar_est=psi_bar_est,
+                        baseline=baseline_seg)
 
 
 def transitions(path: Path):
@@ -100,14 +110,37 @@ def baseline(config: LearnerConfig, state: LearnerState) -> np.ndarray | None:
     return state.psi_bar_est
 
 
+def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] x[k], summed in order of k as ``learner`` sums its products."""
+    out = a[:, 0] * x[0]
+    for k in range(1, len(x)):
+        out = out + a[:, k] * x[k]
+    return out
+
+
+def segment_step(seg: Segment | None, n: int, a: np.ndarray, b: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, Segment]:
+    """The value at position ``n`` of y_n = A_n y_{n-1} + b_n from its value ``y`` at n - 1.
+
+    ``a`` is (p, p, ...) and ``b`` and ``y`` are (p, ...), trailing axes
+    holding independent items.
+    """
+    p = len(y)
+    if n % learner._SEG == 0:
+        seg = Segment(m=np.concatenate([a, b[:, None]], axis=1), carry=y)
+    else:
+        m = product(a[:, :, None], seg.m)
+        m[:, p] = m[:, p] + b
+        seg = Segment(m=m, carry=seg.carry)
+    return product(seg.m[:, :p], seg.carry) + seg.m[:, p], seg
+
+
 def filter_step(seg: Segment | None, n: int, a: float, x: np.ndarray,
                 y: np.ndarray) -> tuple[np.ndarray, Segment]:
-    """The filter's value at position ``n`` from its value ``y`` at n - 1."""
-    if n % learner._SEG == 0:
-        seg = Segment(u=x, p=a, carry=y)
-    else:
-        seg = Segment(u=a * seg.u + x, p=seg.p * a, carry=seg.carry)
-    return seg.u + seg.p * seg.carry, seg
+    """:func:`segment_step` of y_n = a_n y_{n-1} + x_n with a scalar gain: 1 x 1 maps."""
+    gain = np.full((1, 1) + np.shape(x), a)
+    value, seg = segment_step(seg, n, gain, np.asarray(x)[None], np.asarray(y)[None])
+    return value[0], seg
 
 
 def affine_map(state: LearnerState, config: LearnerConfig, transition: Transition,
@@ -140,10 +173,11 @@ def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) 
     psi_bar_est, baseline_seg = state.psi_bar_est, state.baseline
     if config.variant == "varpi_relative":
         g = beta(config, n + 1)
-        psi_bar_est, baseline_seg = filter_step(baseline_seg, n, 1.0 - g,
+        psi_bar_est, baseline_seg = filter_step(baseline_seg, n + 1, 1.0 - g,
                                                 g * transition.psi_next, psi_bar_est)
-    return LearnerState(theta=a @ state.theta + b, zeta=zeta, psi_bar_est=psi_bar_est,
-                        n=n + 1, trace=trace, baseline=baseline_seg)
+    theta, iterate = segment_step(state.iterate, n, a, b, state.theta)
+    return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n + 1,
+                        iterate=iterate, trace=trace, baseline=baseline_seg)
 
 
 def textbook_step(state: LearnerState, config: LearnerConfig,

@@ -15,8 +15,8 @@ from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedul
 from rtdlab.markov import build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
-from learner_oracle import (Transition, beta, filter_step, initial_state, run_path, td_step,
-                            textbook_step, transitions)
+from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
+                            segment_step, td_step, textbook_step, transitions)
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +137,10 @@ class TestLinearFilter:
         y0 = rng.standard_normal((3, 2))
         got, carry, first = [], y0, 0
         for length in lengths:
-            got.append(learner._linear_filter(a[first:first + length],
-                                              x[first:first + length], carry))
+            gains = np.broadcast_to(a[first:first + length, None], (length, 3))
+            y = learner._linear_filter(learner._segments(gains),
+                                       learner._segments(x[first:first + length]), carry.T)
+            got.append(learner._unsegment(y, length))
             carry, first = got[-1][-1], first + length
         got = np.concatenate(got)
         want, seq, y, z, state = [], [], y0, y0, None
@@ -150,6 +152,53 @@ class TestLinearFilter:
         assert np.array_equal(got, np.stack(want))
         # and the segment rule evaluates the sequential recursion to roundoff
         assert np.max(np.abs(got - np.stack(seq))) <= 1e-13 * np.max(np.abs(seq))
+
+
+class TestAffineScan:
+    CUTS = TestLinearFilter.CUTS
+
+    @staticmethod
+    def maps(kind, k, n_runs, rng):
+        """A_n, b_n of k steps and n_runs runs: the learner's forms and random ones."""
+        dim = 3
+        zeta, h = rng.standard_normal((2, k, n_runs, dim))
+        alpha = 0.05 * rng.random((k, 1, 1, 1))
+        outer = zeta[..., :, None] * h[..., None, :]
+        if kind == "fixed_term":
+            # varpi_relative_fixed's -delta_r psi_bar psi_bar'
+            psi_bar = rng.standard_normal(dim)
+            outer = outer - 0.5 * np.outer(psi_bar, psi_bar)
+        elif kind == "random":
+            outer = rng.standard_normal((k, n_runs, dim, dim))
+        b = alpha[..., 0] * rng.standard_normal((k, n_runs, 1)) * zeta
+        return np.eye(dim) + alpha * outer, b
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    @pytest.mark.parametrize("kind", ["td", "fixed_term", "random"])
+    @pytest.mark.parametrize("cuts", list(CUTS))
+    def test_matches_segment_rule_fold(self, kind, cuts, n_runs):
+        lengths = [n_seg * learner._SEG + rest for n_seg, rest in self.CUTS[cuts]]
+        k = sum(lengths)
+        rng = np.random.default_rng([k, n_runs])
+        a, b = self.maps(kind, k, n_runs, rng)
+        y0 = rng.standard_normal((n_runs, 3))
+        maps = np.concatenate([a, b[..., None]], axis=-1)
+        got, carry, first = [], y0, 0
+        for length in lengths:
+            block = learner._affine_scan(learner._segments(maps[first:first + length]), carry.T)
+            got.append(learner._unsegment(block, length))
+            carry, first = got[-1][-1], first + length
+        got = np.concatenate(got)
+        for r in range(n_runs):
+            want, seq, y, z, state = [], [], y0[r], y0[r], None
+            for n in range(k):
+                y, state = segment_step(state, n, a[n, r], b[n, r], y)
+                z = a[n, r] @ z + b[n, r]
+                want.append(y)
+                seq.append(z)
+            assert np.array_equal(got[:, r], np.stack(want))
+            # and the segment rule evaluates the sequential product to roundoff
+            assert np.max(np.abs(got[:, r] - np.stack(seq))) <= 1e-12 * np.max(np.abs(seq))
 
 
 class TestRun:
