@@ -38,37 +38,51 @@ Every variant is affine in theta_n, and the code runs it in that form:
 with the psi_bar psi_bar' term for ``varpi_relative_fixed`` only and
 baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
 ``run_many`` steps all its runs together, and ``run`` is a batch of one.
-Time is cut into blocks.  For each block, each run's stretch of path is
-sampled, and the step sizes, costs, traces, adaptive baseline estimates,
-A_n and b_n of every step of the block are computed for all runs at once.
-The iterates of the block then come from one segment rule, and the
-Polyak-Ruppert sums, snapshots and the divergence check follow per block.
+Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps (8**4 = 4096)
+starting at multiples of _BLOCK_STEPS.  For each block, each run's stretch
+of path is sampled.  Then, for a group of runs at a time, the step sizes,
+costs, traces, adaptive baseline estimates, A_n and b_n of every step of
+the block are computed at once and the iterates come from one tree rule.
+The Polyak-Ruppert sums, snapshots and the divergence check follow per
+block, over all runs.
 
-The segment rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n
-of the learner: theta (y_n = theta_{n+1} with the d x d maps above), the
-trace (A_n = lam*gamma, b_n = psi(Z_n)) and the baseline estimate
-(y_n = psi_bar_est_n, A_n = 1 - beta_n, b_n = beta_n psi(Z_n), with beta_0 = 1
-so that psi_bar_est_0 = psi(Z_0)), the last two with 1 x 1 maps acting on
-each feature.  Time is cut into segments
-of _SEG steps starting at multiples of _SEG, and for position j of a
-segment the map [P_j | u_j] composed since the segment start is
+The tree rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n of
+the learner: theta (y_n = theta_{n+1} with the d x d maps above), the trace
+(A_n = lam*gamma, b_n = psi(Z_n)) and the baseline estimate
+(y_n = psi_bar_est_n, A_n = 1 - beta_n, b_n = beta_n psi(Z_n), with
+beta_0 = 1 so that psi_bar_est_0 = psi(Z_0)), the last two with 1 x 1 maps
+acting on each feature.  Over a block it is a prefix scan on a tree of
+radix W = _RADIX (Blelloch, "Prefix sums and their applications", 1990).
+A level-1 group is W consecutive steps and a level-(l+1) group is W
+consecutive level-l groups; the block is the top group.
 
-    [P_0 | u_0] = [A_0 | b_0],   [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j],
-    y_j = P_j y_end + u_j,
+* Up-sweep.  Within each level-1 group the maps compose in step order,
 
-with y_end the value at the end of the segment before (the value before the
-block for the first).  Every matrix product sums its terms in order of the
-inner index, with separate multiplies and adds.  The composition runs over
-the _SEG positions for every segment of a block at once, only the y_end
-carry steps from segment to segment, and the y_j of all positions come from
-one vectorised product.  A block is a whole number of segments, so a run's
-bits do not depend on its batch or on how its time was cut into blocks.
+      [P_0 | u_0] = [A_0 | b_0],   [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j],
+
+  and level l+1 composes the end maps [P_{W-1} | u_{W-1}] of its W
+  level-l groups by the same rule.
+* Down-sweep.  The top group's value before is the value before the
+  block.  Subgroup 0 of a group takes the group's value before s, and
+  subgroup j > 0 takes P s + u with [P | u] the group's prefix map through
+  subgroup j - 1.  At level 1 the subgroups are single steps, and
+  y_j = P_j s + u_j for every position j of a group.
+
+Every matrix product sums its terms in order of the inner index, with
+separate multiplies and adds.  Each level composes every group of the
+block at once, so a block costs a number of vectorised products that
+grows with W log_W _BLOCK_STEPS, and the only sequential step from block
+to block is the carry of y.  The last block of a run, if short, is padded
+to the least power of W that holds it.  Maps past its end reach no value
+before them, so its steps get the same values as in a whole tree.  So a
+run's bits depend only on _RADIX and _BLOCK_STEPS: not on its batch, its
+group of runs or its position in either, nor on its length.
 
 Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
 substream regardless of execution order; stream 2*i drives run i's
 trajectory and stream 2*i+1 its split-sampling draws.  A run's results do
-not depend on the batch it ran in or on how its time was cut into blocks.
+not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -262,35 +276,45 @@ class FiniteChainEnv:
                     end=int(traj[-1]))
 
 
-# A time block holds at most _BLOCK_STEPS steps and _BLOCK_ENTRIES entries of
-# its stacked A_n, so memory does not grow with the run length, but at least
-# one segment of _SEG steps
-_BLOCK_STEPS = 4096
+# Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps aligned to
+# multiples of _BLOCK_STEPS, and the maps of a block are built and scanned
+# for groups of runs holding at most _BLOCK_ENTRIES entries of A_n, so the
+# maps' memory grows neither with the run length nor with the run count
+_RADIX = 8
+_BLOCK_STEPS = _RADIX ** 4
 _BLOCK_ENTRIES = 1 << 20
-_SEG = 64
 
 
-def _segments(x: np.ndarray) -> np.ndarray:
-    """Per-step values (k, runs, ...) of a block in segment layout (W, ..., S, runs).
+def _tree_layout(x: np.ndarray) -> np.ndarray:
+    """Per-step values (k, runs, ...) of a block in tree layout (W, ..., G, runs).
 
-    Step s*W + j of the block sits at position j of segment s, with W =
-    min(_SEG, k) and S = ceil(k / W) segments; positions past step k - 1 hold
-    zeros.
+    The block is padded with zeros to L steps, the least power of _RADIX
+    that holds k, and step g*W + j sits at position j of level-1 group g,
+    with W = min(_RADIX, L) and G = L / W groups.
     """
     k, n_runs = x.shape[:2]
-    width = min(_SEG, k)
+    size = 1
+    while size < k:
+        size *= _RADIX
+    width = min(_RADIX, size)
     full, rest = divmod(k, width)
-    out = np.zeros((width,) + x.shape[2:] + (full + (rest > 0), n_runs))
-    steps = np.moveaxis(out, (0, -2, -1), (1, 0, 2))    # (S, W, runs, ...)
+    out = np.zeros((width,) + x.shape[2:] + (size // width, n_runs))
+    steps = np.moveaxis(out, (0, -2, -1), (1, 0, 2))    # (G, W, runs, ...)
     steps[:full] = x[:full * width].reshape((full, width) + x.shape[1:])
-    steps[full:, :rest] = x[full * width:]
+    if rest:
+        steps[full, :rest] = x[full * width:]
     return out
 
 
-def _unsegment(y: np.ndarray, k: int) -> np.ndarray:
-    """The inverse of :func:`_segments`: (W, ..., S, runs) back to (k, runs, ...)."""
+def _step_layout(y: np.ndarray, k: int) -> np.ndarray:
+    """The inverse of :func:`_tree_layout`: (W, ..., G, runs) back to (k, runs, ...)."""
     y = np.moveaxis(y, (0, -2, -1), (1, 0, 2))
     return y.reshape((-1,) + y.shape[2:])[:k]
+
+
+def _last(y: np.ndarray, k: int) -> np.ndarray:
+    """The value at the last of the k steps of a block in tree layout: (..., runs)."""
+    return y[(k - 1) % len(y), ..., (k - 1) // len(y), :]
 
 
 def _product(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -303,38 +327,55 @@ def _product(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply(m: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P y + u for the maps [P | u] of ``m`` (W, p, p+1, ...) and values ``y`` (p, ...)."""
+    p = m.shape[1]
+    _product(np.moveaxis(m[:, :, :p], 2, 0), y, out)
+    out += m[:, :, p]
+    return out
+
+
 def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
     """y_n = A_n y_{n-1} + b_n over one block, y before the block = ``carry``.
 
-    ``m`` holds the maps [A_n | b_n] in segment layout (W, p, p+1, ..., S,
-    runs) and is overwritten by the segment maps [P_j | u_j]; ``carry`` is
-    (p, ..., runs) and y comes back as (W, p, ..., S, runs).  The block must
-    start at a multiple of _SEG; the module docstring gives the segment rule.
+    ``m`` holds the maps [A_n | b_n] in tree layout (W, p, p+1, ..., G,
+    runs) and is overwritten by the level-1 prefix maps; ``carry`` is
+    (p, ..., runs) and y comes back as (W, p, ..., G, runs).  The module
+    docstring gives the tree rule.
     """
-    p = m.shape[1]
-    acc = np.empty_like(m[0])
-    for prev, new in zip(m, m[1:]):
-        # [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j]
-        _product(new[:, :p, None].swapaxes(0, 1), prev, acc)
-        acc[:, p] += new[:, p]
-        np.copyto(new, acc)
-    # the value before each segment, stepped from segment end to segment end
-    end_p, end_u = m[-1, :, :p].swapaxes(0, 1), m[-1, :, p]
-    starts = np.empty(carry.shape[:-1] + m.shape[-2:])
-    starts[..., 0, :] = carry
-    for s in range(1, m.shape[-2]):
-        start = _product(end_p[..., s - 1, :], starts[..., s - 1, :], starts[..., s, :])
-        start += end_u[..., s - 1, :]
-    y = _product(np.moveaxis(m[:, :, :p], 2, 0), starts, np.empty(m[:, :, p].shape))
-    y += m[:, :, p]
-    return y
+    p, width = m.shape[1], len(m)
+    levels = [m]
+    while True:
+        # up-sweep: [P_j | u_j] = A_j [P_{j-1} | u_{j-1}] + [0 | b_j] in each group
+        maps = levels[-1]
+        acc = np.empty_like(maps[0])
+        for prev, new in zip(maps, maps[1:]):
+            _product(new[:, :p, None].swapaxes(0, 1), prev, acc)
+            acc[:, p] += new[:, p]
+            np.copyto(new, acc)
+        groups = maps.shape[-2]
+        if groups == 1:
+            break
+        # the groups' end maps, W to a group, are the maps of the next level
+        ends = maps[-1].reshape(maps.shape[1:-2] + (groups // width, width, maps.shape[-1]))
+        levels.append(np.moveaxis(ends, -2, 0).copy())
+    # down-sweep: subgroup 0 takes its group's value before, subgroup j > 0
+    # the group's prefix map through subgroup j - 1 applied to it
+    before = carry[..., None, :]
+    for maps in reversed(levels[1:]):
+        sub = np.empty((width,) + before.shape)
+        sub[0] = before
+        _apply(maps[:-1], before, sub[1:])
+        sub = np.moveaxis(sub, 0, -2)
+        before = sub.reshape(sub.shape[:-3] + (-1, sub.shape[-1]))
+    return _apply(m, before, np.empty(m[:, :, p].shape))
 
 
 def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     """y_n = a_n y_{n-1} + x_n over one block: the affine scan with 1 x 1 maps.
 
-    In segment layout, the gains ``a`` (W, S, runs) act on every component
-    of ``x`` (W, ..., S, runs), and ``carry`` (..., runs) is y before the
+    In tree layout, the gains ``a`` (W, G, runs or 1) act on every component
+    of ``x`` (W, ..., G, runs), and ``carry`` (..., runs) is y before the
     block.
     """
     m = np.empty((len(x), 1, 2) + x.shape[1:])
@@ -343,18 +384,13 @@ def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarra
     return _affine_scan(m, carry[None])[:, 0]
 
 
-def _last(y: np.ndarray, k: int) -> np.ndarray:
-    """The value at the last of the k steps of a block in segment layout: (..., runs)."""
-    return y[(k - 1) % len(y), ..., -1, :].copy()
-
-
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
            snapshot_plan: tuple[int, ...]) -> list[RunResult]:
     """The theta recursion for the runs ``run_indices``, stepped together.
 
-    Each block of time steps samples every run's next stretch, builds the
-    affine maps (A_n, b_n) of all its steps at once, and evaluates the
-    iterates by the segment rule.
+    Each block of time steps samples every run's next stretch and, for a
+    group of runs at a time, builds the affine maps (A_n, b_n) of all its
+    steps at once and evaluates the iterates by the tree rule.
     """
     n_runs, dim = len(run_indices), env.dim
     if n_runs == 0:
@@ -370,11 +406,11 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     fixed_term = (dr * np.outer(config.psi_bar, config.psi_bar)
                   if variant == "varpi_relative_fixed" and dr != 0.0 else None)
     eye = np.eye(dim)[:, :, None, None]
-    block = _SEG * max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // (n_runs * dim * dim)) // _SEG)
+    group = max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS * dim * dim))
 
     theta0 = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float)
     theta = np.repeat(theta0[None], n_runs, axis=0)
-    zeta = est = np.zeros((dim, n_runs))     # before step 0
+    zeta, est = np.zeros((2, dim, n_runs))     # before step 0
     pr_sum = np.zeros((n_runs, dim))
     if n0 == 0:
         pr_sum += theta
@@ -391,53 +427,52 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
         snap(0, theta, pr_sum)
     carry: list = [None] * n_runs
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, block):
-            k = min(block, n_steps - first)
+        for first in range(0, n_steps, _BLOCK_STEPS):
+            k = min(_BLOCK_STEPS, n_steps - first)
             paths = [env.sample_path(k, config.eval_mode, rng, split, carry[r])
                      for r, (rng, split) in enumerate(zip(rngs, splits))]
             carry = [p.end for p in paths]
-            psi = np.stack([p.psi_states for p in paths], axis=1)           # (k+1, R, d)
-            target = np.stack([p.psi_target for p in paths], axis=1)        # (k, R, d)
-            cost = np.stack([p.cost for p in paths], axis=1)                # (k, R)
-            alpha = config.step.alphas(k, first)
-
-            # per-step values in segment layout (W, ..., S, R)
-            psi_n = _segments(psi[:-1])
-            al = _segments(np.broadcast_to(alpha[:, None], (k, n_runs)))
-            # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
-            if lg == 0.0:
-                zs = psi_n
-            else:
-                zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
-                zeta = _last(zs, k)
-            # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
-            h = g * _segments(target) - psi_n
+            # per-step values in tree layout (W, ..., G, runs), the gains
+            # shared by all runs with one column
+            al = _tree_layout(config.step.alphas(k, first)[:, None])
             if adaptive:
-                # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
                 # beta_n = n^-baseline_step_rho and beta_0 = 1
-                betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
-                    ** (-config.baseline_step_rho)
-                bs = _segments(np.broadcast_to(betas[:, None], (k, n_runs)))
-                ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est)
-                est = _last(ests, k)
-                h -= dr * ests
-            elif base_vec is not None:
-                h -= dr * base_vec[:, None, None]
-            # [A_n | b_n] in segment layout (W, d, d+1, S, R):
-            # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
-            # b_n = alpha_{n+1} c(Z_n) zeta_n
-            maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
-            a = maps[:, :, :dim]
-            np.multiply(zs[:, :, None], h[:, None], out=a)
-            if fixed_term is not None:
-                a -= fixed_term[:, :, None, None]
-            a *= al[:, None, None]
-            a += eye
-            np.multiply((al * _segments(cost))[:, None], zs, out=maps[:, :, dim])
-
+                bs = _tree_layout((np.maximum(np.arange(first, first + k, dtype=float), 1.0)
+                                   ** (-config.baseline_step_rho))[:, None])
             iterates = np.empty((k + 1, n_runs, dim))
             iterates[0] = theta
-            iterates[1:] = _unsegment(_affine_scan(maps, theta.T), k)
+            for lo in range(0, n_runs, group):
+                runs = slice(lo, lo + group)
+                psi_n = _tree_layout(np.stack([p.psi_states[:-1] for p in paths[runs]], axis=1))
+                # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
+                if lg == 0.0:
+                    zs = psi_n
+                else:
+                    zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta[:, runs])
+                    zeta[:, runs] = _last(zs, k)
+                # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
+                h = g * _tree_layout(np.stack([p.psi_target for p in paths[runs]], axis=1))
+                h -= psi_n
+                if adaptive:
+                    # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n)
+                    ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est[:, runs])
+                    est[:, runs] = _last(ests, k)
+                    h -= dr * ests
+                elif base_vec is not None:
+                    h -= dr * base_vec[:, None, None]
+                # [A_n | b_n] in tree layout (W, d, d+1, G, runs):
+                # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
+                # b_n = alpha_{n+1} c(Z_n) zeta_n
+                maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
+                a = maps[:, :, :dim]
+                np.multiply(zs[:, :, None], h[:, None], out=a)
+                if fixed_term is not None:
+                    a -= fixed_term[:, :, None, None]
+                a *= al[:, None, None]
+                a += eye
+                cost = _tree_layout(np.stack([p.cost for p in paths[runs]], axis=1))
+                np.multiply((al * cost)[:, None], zs, out=maps[:, :, dim])
+                iterates[1:, runs] = _step_layout(_affine_scan(maps, theta[runs].T), k)
             theta = iterates[k]
 
             if not np.abs(iterates[1:]).max() <= DIVERGENCE_THRESHOLD:
@@ -481,8 +516,13 @@ def run_many(env, config: LearnerConfig, n_steps: int, n_runs: int,
              snapshot_plan: tuple[int, ...] = ()) -> list[RunResult]:
     """Runs 0 .. n_runs-1 stepped together; run i equals ``run(..., run_index=i)``.
 
-    Raises :class:`NumericalDivergence`, naming the run and the step, when
-    any run diverges.
+    Each block samples every run's stretch of path, then builds and scans
+    the maps of consecutive groups of at most max(1, _BLOCK_ENTRIES //
+    (_BLOCK_STEPS d^2)) runs, which bounds the maps' memory; a group shares
+    only the vectorised products, not any value.  Raises
+    :class:`NumericalDivergence` when any run diverges, naming the first
+    step past the threshold over all runs and the lowest-indexed run that
+    passes it there.
     """
     return _batch(env, config, n_steps, tuple(range(n_runs)), snapshot_plan)
 

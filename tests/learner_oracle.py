@@ -7,14 +7,23 @@ one observed transition:
 
 * ``td_step`` builds A_n and b_n from the update rule with the same
   elementwise operations, in the same order, as ``run``.  It steps theta,
-  the trace and the adaptive baseline by the segment rule of ``run`` (see
-  the ``rtdlab.learner`` docstring), one step at a time: at a step that
-  starts a segment of ``learner._SEG`` steps it sets the map [P | u] to
-  [A_n | b_n] and the carry to the current value, and at every other step
-  [P | u] <- A_n [P | u] + [0 | b_n]; the new value is P carry + u, each
-  product summed in order of its inner index.  The trace and the baseline
-  use 1 x 1 maps on each feature; the baseline's position is the step of
-  the estimate, and ``initial_state`` takes its step 0 (gain 0, input
+  the trace and the adaptive baseline by the tree rule of ``run`` (see the
+  ``rtdlab.learner`` docstring), one step at a time.  A block is
+  ``learner._BLOCK_STEPS`` steps from a multiple of it, and its tree has
+  radix ``learner._RADIX``; the fold's bits, like a run's, depend on these
+  two only, and a short last block needs no padding.  Per level of a
+  block's tree it keeps the current group's prefix map [P | u] and the
+  value before the group.  When a group ends, its end map joins its
+  parent's prefix by [P | u] <- P_end [P | u] + [0 | u_end], the first
+  subgroup's end map being the parent's first prefix.  When a group
+  starts, its value before is the parent's value before if it is
+  subgroup 0, else the parent's prefix applied to it, P s + u; the
+  block's top group starts from the value before the block.  At level 1
+  the step's map [A_n | b_n] joins the prefix the same way, and the new
+  value is P s + u of the level-1 prefix and value before.  Every product
+  sums in order of its inner index.  The trace and the baseline use 1 x 1
+  maps on each feature; the baseline's position is the step of the
+  estimate, and ``initial_state`` takes its step 0 (gain 0, input
   psi(Z_0)).  So it agrees with ``run`` bit for bit;
 * ``textbook_step`` writes the update as the ``rtdlab.learner`` docstring
   states it, D = c + gamma psi_target'theta - psi'theta - correction and
@@ -36,15 +45,16 @@ from rtdlab.learner import LearnerConfig, Path
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Segment-rule state of an affine recursion y_n = A_n y_{n-1} + b_n.
+class Tree:
+    """Tree-rule state of an affine recursion y_n = A_n y_{n-1} + b_n.
 
-    ``m`` is the map [P | u] composed since the segment started and ``carry``
-    the value before the segment.
+    Entry l of ``maps`` is the prefix map [P | u] of the current level-(l+1)
+    group through its last finished subgroup, and entry l of ``before`` the
+    value before that group.
     """
 
-    m: np.ndarray
-    carry: np.ndarray
+    maps: tuple
+    before: tuple
 
 
 @dataclass
@@ -53,9 +63,9 @@ class LearnerState:
     zeta: np.ndarray
     psi_bar_est: np.ndarray
     n: int = 0
-    iterate: Segment | None = None     # of theta, at td_step's last step
-    trace: Segment | None = None       # of zeta, at td_step's last step
-    baseline: Segment | None = None    # of psi_bar_est, at step n
+    iterate: Tree | None = None     # of theta, at td_step's last step
+    trace: Tree | None = None       # of zeta, at td_step's last step
+    baseline: Tree | None = None    # of psi_bar_est, at step n
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,10 @@ class Transition:
 def initial_state(config: LearnerConfig, dim: int, psi0: np.ndarray) -> LearnerState:
     theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
     # psi_bar_est_0 = psi(Z_0): the baseline filter's step 0, with beta_0 = 1
-    psi_bar_est, baseline_seg = filter_step(None, 0, 0.0, np.asarray(psi0, float),
+    psi_bar_est, baseline_tree = filter_step(None, 0, 0.0, np.asarray(psi0, float),
                                             np.zeros(dim))
     return LearnerState(theta=theta, zeta=np.zeros(dim), psi_bar_est=psi_bar_est,
-                        baseline=baseline_seg)
+                        baseline=baseline_tree)
 
 
 def transitions(path: Path):
@@ -118,29 +128,60 @@ def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_step(seg: Segment | None, n: int, a: np.ndarray, b: np.ndarray,
-                 y: np.ndarray) -> tuple[np.ndarray, Segment]:
+def compose(m: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """The map m = [A | b] after ``prefix``: A prefix + [0 | b]."""
+    p = len(m)
+    out = product(m[:, :p, None], prefix)
+    out[:, p] = out[:, p] + m[:, p]
+    return out
+
+
+def apply(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P y + u for the map m = [P | u]."""
+    p = len(y)
+    return product(m[:, :p], y) + m[:, p]
+
+
+def tree_step(tree: Tree | None, n: int, a: np.ndarray, b: np.ndarray,
+              y: np.ndarray) -> tuple[np.ndarray, Tree]:
     """The value at position ``n`` of y_n = A_n y_{n-1} + b_n from its value ``y`` at n - 1.
 
     ``a`` is (p, p, ...) and ``b`` and ``y`` are (p, ...), trailing axes
-    holding independent items.
+    holding independent items.  A block's tree has the least number of
+    levels, at least one, whose top group holds ``learner._BLOCK_STEPS``.
     """
-    p = len(y)
-    if n % learner._SEG == 0:
-        seg = Segment(m=np.concatenate([a, b[:, None]], axis=1), carry=y)
+    radix, pos = learner._RADIX, n % learner._BLOCK_STEPS
+    depth = 1
+    while radix ** depth < learner._BLOCK_STEPS:
+        depth += 1
+    # digits[l]: the index of the level-l subgroup holding ``pos`` in its level-(l+1) group
+    digits = [pos // radix ** l % radix for l in range(depth)]
+    if pos == 0:
+        maps, before = [None] * depth, [None] * (depth - 1) + [y]
     else:
-        m = product(a[:, :, None], seg.m)
-        m[:, p] = m[:, p] + b
-        seg = Segment(m=m, carry=seg.carry)
-    return product(seg.m[:, :p], seg.carry) + seg.m[:, p], seg
+        maps, before = list(tree.maps), list(tree.before)
+        # a level-(l+1) group that ended at pos - 1 joins its parent's prefix
+        for l in range(depth - 1):
+            if pos % radix ** (l + 1):
+                break
+            first = digits[l + 1] == 1
+            maps[l + 1] = maps[l] if first else compose(maps[l], maps[l + 1])
+    # a level-(l+1) group that starts at pos takes its value before
+    for l in reversed(range(depth - 1)):
+        if pos % radix ** (l + 1) == 0:
+            before[l] = before[l + 1] if digits[l + 1] == 0 \
+                else apply(maps[l + 1], before[l + 1])
+    m = np.concatenate([a, b[:, None]], axis=1)
+    maps[0] = m if digits[0] == 0 else compose(m, maps[0])
+    return apply(maps[0], before[0]), Tree(maps=tuple(maps), before=tuple(before))
 
 
-def filter_step(seg: Segment | None, n: int, a: float, x: np.ndarray,
-                y: np.ndarray) -> tuple[np.ndarray, Segment]:
-    """:func:`segment_step` of y_n = a_n y_{n-1} + x_n with a scalar gain: 1 x 1 maps."""
+def filter_step(tree: Tree | None, n: int, a: float, x: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, Tree]:
+    """:func:`tree_step` of y_n = a_n y_{n-1} + x_n with a scalar gain: 1 x 1 maps."""
     gain = np.full((1, 1) + np.shape(x), a)
-    value, seg = segment_step(seg, n, gain, np.asarray(x)[None], np.asarray(y)[None])
-    return value[0], seg
+    value, tree = tree_step(tree, n, gain, np.asarray(x)[None], np.asarray(y)[None])
+    return value[0], tree
 
 
 def affine_map(state: LearnerState, config: LearnerConfig, transition: Transition,
@@ -170,14 +211,14 @@ def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) 
     zeta, trace = filter_step(state.trace, n, config.lam * config.gamma, transition.psi,
                               state.zeta)
     a, b = affine_map(state, config, transition, zeta)
-    psi_bar_est, baseline_seg = state.psi_bar_est, state.baseline
+    psi_bar_est, baseline_tree = state.psi_bar_est, state.baseline
     if config.variant == "varpi_relative":
         g = beta(config, n + 1)
-        psi_bar_est, baseline_seg = filter_step(baseline_seg, n + 1, 1.0 - g,
+        psi_bar_est, baseline_tree = filter_step(baseline_tree, n + 1, 1.0 - g,
                                                 g * transition.psi_next, psi_bar_est)
-    theta, iterate = segment_step(state.iterate, n, a, b, state.theta)
+    theta, iterate = tree_step(state.iterate, n, a, b, state.theta)
     return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n + 1,
-                        iterate=iterate, trace=trace, baseline=baseline_seg)
+                        iterate=iterate, trace=trace, baseline=baseline_tree)
 
 
 def textbook_step(state: LearnerState, config: LearnerConfig,

@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rtdlab.markov import build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
 from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
-                            segment_step, td_step, textbook_step, transitions)
+                            td_step, textbook_step, transitions, tree_step)
 
 
 @pytest.fixture(scope="module")
@@ -119,44 +120,56 @@ class TestTdStep:
                 assert np.max(np.abs(st1.theta - expect)) < 1e-12, (variant, delta_r)
 
 
-class TestLinearFilter:
-    # block lengths in whole segments plus a last remainder, as _batch cuts time
-    CUTS = {"one_block": ((4, 44),), "three_blocks": ((2, 0), (1, 0), (1, 44)),
-            "short_last": ((2, 0), (0, 20)), "short_only": ((0, 5),)}
+def tree(radix, depth):
+    """Patch the learner to blocks of radix**depth steps scanned by trees of that radix."""
+    return mock.patch.multiple(learner, _RADIX=radix, _BLOCK_STEPS=radix ** depth)
 
+
+# (_RADIX, depth) of the trees the scan tests cover
+TREES = [(2, 1), (2, 4), (3, 2), (3, 3), (8, 1), (8, 2), (8, 3)]
+# block lengths as _batch cuts time for blocks of b steps and radix r: whole
+# blocks, then a last one padded to the whole tree or to a smaller power
+CUTS = {"one_block": lambda b, r: (b,),
+        "three_blocks": lambda b, r: (b, b, b // r + 1),
+        "short_last": lambda b, r: (b, max(1, b // r - 1)),
+        "short_only": lambda b, r: (max(1, b - 1),)}
+
+
+class TestLinearFilter:
+    # each case runs the tree rule at every (_RADIX, depth) of TREES
     @pytest.mark.parametrize("gains", ["random", "constant", "first_zero"])
     @pytest.mark.parametrize("cuts", list(CUTS))
     def test_matches_segment_rule_fold(self, gains, cuts):
-        lengths = [n_seg * learner._SEG + rest for n_seg, rest in self.CUTS[cuts]]
-        k = sum(lengths)
-        rng = np.random.default_rng(k)
-        a = {"random": rng.random(k), "constant": np.full(k, 0.45),
-             # the baseline's gains 1 - beta_n with beta_1 = 1
-             "first_zero": 1.0 - np.arange(1, k + 1, dtype=float) ** -0.55}[gains]
-        x = rng.standard_normal((k, 3, 2))
-        y0 = rng.standard_normal((3, 2))
-        got, carry, first = [], y0, 0
-        for length in lengths:
-            gains = np.broadcast_to(a[first:first + length, None], (length, 3))
-            y = learner._linear_filter(learner._segments(gains),
-                                       learner._segments(x[first:first + length]), carry.T)
-            got.append(learner._unsegment(y, length))
-            carry, first = got[-1][-1], first + length
-        got = np.concatenate(got)
-        want, seq, y, z, state = [], [], y0, y0, None
-        for n in range(k):
-            y, state = filter_step(state, n, float(a[n]), x[n], y)
-            z = a[n] * z + x[n]
-            want.append(y)
-            seq.append(z)
-        assert np.array_equal(got, np.stack(want))
-        # and the segment rule evaluates the sequential recursion to roundoff
-        assert np.max(np.abs(got - np.stack(seq))) <= 1e-13 * np.max(np.abs(seq))
+        for radix, depth in TREES:
+            lengths = CUTS[cuts](radix ** depth, radix)
+            k = sum(lengths)
+            rng = np.random.default_rng(k)
+            a = {"random": rng.random(k), "constant": np.full(k, 0.45),
+                 # the baseline's gains 1 - beta_n with beta_1 = 1
+                 "first_zero": 1.0 - np.arange(1, k + 1, dtype=float) ** -0.55}[gains]
+            x = rng.standard_normal((k, 3, 2))
+            y0 = rng.standard_normal((3, 2))
+            got, carry, first = [], y0, 0
+            with tree(radix, depth):
+                for length in lengths:
+                    gain = learner._tree_layout(a[first:first + length, None])
+                    y = learner._linear_filter(gain, learner._tree_layout(x[first:first + length]),
+                                               carry.T)
+                    got.append(learner._step_layout(y, length))
+                    carry, first = got[-1][-1], first + length
+                got = np.concatenate(got)
+                want, seq, y, z, state = [], [], y0, y0, None
+                for n in range(k):
+                    y, state = filter_step(state, n, float(a[n]), x[n], y)
+                    z = a[n] * z + x[n]
+                    want.append(y)
+                    seq.append(z)
+            assert np.array_equal(got, np.stack(want)), (radix, depth)
+            # and the tree rule evaluates the sequential recursion to roundoff
+            assert np.max(np.abs(got - np.stack(seq))) <= 1e-13 * np.max(np.abs(seq))
 
 
 class TestAffineScan:
-    CUTS = TestLinearFilter.CUTS
-
     @staticmethod
     def maps(kind, k, n_runs, rng):
         """A_n, b_n of k steps and n_runs runs: the learner's forms and random ones."""
@@ -173,32 +186,37 @@ class TestAffineScan:
         b = alpha[..., 0] * rng.standard_normal((k, n_runs, 1)) * zeta
         return np.eye(dim) + alpha * outer, b
 
+    # each case runs the tree rule at every (_RADIX, depth) of TREES
     @pytest.mark.parametrize("n_runs", [1, 3])
     @pytest.mark.parametrize("kind", ["td", "fixed_term", "random"])
     @pytest.mark.parametrize("cuts", list(CUTS))
     def test_matches_segment_rule_fold(self, kind, cuts, n_runs):
-        lengths = [n_seg * learner._SEG + rest for n_seg, rest in self.CUTS[cuts]]
-        k = sum(lengths)
-        rng = np.random.default_rng([k, n_runs])
-        a, b = self.maps(kind, k, n_runs, rng)
-        y0 = rng.standard_normal((n_runs, 3))
-        maps = np.concatenate([a, b[..., None]], axis=-1)
-        got, carry, first = [], y0, 0
-        for length in lengths:
-            block = learner._affine_scan(learner._segments(maps[first:first + length]), carry.T)
-            got.append(learner._unsegment(block, length))
-            carry, first = got[-1][-1], first + length
-        got = np.concatenate(got)
-        for r in range(n_runs):
-            want, seq, y, z, state = [], [], y0[r], y0[r], None
-            for n in range(k):
-                y, state = segment_step(state, n, a[n, r], b[n, r], y)
-                z = a[n, r] @ z + b[n, r]
-                want.append(y)
-                seq.append(z)
-            assert np.array_equal(got[:, r], np.stack(want))
-            # and the segment rule evaluates the sequential product to roundoff
-            assert np.max(np.abs(got[:, r] - np.stack(seq))) <= 1e-12 * np.max(np.abs(seq))
+        for radix, depth in TREES:
+            lengths = CUTS[cuts](radix ** depth, radix)
+            k = sum(lengths)
+            rng = np.random.default_rng([k, n_runs])
+            a, b = self.maps(kind, k, n_runs, rng)
+            y0 = rng.standard_normal((n_runs, 3))
+            maps = np.concatenate([a, b[..., None]], axis=-1)
+            got, carry, first = [], y0, 0
+            with tree(radix, depth):
+                for length in lengths:
+                    block = learner._affine_scan(
+                        learner._tree_layout(maps[first:first + length]), carry.T)
+                    got.append(learner._step_layout(block, length))
+                    carry, first = got[-1][-1], first + length
+                got = np.concatenate(got)
+                for r in range(n_runs):
+                    want, seq, y, z, state = [], [], y0[r], y0[r], None
+                    for n in range(k):
+                        y, state = tree_step(state, n, a[n, r], b[n, r], y)
+                        z = a[n, r] @ z + b[n, r]
+                        want.append(y)
+                        seq.append(z)
+                    assert np.array_equal(got[:, r], np.stack(want)), (radix, depth)
+                    # and the tree rule evaluates the sequential product to roundoff
+                    assert np.max(np.abs(got[:, r] - np.stack(seq))) \
+                        <= 1e-12 * np.max(np.abs(seq))
 
 
 class TestRun:
@@ -217,6 +235,17 @@ class TestRun:
         cfg = config(variant="varpi_relative_fixed", delta_r=0.5,
                      psi_bar=stats.psi_bar, seed=9)
         n = 300
+        res = run(env, cfg, n)
+        path = env.sample_path(n, cfg.eval_mode, substream(cfg.seed, 0))
+        theta, theta_pr = run_path(cfg, path)
+        assert np.array_equal(theta, res.theta_final)
+        assert np.array_equal(theta_pr, res.theta_pr)
+
+    def test_matches_reference_across_blocks(self, env):
+        # a whole block of the default tree, then a last block padded to a smaller power
+        cfg = config(variant="varpi_relative", delta_r=0.5, lam=0.4, gamma=0.9,
+                     step=StepSchedule(0.01, 0.65), seed=43)
+        n = learner._BLOCK_STEPS + 300
         res = run(env, cfg, n)
         path = env.sample_path(n, cfg.eval_mode, substream(cfg.seed, 0))
         theta, theta_pr = run_path(cfg, path)
@@ -287,6 +316,34 @@ class TestRun:
             warnings.simplefilter("error")
             with pytest.raises(NumericalDivergence, match=r"^run 0: .* at step \d$"):
                 run(env_s, cfg_s, 1000)
+
+    def test_divergence_across_run_groups(self):
+        # 3 runs scanned as two groups, (0, 1) and (2,): at this seed run 2
+        # crosses the threshold first and run 1 later in the same block
+        mdp, policy, psi_d, mu_neg, _ = models.unstable_demo()
+        env_d = FiniteChainEnv(build_chain(mdp, policy), psi_d, policy=policy.probs)
+        cfg = LearnerConfig(gamma=0.999, lam=0.0, step=StepSchedule(2.0, 0.65),
+                            variant="relative_fixed_mu", delta_r=1e-3, mu=mu_neg, seed=13)
+        entries = 2 * learner._BLOCK_STEPS * env_d.dim ** 2
+        with mock.patch.object(learner, "_BLOCK_ENTRIES", entries):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalDivergence,
+                                   match=r"^run 2: .* at step \d+$") as grouped:
+                    run_many(env_d, cfg, 200_000, 3)
+            step = int(re.search(r"at step (\d+)", str(grouped.value)).group(1))
+            run_many(env_d, cfg, step - 1, 3)
+        with pytest.raises(NumericalDivergence) as whole:
+            run_many(env_d, cfg, 200_000, 3)
+        assert str(whole.value) == str(grouped.value)
+        with pytest.raises(NumericalDivergence, match=f"at step {step}$"):
+            run(env_d, cfg, step, run_index=2)
+        # run 1 crosses later in the same block
+        with pytest.raises(NumericalDivergence) as later:
+            run(env_d, cfg, 200_000, run_index=1)
+        later_step = int(re.search(r"at step (\d+)", str(later.value)).group(1))
+        assert step < later_step
+        assert step // learner._BLOCK_STEPS == later_step // learner._BLOCK_STEPS
 
     @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
     @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",

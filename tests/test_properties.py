@@ -5,8 +5,9 @@ the recurrent states keeps it irreducible, and a bare cycle is periodic), and
 it may have a transient state that is left at once and never entered again.
 The runs are derandomized, so the suite sees the same examples every time.
 
-The learner: a batch of runs, cut into time blocks of any whole number of
-trace/baseline segments, gives each run the bits of the same run alone.
+The learner: a batch of runs, under any tree radix and block length and
+scanned in any grouping of its runs, gives each run the bits of the same
+run alone and of the one-step oracle's fold.
 """
 
 import dataclasses
@@ -160,17 +161,21 @@ def test_batch_rows_are_single_runs(variant):
 
 
 @settings(PROPERTY, max_examples=25)
-@given(st.data(), st.sampled_from([1, 2, 5]), st.sampled_from([1, 2, 7]),
-       st.sampled_from([1, 3, learner._SEG]))
-def batch_rows_are_single_runs(variant, data, n_runs, block, seg):
+@given(st.data(), st.sampled_from([1, 2, 5]),
+       st.sampled_from([(2, 1), (2, 8), (3, 27), (learner._RADIX, learner._BLOCK_STEPS)]),
+       st.sampled_from([None, 2, 3]))
+def batch_rows_are_single_runs(variant, data, n_runs, tree, group):
     env, config, n_steps, plan = data.draw(learner_cases(variant))
-    with mock.patch.object(learner, "_SEG", seg):
-        check_batch_rows(env, config, n_steps, plan, n_runs, block)
+    radix, block = tree
+    with mock.patch.multiple(learner, _RADIX=radix, _BLOCK_STEPS=block):
+        check_batch_rows(env, config, n_steps, plan, n_runs, group)
 
 
-def check_batch_rows(env, config, n_steps, plan, n_runs, block):
-    # blocks of max(1, block // _SEG) segments
-    with mock.patch.object(learner, "_BLOCK_STEPS", block):
+def check_batch_rows(env, config, n_steps, plan, n_runs, group):
+    # the batch scans its runs in groups of at most ``group`` runs, all at once for None
+    entries = learner._BLOCK_ENTRIES if group is None \
+        else group * learner._BLOCK_STEPS * env.dim ** 2
+    with mock.patch.object(learner, "_BLOCK_ENTRIES", entries):
         batch = run_many(env, config, n_steps, n_runs, snapshot_plan=plan)
     for i, got in enumerate(batch):
         want = run(env, config, n_steps, snapshot_plan=plan, run_index=i)

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import learner_oracle
 import rtdlab
 from rtdlab import learner
 from rtdlab.errors import ConfigError
@@ -142,15 +143,17 @@ class TestEnv:
             start = parts[-1].end
         assert np.array_equal(np.concatenate([p.cost for p in parts]), whole.cost)
         assert np.array_equal(np.concatenate([p.psi_target for p in parts]), whole.psi_target)
-        # so a run, its trace and baseline estimate included, does not depend
-        # on how its time is cut into blocks
+        # so a run cut into many blocks, its trace and baseline estimate
+        # included, is the one-step oracle's fold over its whole path
         for lam in (0.0, 0.5):
             cfg = LearnerConfig(gamma=0.9, lam=lam, step=StepSchedule(1e-6, 0.6),
                                 variant="varpi_relative", delta_r=1.0, seed=3,
                                 baseline_step_rho=0.51)
-            with mock.patch.object(learner, "_BLOCK_STEPS", 7):
+            with mock.patch.multiple(learner, _RADIX=3, _BLOCK_STEPS=27):
                 cut = run(env, cfg, 300)
-            assert np.array_equal(cut.theta_final, run(env, cfg, 300).theta_final)
+                path = env.sample_path(300, "on_policy", substream(cfg.seed, 0))
+                want = learner_oracle.iterates(cfg, path)[-1]
+            assert np.array_equal(cut.theta_final, want)
 
     def test_on_policy_path_shapes(self, model):
         env = SpeedScalingEnv(model)
