@@ -432,18 +432,20 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
             paths = [env.sample_path(k, config.eval_mode, rng, split, carry[r])
                      for r, (rng, split) in enumerate(zip(rngs, splits))]
             carry = [p.end for p in paths]
-            # per-step values in tree layout (W, ..., G, runs), the gains
-            # shared by all runs with one column
-            al = _tree_layout(config.step.alphas(k, first)[:, None])
+            alpha = config.step.alphas(k, first)
             if adaptive:
                 # beta_n = n^-baseline_step_rho and beta_0 = 1
-                bs = _tree_layout((np.maximum(np.arange(first, first + k, dtype=float), 1.0)
-                                   ** (-config.baseline_step_rho))[:, None])
+                betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
+                    ** (-config.baseline_step_rho)
             iterates = np.empty((k + 1, n_runs, dim))
             iterates[0] = theta
             for lo in range(0, n_runs, group):
                 runs = slice(lo, lo + group)
+                # per-step values in tree layout (W, ..., G, runs), the gains
+                # copied to every run: numpy is slow to broadcast a short last axis
                 psi_n = _tree_layout(np.stack([p.psi_states[:-1] for p in paths[runs]], axis=1))
+                shape = (k, psi_n.shape[-1])
+                al = _tree_layout(np.broadcast_to(alpha[:, None], shape))
                 # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
                 if lg == 0.0:
                     zs = psi_n
@@ -455,6 +457,7 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
                 h -= psi_n
                 if adaptive:
                     # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n)
+                    bs = _tree_layout(np.broadcast_to(betas[:, None], shape))
                     ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est[:, runs])
                     est[:, runs] = _last(ests, k)
                     h -= dr * ests
