@@ -374,7 +374,7 @@ def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
 def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     """y_n = a_n y_{n-1} + x_n over one block: the affine scan with 1 x 1 maps.
 
-    In tree layout, the gains ``a`` (W, G, runs or 1) act on every component
+    In tree layout, the gains ``a`` (W, G, runs) act on every component
     of ``x`` (W, ..., G, runs), and ``carry`` (..., runs) is y before the
     block.
     """

@@ -87,7 +87,7 @@ def initial_state(config: LearnerConfig, dim: int, psi0: np.ndarray) -> LearnerS
     theta = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float).copy()
     # psi_bar_est_0 = psi(Z_0): the baseline filter's step 0, with beta_0 = 1
     psi_bar_est, baseline_tree = filter_step(None, 0, 0.0, np.asarray(psi0, float),
-                                            np.zeros(dim))
+                                             np.zeros(dim))
     return LearnerState(theta=theta, zeta=np.zeros(dim), psi_bar_est=psi_bar_est,
                         baseline=baseline_tree)
 
@@ -215,7 +215,7 @@ def td_step(state: LearnerState, config: LearnerConfig, transition: Transition) 
     if config.variant == "varpi_relative":
         g = beta(config, n + 1)
         psi_bar_est, baseline_tree = filter_step(baseline_tree, n + 1, 1.0 - g,
-                                                g * transition.psi_next, psi_bar_est)
+                                                 g * transition.psi_next, psi_bar_est)
     theta, iterate = tree_step(state.iterate, n, a, b, state.theta)
     return LearnerState(theta=theta, zeta=zeta, psi_bar_est=psi_bar_est, n=n + 1,
                         iterate=iterate, trace=trace, baseline=baseline_tree)
