@@ -13,16 +13,15 @@ Layers:
 """
 
 from .asymptotics import (AsymptoticsReport, NoiseModel, SensitivityReport,
-                          asymptotics_report, build_noise_model, matrix_poisson,
-                          noise_variant, sensitivity, sigma_delta, sigma_theta_star,
-                          upsilon_bar)
+                          asymptotics_report, build_noise_model, noise_variant,
+                          sensitivity)
 from .errors import (ConfigError, MissingSplitSample, NoNormalizer, NonZeroMean,
                      NotSimple, NotUnichain, NumericalDivergence, RtdLabError,
-                     SingularResolvent, SingularSystem, UnsupportedLambda)
+                     SingularResolvent, SingularSystem)
 from .features import (BaselineMean, FeatureMap, FeatureStats, NormalizerResult,
                        autocorrelation, baseline_mean, builtin_basis, feature_mean,
-                       feature_mean_under, feature_stats, find_normalizer,
-                       finite_poly_basis, resolvent_sum, tabular_basis)
+                       feature_stats, find_normalizer, finite_poly_basis,
+                       resolvent_sum, tabular_basis)
 from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, RunResult, Snapshot,
                       StepSchedule, empirical_bias, empirical_clt_samples, run, run_many,
                       snapshot_indices, substream)

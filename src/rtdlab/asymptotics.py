@@ -29,8 +29,7 @@ one n_z x n_z solve whose g also centers H under the pair law
 varpi(z) P(z, z').  Pair functions are stored with one row per pair,
 flattened as z * n_z + z'.
 
-A report (``asymptotics_report``, ``sensitivity`` and the single pieces
-``sigma_delta``, ``matrix_poisson``, ``upsilon_bar``) makes one such solve,
+A report (``asymptotics_report``, ``sensitivity``) makes one such solve,
 stacked over the columns [Delta | A - A_bar], and inverts A_bar once for
 both Sigma_theta and the bias.  It keeps no per-pair array.
 """
@@ -42,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, NonZeroMean, RtdLabError, SingularSystem,
-                     UnsupportedLambda)
+from .errors import ConfigError, NonZeroMean, RtdLabError, SingularSystem
 from .features import FeatureMap, feature_mean
 from .markov import FiniteChain, guarded_solve, poisson_solve_columns
 from .meanflow import b_bar as mean_b_bar
@@ -74,7 +72,6 @@ class NoiseModel:
     theta_star: np.ndarray
     a_bar: np.ndarray
     b_bar: np.ndarray
-    gamma: float
     delta_r: float
     variant: str
 
@@ -153,15 +150,8 @@ def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
 
 
 def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
-                      delta_r: float, variant: str = VARIANT_TD0,
-                      lam: float = 0.0) -> NoiseModel:
-    """Per-pair A(phi), b(phi) and the stationary point theta_star.
-
-    Only lam = 0 admits the pair-state representation; any other value is
-    rejected.
-    """
-    if lam != 0.0:
-        raise UnsupportedLambda("noise model requires the lam = 0 pair representation")
+                      delta_r: float, variant: str = VARIANT_TD0) -> NoiseModel:
+    """Per-pair A(phi), b(phi) and the stationary point theta_star at lam = 0."""
     if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
         raise ConfigError(f"unknown noise model {variant!r}")
     if variant == VARIANT_TD0 and delta_r != 0.0:
@@ -189,8 +179,7 @@ def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
         raise RtdLabError("pair-averaged b disagrees with closed form")
     theta_star = -guarded_solve(a_bar, b_mean, SingularSystem, "mean-flow matrix")
     return NoiseModel(a_of_phi=a, b_of_phi=b, theta_star=theta_star,
-                      a_bar=a_bar, b_bar=b_mean, gamma=gamma,
-                      delta_r=delta_r, variant=variant)
+                      a_bar=a_bar, b_bar=b_mean, delta_r=delta_r, variant=variant)
 
 
 def _pair_poisson(chain: FiniteChain, f: np.ndarray) -> np.ndarray:
@@ -229,10 +218,6 @@ def _sigma_from(noise: NoiseModel, chain: FiniteChain, h_hat: np.ndarray) -> np.
     return 0.5 * (sig + sig.T)
 
 
-# rho scales only the bias, which the single pieces below do not return
-_ANY_RHO = 0.75
-
-
 def _exact(noise: NoiseModel, chain: FiniteChain, rho: float,
            extra: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple:
     """The report of ``noise``, with A_bar^{-1}, H_hat, A_hat and H_F.
@@ -260,27 +245,6 @@ def _exact(noise: NoiseModel, chain: FiniteChain, rho: float,
         bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=noise.theta_star,
         rho=rho, variant=noise.variant, delta_r=noise.delta_r)
     return report, a_inv, h_hat, a_hat, h[:, d + d * d:]
-
-
-def sigma_delta(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
-    """Two-sided autocorrelation sum of Delta via the pair Poisson equation."""
-    return _exact(noise, chain, _ANY_RHO)[0].sigma_delta
-
-
-def sigma_theta_star(a_bar: np.ndarray, sigma_d: np.ndarray) -> np.ndarray:
-    """Optimal averaged covariance A_bar^{-1} Sigma_Delta A_bar^{-T}."""
-    inv = guarded_solve(a_bar, np.eye(len(a_bar)), SingularSystem, "A_bar")
-    return inv @ sigma_d @ inv.T
-
-
-def matrix_poisson(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
-    """Componentwise solution of (I - P_hat) A_hat = A - A_bar with E[A_hat] = 0."""
-    return _exact(noise, chain, _ANY_RHO)[3]
-
-
-def upsilon_bar(noise: NoiseModel, chain: FiniteChain) -> np.ndarray:
-    """Upsilon_bar = E[(A(phi) - A_hat(phi)) (A(phi) theta_star + b(phi))]."""
-    return _exact(noise, chain, _ANY_RHO)[0].upsilon_bar
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,

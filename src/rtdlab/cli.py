@@ -46,12 +46,12 @@ import numpy as np
 
 from . import models
 from .asymptotics import (VARIANT_FIXED_RELATIVE, asymptotics_report, noise_variant,
-                          sensitivity, sigma_theta_star)
-from .errors import ConfigError, RtdLabError
+                          sensitivity)
+from .errors import ConfigError, RtdLabError, SingularSystem
 from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
-from .markov import build_chain, load_model
+from .markov import build_chain, guarded_solve, load_model
 from .meanflow import (dirichlet_report, mean_flow_relative, spectral_report)
 from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_noise_covariance,
                          estimate_stats, gamma_moment_check)
@@ -238,7 +238,9 @@ def cmd_hist(args) -> dict:
         theta_star = stats.theta_star(args.gamma, delta_r)
         sig_d = estimate_noise_covariance(model, stats, args.gamma, delta_r,
                                           args.steps, args.seed, stream=10_003)
-        sig_t = sigma_theta_star(stats.mean_flow(args.gamma, delta_r), sig_d)
+        a = stats.mean_flow(args.gamma, delta_r)
+        a_inv = guarded_solve(a, np.eye(len(a)), SingularSystem, "A_bar")
+        sig_t = a_inv @ sig_d @ a_inv.T
         overlay_src = "monte_carlo"
     else:
         exact = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)

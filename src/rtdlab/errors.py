@@ -25,10 +25,6 @@ class NoNormalizer(RtdLabError):
     """No vector xi with xi'psi(z) = 1 on the chain support exists."""
 
 
-class UnsupportedLambda(RtdLabError):
-    """Operation is only defined for the lambda = 0 (pair-state) regime."""
-
-
 class NonZeroMean(RtdLabError):
     """A noise sequence expected to be centered has a nonzero stationary mean."""
 

@@ -99,16 +99,10 @@ def feature_mean(chain: FiniteChain, psi: FeatureMap) -> np.ndarray:
     return psi.matrix.T @ chain.stationary
 
 
-def feature_mean_under(mu: np.ndarray, psi: FeatureMap) -> np.ndarray:
-    """psi_bar_mu with components <mu, psi_i>, i.e. Psi'mu."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0) or abs(mu.sum() - 1.0) > 1e-10:
-        raise ValueError("mu must be a pmf")
-    return psi.matrix.T @ mu
-
-
 def baseline_mean(mu: np.ndarray, psi: FeatureMap) -> BaselineMean:
-    return BaselineMean(mu=np.asarray(mu, dtype=float), psi_bar_mu=feature_mean_under(mu, psi))
+    """Baseline pmf mu with psi_bar_mu = Psi'mu, components <mu, psi_i>."""
+    mu = np.asarray(mu, dtype=float)
+    return BaselineMean(mu=mu, psi_bar_mu=psi.matrix.T @ mu)
 
 
 def autocorrelation(chain: FiniteChain, psi: FeatureMap, k: int) -> np.ndarray:

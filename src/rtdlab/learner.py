@@ -37,14 +37,14 @@ Every variant is affine in theta_n, and the code runs it in that form:
 
 with the psi_bar psi_bar' term for ``varpi_relative_fixed`` only and
 baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
-``run_many`` steps all its runs together, and ``run`` is a batch of one.
-Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps (8**4 = 4096)
-starting at multiples of _BLOCK_STEPS.  For each block, each run's stretch
-of path is sampled.  Then, for a group of runs at a time, the step sizes,
-costs, traces, adaptive baseline estimates, A_n and b_n of every step of
-the block are computed at once and the iterates come from one tree rule.
-The Polyak-Ruppert sums, snapshots and the divergence check follow per
-block, over all runs.
+``run_many`` steps its runs a group at a time, one group after the other,
+and ``run`` is a group of one.  Time is cut into blocks of _BLOCK_STEPS =
+_RADIX**4 steps (8**4 = 4096) starting at multiples of _BLOCK_STEPS.  For
+each block, each run of the group has its stretch of path sampled; the
+step sizes, costs, traces, adaptive baseline estimates, A_n and b_n of
+every step of the block are computed at once and the iterates come from
+one tree rule.  The divergence check, the Polyak-Ruppert sums and the
+snapshots follow per block.
 
 The tree rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n of
 the learner: theta (y_n = theta_{n+1} with the d x d maps above), the trace
@@ -277,9 +277,9 @@ class FiniteChainEnv:
 
 
 # Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps aligned to
-# multiples of _BLOCK_STEPS, and the maps of a block are built and scanned
-# for groups of runs holding at most _BLOCK_ENTRIES entries of A_n, so the
-# maps' memory grows neither with the run length nor with the run count
+# multiples of _BLOCK_STEPS, and the runs are stepped in groups holding at
+# most _BLOCK_ENTRIES entries of A_n per block, so the memory grows neither
+# with the run length nor with the run count
 _RADIX = 8
 _BLOCK_STEPS = _RADIX ** 4
 _BLOCK_ENTRIES = 1 << 20
@@ -386,15 +386,44 @@ def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarra
 
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
            snapshot_plan: tuple[int, ...]) -> list[RunResult]:
-    """The theta recursion for the runs ``run_indices``, stepped together.
+    """The theta recursion for the runs ``run_indices``, a group of runs at a time.
 
-    Each block of time steps samples every run's next stretch and, for a
-    group of runs at a time, builds the affine maps (A_n, b_n) of all its
-    steps at once and evaluates the iterates by the tree rule.
+    The groups are stepped one after the other, so memory grows with the
+    group, not with the run count.  Once a run crosses the divergence
+    threshold, the later groups are stepped only through the block of the
+    earliest crossing found so far, and the earliest crossing over all
+    groups is raised.
+    """
+    group = max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS * env.dim * env.dim))
+    results, crossing = [], None
+    for lo in range(0, len(run_indices), group):
+        horizon = n_steps if crossing is None else crossing[0]
+        done, cross = _group(env, config, n_steps, horizon, run_indices[lo:lo + group],
+                             snapshot_plan)
+        results += done
+        # on a tie the earlier group holds the lower run index
+        if cross is not None and (crossing is None or cross[0] < crossing[0]):
+            crossing = cross
+    if crossing is not None:
+        step, index, norm = crossing
+        raise NumericalDivergence(f"run {index}: |theta|_inf = {norm:.3e} beyond "
+                                  f"{DIVERGENCE_THRESHOLD:.1e} at step {step}")
+    return results
+
+
+def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
+           run_indices: tuple[int, ...], snapshot_plan: tuple[int, ...]) -> tuple:
+    """The runs ``run_indices`` stepped together through the blocks before step ``horizon``.
+
+    Each block samples every run's next stretch, builds the affine maps
+    (A_n, b_n) of all its steps at once and evaluates the iterates by the
+    tree rule.  Returns the runs' results and None, or no results and
+    (step, run index, |theta|_inf) at the first step where an iterate
+    crosses the divergence threshold, naming the lowest-indexed run that
+    crosses there.  The results are those of whole runs only when
+    ``horizon`` is ``n_steps``.
     """
     n_runs, dim = len(run_indices), env.dim
-    if n_runs == 0:
-        return []
     rngs = [substream(config.seed, 2 * i) for i in run_indices]
     splits = [substream(config.seed, 2 * i + 1) if config.eval_mode == "split_sampling"
               else None for i in run_indices]
@@ -406,7 +435,6 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     fixed_term = (dr * np.outer(config.psi_bar, config.psi_bar)
                   if variant == "varpi_relative_fixed" and dr != 0.0 else None)
     eye = np.eye(dim)[:, :, None, None]
-    group = max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS * dim * dim))
 
     theta0 = np.zeros(dim) if config.theta0 is None else np.asarray(config.theta0, float)
     theta = np.repeat(theta0[None], n_runs, axis=0)
@@ -427,65 +455,60 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
         snap(0, theta, pr_sum)
     carry: list = [None] * n_runs
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, _BLOCK_STEPS):
+        for first in range(0, horizon, _BLOCK_STEPS):
             k = min(_BLOCK_STEPS, n_steps - first)
             paths = [env.sample_path(k, config.eval_mode, rng, split, carry[r])
                      for r, (rng, split) in enumerate(zip(rngs, splits))]
             carry = [p.end for p in paths]
             alpha = config.step.alphas(k, first)
+            # per-step values in tree layout (W, ..., G, runs), the gains
+            # copied to every run: numpy is slow to broadcast a short last axis
+            psi_n = _tree_layout(np.stack([p.psi_states[:-1] for p in paths], axis=1))
+            shape = (k, n_runs)
+            al = _tree_layout(np.broadcast_to(alpha[:, None], shape))
+            # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
+            if lg == 0.0:
+                zs = psi_n
+            else:
+                zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
+                zeta = _last(zs, k).copy()
+            # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
+            h = g * _tree_layout(np.stack([p.psi_target for p in paths], axis=1))
+            h -= psi_n
             if adaptive:
+                # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
                 # beta_n = n^-baseline_step_rho and beta_0 = 1
                 betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
                     ** (-config.baseline_step_rho)
+                bs = _tree_layout(np.broadcast_to(betas[:, None], shape))
+                ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est)
+                est = _last(ests, k).copy()
+                h -= dr * ests
+            elif base_vec is not None:
+                h -= dr * base_vec[:, None, None]
+            # [A_n | b_n] in tree layout (W, d, d+1, G, runs):
+            # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
+            # b_n = alpha_{n+1} c(Z_n) zeta_n
+            maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
+            a = maps[:, :, :dim]
+            np.multiply(zs[:, :, None], h[:, None], out=a)
+            if fixed_term is not None:
+                a -= fixed_term[:, :, None, None]
+            a *= al[:, None, None]
+            a += eye
+            cost = _tree_layout(np.stack([p.cost for p in paths], axis=1))
+            np.multiply((al * cost)[:, None], zs, out=maps[:, :, dim])
             iterates = np.empty((k + 1, n_runs, dim))
             iterates[0] = theta
-            for lo in range(0, n_runs, group):
-                runs = slice(lo, lo + group)
-                # per-step values in tree layout (W, ..., G, runs), the gains
-                # copied to every run: numpy is slow to broadcast a short last axis
-                psi_n = _tree_layout(np.stack([p.psi_states[:-1] for p in paths[runs]], axis=1))
-                shape = (k, psi_n.shape[-1])
-                al = _tree_layout(np.broadcast_to(alpha[:, None], shape))
-                # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
-                if lg == 0.0:
-                    zs = psi_n
-                else:
-                    zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta[:, runs])
-                    zeta[:, runs] = _last(zs, k)
-                # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
-                h = g * _tree_layout(np.stack([p.psi_target for p in paths[runs]], axis=1))
-                h -= psi_n
-                if adaptive:
-                    # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n)
-                    bs = _tree_layout(np.broadcast_to(betas[:, None], shape))
-                    ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est[:, runs])
-                    est[:, runs] = _last(ests, k)
-                    h -= dr * ests
-                elif base_vec is not None:
-                    h -= dr * base_vec[:, None, None]
-                # [A_n | b_n] in tree layout (W, d, d+1, G, runs):
-                # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
-                # b_n = alpha_{n+1} c(Z_n) zeta_n
-                maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
-                a = maps[:, :, :dim]
-                np.multiply(zs[:, :, None], h[:, None], out=a)
-                if fixed_term is not None:
-                    a -= fixed_term[:, :, None, None]
-                a *= al[:, None, None]
-                a += eye
-                cost = _tree_layout(np.stack([p.cost for p in paths[runs]], axis=1))
-                np.multiply((al * cost)[:, None], zs, out=maps[:, :, dim])
-                iterates[1:, runs] = _step_layout(_affine_scan(maps, theta[runs].T), k)
+            iterates[1:] = _step_layout(_affine_scan(maps, theta.T), k)
             theta = iterates[k]
 
             if not np.abs(iterates[1:]).max() <= DIVERGENCE_THRESHOLD:
                 bad = ~(np.abs(iterates[1:]) <= DIVERGENCE_THRESHOLD)
                 t = int(np.argmax(bad.any(axis=(1, 2))))
                 r = int(np.argmax(bad[t].any(axis=1)))
-                norm = float(np.max(np.abs(iterates[t + 1, r])))
-                raise NumericalDivergence(
-                    f"run {run_indices[r]}: |theta|_inf = {norm:.3e} beyond "
-                    f"{DIVERGENCE_THRESHOLD:.1e} at step {first + t + 1}")
+                return [], (first + t + 1, run_indices[r],
+                            float(np.max(np.abs(iterates[t + 1, r]))))
 
             # Polyak-Ruppert running sums, in step order: sums[i] is the sum
             # through iterate n = lo - 1 + i
@@ -501,7 +524,7 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     return [RunResult(theta_final=theta[r].copy(), theta_pr=pr_sum[r] / pr_count,
                       snapshots=tuple(snaps[r]), n_steps=n_steps, seed=config.seed,
                       run_index=i, pr_count=pr_count)
-            for r, i in enumerate(run_indices)]
+            for r, i in enumerate(run_indices)], None
 
 
 def run(env, config: LearnerConfig, n_steps: int,
@@ -517,12 +540,12 @@ def run(env, config: LearnerConfig, n_steps: int,
 
 def run_many(env, config: LearnerConfig, n_steps: int, n_runs: int,
              snapshot_plan: tuple[int, ...] = ()) -> list[RunResult]:
-    """Runs 0 .. n_runs-1 stepped together; run i equals ``run(..., run_index=i)``.
+    """Runs 0 .. n_runs-1, run i equal to ``run(..., run_index=i)``.
 
-    Each block samples every run's stretch of path, then builds and scans
-    the maps of consecutive groups of at most max(1, _BLOCK_ENTRIES //
-    (_BLOCK_STEPS d^2)) runs, which bounds the maps' memory; a group shares
-    only the vectorised products, not any value.  Raises
+    Consecutive groups of at most max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS
+    d^2)) runs are stepped together, one group after the other, which
+    bounds the memory by one group's; a group shares only the vectorised
+    products, not any value.  Raises
     :class:`NumericalDivergence` when any run diverges, naming the first
     step past the threshold over all runs and the lowest-indexed run that
     passes it there.

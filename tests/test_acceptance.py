@@ -12,8 +12,7 @@ import pytest
 
 from rtdlab import models
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                asymptotics_report, build_noise_model, sensitivity,
-                                sigma_delta, sigma_theta_star, upsilon_bar)
+                                asymptotics_report, build_noise_model, sensitivity)
 from rtdlab.errors import NumericalDivergence
 from rtdlab.features import (autocorrelation, baseline_mean, feature_mean, feature_stats,
                              finite_poly_basis, resolvent_sum, tabular_basis)
@@ -153,9 +152,8 @@ def test_criterion_05_uniform_stability(chain, psi):
                 worst_cond = max(worst_cond, rep.condition_number)
                 if lam == 0.0:
                     variant = VARIANT_VARPI_LIMIT if delta > 0 else VARIANT_TD0
-                    noise = build_noise_model(chain, psi, gamma, delta, variant)
-                    tr = float(np.trace(sigma_theta_star(noise.a_bar,
-                                                         sigma_delta(noise, chain))))
+                    exact = asymptotics_report(chain, psi, gamma, delta, 0.65, variant)
+                    tr = float(np.trace(exact.sigma_theta_star))
                     assert np.isfinite(tr)
                     worst_trace = max(worst_trace, tr)
                 if delta == 0.0 and lam == 0.0:
@@ -222,7 +220,8 @@ def test_criterion_07_bias_reproduction(chain, psi, bias_experiment):
     Monte-Carlo standard errors."""
     s = BIAS_SETTINGS
     runs, noise = bias_experiment
-    ups = upsilon_bar(noise, chain)
+    ups = asymptotics_report(chain, psi, s["gamma"], s["delta_r"], s["rho"],
+                             VARIANT_FIXED_RELATIVE).upsilon_bar
     iterate_pred = np.linalg.solve(noise.a_bar, ups)
     averaged_pred = iterate_pred / (1 - s["rho"])
     alpha_n = StepSchedule(s["alpha0"], s["rho"]).alpha(s["n_steps"])
@@ -246,14 +245,15 @@ CLT_SETTINGS = dict(gamma=0.99, rho=0.65, delta_r=0.5, alpha0=0.05,
 
 def test_criterion_08_clt_covariance(chain, psi, env):
     s = CLT_SETTINGS
-    noise = build_noise_model(chain, psi, s["gamma"], s["delta_r"], VARIANT_VARPI_LIMIT)
-    diag = np.diag(sigma_theta_star(noise.a_bar, sigma_delta(noise, chain)))
+    exact = asymptotics_report(chain, psi, s["gamma"], s["delta_r"], s["rho"],
+                               VARIANT_VARPI_LIMIT)
+    diag = np.diag(exact.sigma_theta_star)
     cfg = LearnerConfig(gamma=s["gamma"], lam=0.0, step=StepSchedule(s["alpha0"], s["rho"]),
                         variant="varpi_relative", delta_r=s["delta_r"],
-                        seed=s["seed"], theta0=noise.theta_star,
+                        seed=s["seed"], theta0=exact.theta_star,
                         pr_burn_in_fraction=s["burn"])
     prs = np.stack([r.theta_pr for r in run_many(env, cfg, s["n_steps"], s["n_runs"])])
-    samples = np.sqrt(s["n_steps"]) * (prs - noise.theta_star)
+    samples = np.sqrt(s["n_steps"]) * (prs - exact.theta_star)
     ratio = samples.var(axis=0, ddof=1) / diag
     assert np.all(np.abs(ratio - 1.0) <= 0.25), ratio
     report(8, f"per-component variance ratio {np.round(ratio, 3)} within 25%")
@@ -265,10 +265,9 @@ def test_criterion_09_sensitivity(chain, psi):
 
     def at(dr):
         noise = build_noise_model(chain, psi, gamma, dr, VARIANT_FIXED_RELATIVE)
-        sig = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
-        ups = upsilon_bar(noise, chain)
-        bias = np.linalg.solve(noise.a_bar, ups) / (1 - rho)
-        return noise.theta_star, np.linalg.inv(noise.a_bar), sig, bias
+        exact = asymptotics_report(chain, psi, gamma, dr, rho, VARIANT_FIXED_RELATIVE)
+        bias = np.linalg.solve(noise.a_bar, exact.upsilon_bar) / (1 - rho)
+        return noise.theta_star, np.linalg.inv(noise.a_bar), exact.sigma_theta_star, bias
 
     tp, ip, sp, bp = at(+h)
     tm, im, sm, bm = at(-h)

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rtdlab import models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
                                 VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
-                                build_noise_model, matrix_poisson, noise_variant, sensitivity,
-                                sigma_delta, sigma_theta_star, upsilon_bar)
-from rtdlab.errors import ConfigError, NonZeroMean, UnsupportedLambda
+                                build_noise_model, noise_variant, sensitivity)
+from rtdlab.errors import ConfigError, NonZeroMean
 from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
 from rtdlab.learner import VARIANTS
 from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
@@ -62,10 +63,6 @@ class TestNoiseModel:
         noise = build_noise_model(c, tabular_basis(1), 0.9, 0.25, VARIANT_FIXED_RELATIVE)
         assert noise.a_of_phi[0, 0, 0] == pytest.approx(-(1 - 0.9) - 0.25, abs=1e-12)
 
-    def test_lambda_rejected(self, chain, psi):
-        with pytest.raises(UnsupportedLambda):
-            build_noise_model(chain, psi, 0.9, 0.0, VARIANT_TD0, lam=0.5)
-
 
 class TestNoiseVariant:
     def test_every_learner_variant_has_a_noise_model(self):
@@ -91,7 +88,7 @@ class TestSigmaDelta:
         c, psi = iid_pair_setup(seed=3)
         p = pair_chain(c)
         noise = build_noise_model(c, psi, 0.0, 0.0, VARIANT_TD0)
-        sig = sigma_delta(noise, c)
+        sig = asymptotics_report(c, psi, 0.0, 0.0, 0.65, VARIANT_TD0).sigma_delta
         delta = noise.delta_of_phi
         r0 = (p.stationary[:, None] * delta).T @ delta
         assert np.max(np.abs(sig - r0)) < 1e-12
@@ -103,7 +100,7 @@ class TestSigmaDelta:
         c, psi = iid_pair_setup(seed=3)
         p = pair_chain(c)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        sig = sigma_delta(noise, c)
+        sig = asymptotics_report(c, psi, 0.9, 0.0, 0.65, VARIANT_TD0).sigma_delta
         trunc = truncated_sigma(noise, p, 200)
         assert np.max(np.abs(sig - trunc)) < 1e-10
         assert np.max(np.abs(sig - sig.T)) < 1e-12
@@ -113,22 +110,18 @@ class TestSigmaDelta:
                                                  (VARIANT_VARPI_LIMIT, 0.5)])
     def test_matches_truncated_sum(self, chain, psi, pair, variant, delta_r):
         noise = build_noise_model(chain, psi, 0.99, delta_r, variant)
-        sig = sigma_delta(noise, chain)
+        sig = asymptotics_report(chain, psi, 0.99, delta_r, 0.65, variant).sigma_delta
         trunc = truncated_sigma(noise, pair, 10_000)
         assert np.max(np.abs(sig - trunc)) < 1e-6
 
     def test_nonzero_mean_rejected(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
-        bad = noise.__class__(a_of_phi=noise.a_of_phi, b_of_phi=noise.b_of_phi + 1.0,
-                              theta_star=noise.theta_star, a_bar=noise.a_bar,
-                              b_bar=noise.b_bar, gamma=noise.gamma,
-                              delta_r=noise.delta_r, variant=noise.variant)
+        bad = dataclasses.replace(noise, b_of_phi=noise.b_of_phi + 1.0)
         with pytest.raises(NonZeroMean):
-            sigma_delta(bad, chain)
+            _exact(bad, chain, 0.65)
 
     def test_psd(self, chain, psi):
-        noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        sig = sigma_delta(noise, chain)
+        sig = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE).sigma_delta
         assert np.min(np.linalg.eigvalsh(sig)) > -1e-9
 
 
@@ -146,20 +139,28 @@ def truncated_sigma(noise, pair, k_max):
 
 
 class TestSigmaThetaStar:
-    def test_identity_flow(self):
-        sig = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.allclose(sigma_theta_star(-np.eye(2), sig), sig)
+    def test_identity_flow(self, chain, psi):
+        # A(phi) = -I throughout: theta_star = b_bar and Sigma_theta = Sigma_Delta
+        noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
+        minus_i = -np.eye(psi.dim)
+        flat = dataclasses.replace(
+            noise, a_of_phi=np.broadcast_to(minus_i, noise.a_of_phi.shape).copy(),
+            a_bar=minus_i, theta_star=noise.b_bar)
+        rep = _exact(flat, chain, 0.65)[0]
+        assert np.allclose(rep.sigma_theta_star, rep.sigma_delta)
 
     def test_linear_scaling(self, chain, psi):
+        # doubling b(phi) doubles Delta, so Sigma_theta grows fourfold
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        sig = sigma_delta(noise, chain)
-        s1 = sigma_theta_star(noise.a_bar, sig)
-        s4 = sigma_theta_star(noise.a_bar, 4 * sig)
+        double = dataclasses.replace(noise, b_of_phi=2 * noise.b_of_phi,
+                                     b_bar=2 * noise.b_bar, theta_star=2 * noise.theta_star)
+        s1 = _exact(noise, chain, 0.65)[0].sigma_theta_star
+        s4 = _exact(double, chain, 0.65)[0].sigma_theta_star
         assert np.max(np.abs(s4 - 4 * s1)) < 1e-9
 
     def test_finite_trace(self, chain, psi):
-        noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        s = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
+        s = asymptotics_report(chain, psi, 0.99, 0.5, 0.65,
+                               VARIANT_FIXED_RELATIVE).sigma_theta_star
         assert np.isfinite(np.trace(s))
         assert np.min(np.linalg.eigvalsh(s)) > -1e-9
 
@@ -169,10 +170,10 @@ class TestSigmaThetaStar:
         tab = tabular_basis(6)
         td_traces, rel_traces = [], []
         for gamma in (0.9, 0.99, 0.999):
-            n_td = build_noise_model(chain, tab, gamma, 0.0, VARIANT_TD0)
-            td_traces.append(np.trace(sigma_theta_star(n_td.a_bar, sigma_delta(n_td, chain))))
-            n_rel = build_noise_model(chain, tab, gamma, 0.5, VARIANT_FIXED_RELATIVE)
-            rel_traces.append(np.trace(sigma_theta_star(n_rel.a_bar, sigma_delta(n_rel, chain))))
+            td = asymptotics_report(chain, tab, gamma, 0.0, 0.65, VARIANT_TD0)
+            td_traces.append(np.trace(td.sigma_theta_star))
+            rel = asymptotics_report(chain, tab, gamma, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+            rel_traces.append(np.trace(rel.sigma_theta_star))
         assert td_traces[0] < td_traces[1] < td_traces[2]
         assert td_traces[2] > 100 * rel_traces[2]
         assert max(rel_traces) < 10 * min(rel_traces)
@@ -181,17 +182,14 @@ class TestSigmaThetaStar:
 class TestMatrixPoisson:
     def test_constant_coefficients_give_zero(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
-        const = noise.__class__(a_of_phi=np.broadcast_to(noise.a_bar,
-                                                         noise.a_of_phi.shape).copy(),
-                                b_of_phi=noise.b_of_phi, theta_star=noise.theta_star,
-                                a_bar=noise.a_bar, b_bar=noise.b_bar, gamma=noise.gamma,
-                                delta_r=0.0, variant=VARIANT_TD0)
-        a_hat = matrix_poisson(const, chain)
+        const = dataclasses.replace(
+            noise, a_of_phi=np.broadcast_to(noise.a_bar, noise.a_of_phi.shape).copy())
+        a_hat = _exact(const, chain, 0.65)[3]
         assert np.max(np.abs(a_hat)) < 1e-10
 
     def test_plugback_residual(self, chain, psi, pair):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        a_hat = matrix_poisson(noise, chain)
+        a_hat = _exact(noise, chain, 0.65)[3]
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         rhs = noise.a_of_phi - noise.a_bar
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -206,7 +204,7 @@ class TestMatrixPoisson:
         psi = FeatureMap(rng.standard_normal((4, 2)))
         pair = pair_chain(c)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        a_hat = matrix_poisson(noise, c)
+        a_hat = _exact(noise, c, 0.65)[3]
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         assert np.max(np.abs(lhs - (noise.a_of_phi - noise.a_bar))) < 1e-9
 
@@ -215,13 +213,9 @@ class TestBias:
     def test_constant_a_zero_bias(self):
         c, psi = iid_pair_setup(seed=9)
         noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        const = noise.__class__(a_of_phi=np.broadcast_to(noise.a_bar,
-                                                         noise.a_of_phi.shape).copy(),
-                                b_of_phi=np.broadcast_to(noise.b_bar,
-                                                         noise.b_of_phi.shape).copy(),
-                                theta_star=noise.theta_star, a_bar=noise.a_bar,
-                                b_bar=noise.b_bar, gamma=0.9, delta_r=0.0,
-                                variant=VARIANT_TD0)
+        const = dataclasses.replace(
+            noise, a_of_phi=np.broadcast_to(noise.a_bar, noise.a_of_phi.shape).copy(),
+            b_of_phi=np.broadcast_to(noise.b_bar, noise.b_of_phi.shape).copy())
         assert np.max(np.abs(_exact(const, c, 0.65)[0].bias)) < 1e-10
 
     def test_rho_scaling(self, chain, psi):
@@ -242,7 +236,7 @@ class TestBias:
         1/(1-rho) factor belongs to the averaged estimate)."""
         gamma, rho, dr = 0.99, 0.65, 0.5
         noise = build_noise_model(chain, psi, gamma, dr, VARIANT_FIXED_RELATIVE)
-        ups = upsilon_bar(noise, chain)
+        ups = asymptotics_report(chain, psi, gamma, dr, rho, VARIANT_FIXED_RELATIVE).upsilon_bar
         iterate_pred = np.linalg.solve(noise.a_bar, ups)
         m = np.outer(pair.stationary, noise.theta_star)
         pt = pair.transition.T.copy()
@@ -290,11 +284,9 @@ class TestSensitivity:
                 reps[s] = noise.theta_star
             elif what == "a_inv":
                 reps[s] = np.linalg.inv(noise.a_bar)
-            elif what == "sigma":
-                reps[s] = sigma_theta_star(noise.a_bar, sigma_delta(noise, chain))
             else:
-                reps[s] = asymptotics_report(chain, psi, 0.99, s * h, 0.65,
-                                             VARIANT_FIXED_RELATIVE).bias
+                rep = asymptotics_report(chain, psi, 0.99, s * h, 0.65, VARIANT_FIXED_RELATIVE)
+                reps[s] = rep.sigma_theta_star if what == "sigma" else rep.bias
         return (reps[+1] - reps[-1]) / (2 * h)
 
     @pytest.mark.parametrize("what,attr", [("theta", "d_theta_star"),
@@ -388,10 +380,10 @@ class TestBaseChainRoute:
         # alternates in sign along the cycle and Sigma_Delta is 0
         delta = noise.delta_of_phi
         r0 = (pair.stationary[:, None] * delta).T @ delta
-        err = np.max(np.abs(sigma_delta(noise, c) - pair_oracle.sigma_delta(noise, pair)))
+        rep, _, _, a_hat, _ = _exact(noise, c, 0.65)
+        err = np.max(np.abs(rep.sigma_delta - pair_oracle.sigma_delta(noise, pair)))
         assert err < 1e-10 * np.max(np.abs(r0))
-        assert rel_err(upsilon_bar(noise, c), pair_oracle.upsilon_bar(noise, pair)) < 1e-10
-        a_hat = matrix_poisson(noise, c)
+        assert rel_err(rep.upsilon_bar, pair_oracle.upsilon_bar(noise, pair)) < 1e-10
         assert rel_err(a_hat, pair_oracle.matrix_poisson(noise, pair)) < 1e-10
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         rhs = noise.a_of_phi - noise.a_bar

@@ -9,7 +9,7 @@ from rtdlab import models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
 from rtdlab.markov import save_model
 from rtdlab.meanflow import mean_flow_relative, spectral_report
-from rtdlab.speedscale import SpeedScalingModel, estimate_stats
+from rtdlab.speedscale import SpeedScalingModel, estimate_noise_covariance, estimate_stats
 
 
 def read_csv(path: Path):
@@ -115,8 +115,16 @@ class TestHist:
                      "--delta-r", "1", "--variant", "td", "--alpha0", "1e-5", "--rho", "0.6")
         assert rc == 0
         overlay = json.loads((tmp_path / "hist_overlay.json").read_text())
-        stats = estimate_stats(SpeedScalingModel(), 5000, 4, stream=10_001)
+        model = SpeedScalingModel()
+        stats = estimate_stats(model, 5000, 4, stream=10_001)
         assert overlay["theta_star"] == stats.theta_star(0.9, 0.0).tolist()
+        # Sigma_theta = A^{-1} Sigma_Delta A^{-T} from the Monte Carlo A and Sigma_Delta
+        sig_d = estimate_noise_covariance(model, stats, 0.9, 0.0, 5000, 4, stream=10_003)
+        a_inv = np.linalg.inv(stats.mean_flow(0.9, 0.0))
+        want = a_inv @ sig_d @ a_inv.T
+        got = np.array(overlay["sigma_theta_star"])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert overlay["variance"] == np.diag(got).tolist()
 
 
 class TestBias:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.features import (FeatureMap, autocorrelation, builtin_basis, feature_mean,
-                             feature_mean_under, feature_stats, find_normalizer,
+from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, builtin_basis,
+                             feature_mean, feature_stats, find_normalizer,
                              finite_poly_basis, resolvent_sum, tabular_basis)
 from rtdlab.markov import FiniteChain
 
@@ -101,21 +101,22 @@ class TestResolventSum:
 
 class TestFeatureMeans:
     def test_mean_under_stationary_is_psi_bar(self, chain, psi):
-        assert np.max(np.abs(feature_mean_under(chain.stationary, psi)
+        assert np.max(np.abs(baseline_mean(chain.stationary, psi).psi_bar_mu
                              - feature_mean(chain, psi))) < 1e-14
 
     def test_point_mass(self, psi):
         mu = np.zeros(6)
         mu[3] = 1.0
-        assert np.array_equal(feature_mean_under(mu, psi), psi.matrix[3])
+        assert np.array_equal(baseline_mean(mu, psi).psi_bar_mu, psi.matrix[3])
 
     def test_uniform_is_row_average(self, chain, psi):
         mu = np.full(6, 1 / 6)
-        assert np.max(np.abs(feature_mean_under(mu, psi) - psi.matrix.mean(axis=0))) < 1e-14
+        assert np.max(np.abs(baseline_mean(mu, psi).psi_bar_mu
+                             - psi.matrix.mean(axis=0))) < 1e-14
 
     def test_rejects_non_pmf(self, psi):
         with pytest.raises(ValueError):
-            feature_mean_under(np.full(6, 0.5), psi)
+            baseline_mean(np.full(6, 0.5), psi)
 
 
 class TestFeatureStats:

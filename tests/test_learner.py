@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -344,6 +345,20 @@ class TestRun:
         later_step = int(re.search(r"at step (\d+)", str(later.value)).group(1))
         assert step < later_step
         assert step // learner._BLOCK_STEPS == later_step // learner._BLOCK_STEPS
+
+    def test_memory_bounded_by_run_group(self, env):
+        # the groups are stepped one after the other: four groups of runs
+        # take no more memory than one
+        group = learner._BLOCK_ENTRIES // (learner._BLOCK_STEPS * env.dim ** 2)
+        peaks = []
+        for n_runs in (group, 4 * group):
+            tracemalloc.start()
+            try:
+                run_many(env, config(), learner._BLOCK_STEPS, n_runs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
     @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",

@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                asymptotics_report, build_noise_model, matrix_poisson,
-                                sigma_delta, sigma_theta_star, upsilon_bar)
+                                _exact, asymptotics_report, build_noise_model)
 from rtdlab import learner
 from rtdlab.features import FeatureMap, baseline_mean, feature_mean, resolvent_sum
 from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -97,11 +96,11 @@ def test_resolvent_matches_truncated_sum(case, beta):
 def test_sigma_delta_is_psd(case, gamma, variant):
     c, psi, _ = case
     name, delta_r = variant
-    noise = build_noise_model(c, psi, gamma, delta_r, name)
-    sig_d = sigma_delta(noise, c)
+    rep = asymptotics_report(c, psi, gamma, delta_r, 0.65, name)
+    sig_d = rep.sigma_delta
     assert np.array_equal(sig_d, sig_d.T)
     assert np.min(np.linalg.eigvalsh(sig_d)) >= -1e-9 * scale(sig_d)
-    sig_t = sigma_theta_star(noise.a_bar, sig_d)
+    sig_t = rep.sigma_theta_star
     assert np.min(np.linalg.eigvalsh(0.5 * (sig_t + sig_t.T))) >= -1e-9 * scale(sig_t)
 
 
@@ -116,13 +115,13 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
     # relative to the lag-zero term E[Delta Delta'], which is 0 when the
     # features fit the values exactly
     r0 = (pair.stationary[:, None] * delta).T @ delta
+    rep, _, _, a_hat, _ = _exact(noise, c, 0.65)
     want = pair_oracle.sigma_delta(noise, pair)
-    assert np.max(np.abs(sigma_delta(noise, c) - want)) < 1e-9 * scale(r0)
+    assert np.max(np.abs(rep.sigma_delta - want)) < 1e-9 * scale(r0)
     want = pair_oracle.matrix_poisson(noise, pair)
-    assert np.max(np.abs(matrix_poisson(noise, c) - want)) < 1e-9 * scale(want)
+    assert np.max(np.abs(a_hat - want)) < 1e-9 * scale(want)
     want = pair_oracle.upsilon_bar(noise, pair)
-    assert np.max(np.abs(upsilon_bar(noise, c) - want)) < 1e-9 * scale(want)
-    rep = asymptotics_report(c, psi, gamma, delta_r, 0.65, name)
+    assert np.max(np.abs(rep.upsilon_bar - want)) < 1e-9 * scale(want)
     for key, want in pair_oracle.asymptotics(noise, pair, 0.65).items():
         ref = r0 if key == "sigma_delta" else want
         assert np.max(np.abs(getattr(rep, key) - want)) < 1e-9 * scale(ref), key
