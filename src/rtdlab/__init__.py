@@ -30,7 +30,7 @@ from .markov import (FiniteChain, FiniteMdp, PoissonSolution, RandomizedPolicy,
                      stationary_pmf)
 from .meanflow import (DirichletReport, InstabilityTable, MeanFlow,
                        PerturbationReport, SpectralReport, b_bar, dirichlet_report,
-                       eigen_perturbation, instability_probe, mean_flow_relative,
+                       eigen_perturbation, eps_p, instability_probe, mean_flow_relative,
                        mean_flow_td_lambda, spectral_report)
 from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_stats,
                          gamma_moment_check, simulate_speed_scaling)

@@ -52,9 +52,9 @@ from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
 from .markov import build_chain, guarded_solve, load_model
-from .meanflow import (dirichlet_report, mean_flow_relative, spectral_report)
-from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_noise_covariance,
-                         estimate_stats, gamma_moment_check)
+from .meanflow import dirichlet_report, eps_p, mean_flow_relative, spectral_report
+from .speedscale import (NOISE_WINDOW, SpeedScalingEnv, SpeedScalingModel,
+                         estimate_noise_covariance, estimate_stats, gamma_moment_check)
 
 DEFAULT_GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999)
 DEFAULT_BETA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
@@ -229,6 +229,9 @@ def cmd_eigs(args) -> dict:
 
 def cmd_hist(args) -> dict:
     model = resolve_model(args.model, args.basis)
+    if isinstance(model, SpeedScalingModel) and args.steps <= NOISE_WINDOW:
+        raise ConfigError(f"the speed-scaling overlay sums noise lags up to {NOISE_WINDOW} "
+                          f"and needs --steps > {NOISE_WINDOW}, got {args.steps}")
     runs = _run_many(args, model)
     # the noise statistics of the variant that ran; td is compared at delta_r = 0
     variant, delta_r = noise_variant(args.variant, args.delta_r)
@@ -330,11 +333,14 @@ def cmd_dirichlet(args) -> dict:
     probes = rng.standard_normal((args.probes, model.psi.dim))
     rows = []
     warnings = []
+    floor = eps_p(model.chain)
     for beta in (args.beta_grid or DEFAULT_BETA_GRID):
         rep = dirichlet_report(model.chain, model.psi, beta)
         margins = [float(th @ rep.m_beta @ th - rep.gap * (th @ stats.sigma0 @ th))
                    for th in probes]
-        rows.append([beta, rep.gap, rep.eps_p, min(margins), int(rep.degenerate)])
+        # the column is the least gap over the eps_P grid and this row's beta,
+        # which need not lie on the grid
+        rows.append([beta, rep.gap, min(floor, rep.gap), min(margins), int(rep.degenerate)])
         if rep.degenerate:
             warnings.append(f"degenerate spectral gap at beta={beta}")
     return {"dirichlet.csv": (["beta", "gap", "eps_p", "min_probe_margin", "degenerate"], rows),

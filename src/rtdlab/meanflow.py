@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NoNormalizer, NotSimple, SingularSystem
 from .features import (BaselineMean, FeatureMap, autocorrelation, baseline_mean,
                        feature_mean, find_normalizer, resolvent_sum)
-from .markov import FiniteChain, guarded_solve
+from .markov import FiniteChain, discounted_q, guarded_solve
 
 # Grid over which eps_P approximates inf{gamma_beta : 0 <= beta < 1}; the gap
 # is continuous in beta so a coarse grid suffices.
@@ -65,7 +65,6 @@ class DirichletReport:
     k_beta: np.ndarray
     m_beta: np.ndarray
     gap: float
-    eps_p: float
     restricted_support: bool
     degenerate: bool
 
@@ -103,12 +102,7 @@ def mean_flow_td_lambda(chain: FiniteChain, psi: FeatureMap,
 
 def b_bar(chain: FiniteChain, psi: FeatureMap, gamma: float, lam: float) -> np.ndarray:
     """b_bar = Psi' D (I - lam*gamma*P)^{-1} c; reduces to E[psi(Z) c(Z)] at lam = 0."""
-    beta = lam * gamma
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("lam*gamma must lie in [0, 1)")
-    n = chain.n_z
-    resolvent_c = np.linalg.solve(np.eye(n) - beta * chain.transition, chain.cost_vec)
-    return psi.matrix.T @ (chain.stationary * resolvent_c)
+    return psi.matrix.T @ (chain.stationary * discounted_q(chain, lam * gamma))
 
 
 def mean_flow_relative(chain: FiniteChain, psi: FeatureMap, gamma: float,
@@ -152,54 +146,46 @@ def spectral_report(a_bar: np.ndarray) -> SpectralReport:
                           condition_number=cond, hurwitz=max_re < 0.0)
 
 
-def _restrict_to_support(chain: FiniteChain):
-    """The restricted (P, varpi) on the support, which is closed, and a flag."""
-    support = chain.support
-    if len(support) == chain.n_z:
-        return chain.transition, chain.stationary, False
-    return chain.transition[np.ix_(support, support)], chain.stationary[support], True
-
-
 def _k_beta(p: np.ndarray, beta: float) -> np.ndarray:
     """K_beta = (1 - beta) P (I - beta P)^{-1}."""
     return (1.0 - beta) * np.linalg.solve((np.eye(len(p)) - beta * p).T, p.T).T
 
 
-def spectral_gap(p: np.ndarray, pi: np.ndarray) -> float:
-    """1 - ||K|| with K viewed on mean-zero functions in L2(pi).
+def spectral_gap(k: np.ndarray, chain: FiniteChain) -> float:
+    """1 - ||K|| with K restricted to the support of varpi, on mean-zero functions in L2(varpi).
 
-    The operator is symmetrized with D^{1/2}: T = D^{1/2} K D^{-1/2}, the
-    additive reversibilization is (T + T')/2, and the invariant direction
-    sqrt(pi) (eigenvalue 1) is projected out before taking the norm.  The
-    absolute value keeps the gap in (0, 1] for aperiodic unichains.
+    The support is closed, so K_beta restricted to it is the support chain's
+    K_beta.  T = D^{1/2} K D^{-1/2} is symmetrized additively, (T + T')/2, and
+    the invariant direction sqrt(varpi) is projected out before taking the
+    norm; the absolute value keeps the gap in (0, 1] for aperiodic unichains.
     """
-    sqrt_pi = np.sqrt(pi)
-    t = (sqrt_pi[:, None] * p) / sqrt_pi[None, :]
+    support = chain.support
+    sqrt_pi = np.sqrt(chain.stationary[support])
+    t = (sqrt_pi[:, None] * k[np.ix_(support, support)]) / sqrt_pi[None, :]
     s_sym = 0.5 * (t + t.T)
     s_proj = s_sym - np.outer(sqrt_pi, sqrt_pi)
     eigs = np.linalg.eigvalsh(s_proj)
     return float(1.0 - np.max(np.abs(eigs)))
 
 
-def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> DirichletReport:
-    """K_beta, M_beta, the Poincare gap at beta, and the grid minimum eps_P.
+def eps_p(chain: FiniteChain) -> float:
+    """eps_P: the least Poincare gap over EPS_P_BETA_GRID, a constant of (P, varpi)."""
+    return min(spectral_gap(_k_beta(chain.transition, b), chain) for b in EPS_P_BETA_GRID)
 
-    States of zero stationary mass are excluded from the adjoint computation
-    (the support is closed, so the restricted kernel is stochastic); the
-    ``restricted_support`` flag records this.  ``degenerate`` flags a gap at
-    or below numerical zero, as produced by a periodic chain.
+
+def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> DirichletReport:
+    """K_beta, M_beta and the Poincare gap at beta in [0, 1); eps_p gives the grid minimum.
+
+    The gap is spectral_gap's, on the support of varpi; ``restricted_support``
+    records that states of zero stationary mass were left out.  ``degenerate``
+    flags a gap at or below numerical zero, as produced by a periodic chain.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    p_sup, pi_sup, restricted = _restrict_to_support(chain)
     r0 = autocorrelation(chain, psi, 0)
     m_beta = r0 - (1.0 - beta) * resolvent_sum(chain, psi, beta)
-    gaps = {b: spectral_gap(_k_beta(p_sup, b), pi_sup) for b in set(EPS_P_BETA_GRID) | {beta}}
-    gap = gaps[beta]
-    eps_p = min(gaps.values())
-    return DirichletReport(beta=beta, k_beta=_k_beta(chain.transition, beta),
-                           m_beta=m_beta, gap=gap, eps_p=eps_p,
-                           restricted_support=restricted,
+    k_beta = _k_beta(chain.transition, beta)
+    gap = spectral_gap(k_beta, chain)
+    return DirichletReport(beta=beta, k_beta=k_beta, m_beta=m_beta, gap=gap,
+                           restricted_support=len(chain.support) < chain.n_z,
                            degenerate=gap <= 1e-12)
 
 

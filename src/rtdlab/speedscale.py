@@ -18,8 +18,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularSystem
 from .learner import Path, substream
+from .markov import guarded_solve
+
+NOISE_WINDOW = 200  # largest lag of estimate_noise_covariance, which needs more steps
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class TrajectoryStats:
         return a
 
     def theta_star(self, gamma: float, delta_r: float = 0.0) -> np.ndarray:
-        return -np.linalg.solve(self.mean_flow(gamma, delta_r), self.b_vec)
+        return -guarded_solve(self.mean_flow(gamma, delta_r), self.b_vec, SingularSystem,
+                              "estimated mean-flow matrix")
 
 
 def estimate_stats(model: SpeedScalingModel, n_steps: int, seed: int,
@@ -143,7 +147,8 @@ def estimate_stats(model: SpeedScalingModel, n_steps: int, seed: int,
 
 def estimate_noise_covariance(model: SpeedScalingModel, stats: TrajectoryStats,
                               gamma: float, delta_r: float, n_steps: int,
-                              seed: int, stream: int = 0, window: int = 200) -> np.ndarray:
+                              seed: int, stream: int = 0,
+                              window: int = NOISE_WINDOW) -> np.ndarray:
     """Truncated two-sided autocorrelation estimate of the noise covariance.
 
     With d_n the one-step temporal-difference error at the estimated
@@ -151,6 +156,8 @@ def estimate_noise_covariance(model: SpeedScalingModel, stats: TrajectoryStats,
     baseline rides the temporal-difference scalar, as in ``varpi_relative``
     (and in ``td`` at delta_r = 0), the variants this model runs.
     """
+    if n_steps <= window:
+        raise ConfigError(f"the noise covariance needs more than {window} steps, got {n_steps}")
     theta_star = stats.theta_star(gamma, delta_r)
     rng = substream(seed, stream)
     x, u, cost = simulate_speed_scaling(model, n_steps, rng)

@@ -19,7 +19,7 @@ from rtdlab.features import (autocorrelation, baseline_mean, feature_mean, featu
 from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
                             run, run_many)
 from rtdlab.markov import build_chain, discounted_q, solve_poisson
-from rtdlab.meanflow import (dirichlet_report, eigen_perturbation, instability_probe,
+from rtdlab.meanflow import (dirichlet_report, eigen_perturbation, eps_p, instability_probe,
                              mean_flow_relative, mean_flow_td_lambda, spectral_report)
 from rtdlab.speedscale import SpeedScalingModel, estimate_stats, gamma_moment_check
 
@@ -115,7 +115,7 @@ def test_criterion_04_spectral_gap_bounds(chain, psi):
     stats = feature_stats(chain, psi)
     rng = np.random.default_rng(2024)
     worst_m, worst_a = np.inf, np.inf
-    eps_p = dirichlet_report(chain, psi, 0.0).eps_p
+    floor = eps_p(chain)
     for beta in (0.0, 0.3, 0.6, 0.9):
         rep = dirichlet_report(chain, psi, beta)
         for _ in range(100):
@@ -127,12 +127,12 @@ def test_criterion_04_spectral_gap_bounds(chain, psi):
             a0 = mean_flow_td_lambda(chain, psi, gamma, lam)
             for _ in range(100):
                 th = rng.standard_normal(3)
-                worst_a = min(worst_a, float(-eps_p * (th @ stats.sigma0 @ th)
+                worst_a = min(worst_a, float(-floor * (th @ stats.sigma0 @ th)
                                              - th @ a0 @ th))
     assert worst_m >= -1e-10
     assert worst_a >= -1e-10
     report(4, f"Poincare margin {worst_m:.2e}, uniform drift margin {worst_a:.2e}, "
-              f"eps_P = {eps_p:.4f}")
+              f"eps_P = {floor:.4f}")
 
 
 def test_criterion_05_uniform_stability(chain, psi):

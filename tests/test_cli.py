@@ -1,14 +1,15 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rtdlab import models
+from rtdlab import meanflow, models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
-from rtdlab.markov import save_model
-from rtdlab.meanflow import mean_flow_relative, spectral_report
+from rtdlab.markov import build_chain, save_model
+from rtdlab.meanflow import dirichlet_report, eps_p, mean_flow_relative, spectral_report
 from rtdlab.speedscale import SpeedScalingModel, estimate_noise_covariance, estimate_stats
 
 
@@ -178,6 +179,30 @@ class TestDirichletCmd:
             assert float(row[i]) >= -1e-10
             assert 0 < float(row[g]) <= 1.0
 
+    def test_eps_p_is_computed_once(self, tmp_path):
+        # eps_P takes one K_beta per grid point, each row's report one more
+        with mock.patch.object(meanflow, "_k_beta", wraps=meanflow._k_beta) as k_beta:
+            assert run_cli("dirichlet", "--out", str(tmp_path), "--probes", "5") == 0
+        assert k_beta.call_count <= 22
+
+    def test_transient_file_model(self, tmp_path):
+        mdp, policy, psi, _, _ = models.unstable_demo()
+        save_model(tmp_path / "demo.json", mdp, policy, psi.matrix)
+        out = tmp_path / "out"
+        assert run_cli("dirichlet", "--out", str(out), "--model", f"file:{tmp_path}/demo.json",
+                       "--basis", "file", "--beta-grid", "0.3", "0.95") == 0
+        header, rows = read_csv(out / "dirichlet.csv")
+        chain = build_chain(mdp, policy)
+        floor = eps_p(chain)
+        for beta, row in zip((0.3, 0.95), rows):
+            got = dict(zip(header, map(float, row)))
+            rep = dirichlet_report(chain, psi, beta)
+            assert rep.restricted_support
+            assert abs(got["gap"] - rep.gap) <= 1e-12
+            assert abs(got["eps_p"] - min(floor, rep.gap)) <= 1e-12
+            assert got["min_probe_margin"] >= -1e-10
+            assert got["degenerate"] == 0
+
 
 class TestRunCmd:
     def test_relative_fixed_mu(self, tmp_path):
@@ -237,6 +262,11 @@ REJECTED = [
     (["sensitivity", "--model", "speed_scaling"], "ConfigError"),
     (["dirichlet", "--model", "speed_scaling"], "ConfigError"),
     (["eigs", "--basis", "file"], "ConfigError"),  # finite3x2 has no feature matrix
+    # the speed-scaling overlay's noise covariance sums lags up to 200
+    (["hist", "--model", "speed_scaling", "--alpha0", "1e-6", "--runs", "2", "--steps", "150"],
+     "ConfigError"),
+    (["hist", "--model", "speed_scaling", "--alpha0", "1e-6", "--runs", "2", "--steps", "1"],
+     "ConfigError"),
 ]
 
 

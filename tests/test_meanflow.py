@@ -1,14 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from rtdlab import models
+from rtdlab import meanflow, models
 from rtdlab.errors import NoNormalizer, NotSimple
 from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature_mean,
                              feature_stats, finite_poly_basis, tabular_basis)
 from rtdlab.markov import FiniteChain, build_chain
-from rtdlab.meanflow import (b_bar, dirichlet_quadratic_form, dirichlet_report,
-                             eigen_perturbation, instability_probe, mean_flow_relative,
-                             mean_flow_td_lambda, spectral_report)
+from rtdlab.meanflow import (EPS_P_BETA_GRID, b_bar, dirichlet_quadratic_form,
+                             dirichlet_report, eigen_perturbation, eps_p, instability_probe,
+                             mean_flow_relative, mean_flow_td_lambda, spectral_report)
 
 
 @pytest.fixture(scope="module")
@@ -212,13 +214,12 @@ class TestDirichlet:
         for beta in (0.0, 0.2, 0.5, 0.8, 0.99):
             rep = dirichlet_report(chain, psi, beta)
             assert 0.0 < rep.gap <= 1.0
-            assert 0.0 < rep.eps_p <= rep.gap
+            assert 0.0 < eps_p(chain) <= rep.gap
 
     def test_uniform_hurwitz_bound(self, chain, psi):
         # max Re eig of A(lam; delta) <= -eps_P * lambda_min(Sigma(0))
         stats = feature_stats(chain, psi)
-        eps_p = dirichlet_report(chain, psi, 0.0).eps_p
-        floor = eps_p * np.min(np.linalg.eigvalsh(stats.sigma0))
+        floor = eps_p(chain) * np.min(np.linalg.eigvalsh(stats.sigma0))
         assert floor > 0
         for gamma in (0.9, 0.99, 0.999):
             for lam in (0.0, 0.5, 0.9):
@@ -233,6 +234,18 @@ class TestDirichlet:
         rep = dirichlet_report(chain_d, psi_d, 0.3)
         assert rep.restricted_support
         assert rep.gap > 0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.35, 0.99])
+    def test_one_k_beta_and_one_gap_per_report(self, chain, psi, beta):
+        with mock.patch.object(meanflow, "_k_beta", wraps=meanflow._k_beta) as k_beta, \
+                mock.patch.object(meanflow, "spectral_gap", wraps=meanflow.spectral_gap) as gap:
+            dirichlet_report(chain, psi, beta)
+        assert (k_beta.call_count, gap.call_count) == (1, 1)
+
+    def test_eps_p_is_the_least_gap_over_the_grid(self, chain, psi):
+        mdp, policy, psi_d, _, _ = models.unstable_demo()
+        for c, f in ((chain, psi), (build_chain(mdp, policy), psi_d)):
+            assert eps_p(c) == min(dirichlet_report(c, f, b).gap for b in EPS_P_BETA_GRID)
 
 
 class TestEigenPerturbation:

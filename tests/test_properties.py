@@ -26,6 +26,7 @@ from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig,
                             run, run_many, substream)
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
                            solve_poisson, stationary_pmf)
+from rtdlab.meanflow import _k_beta, dirichlet_report, spectral_gap
 
 import learner_oracle
 import pair_oracle
@@ -127,6 +128,20 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
         assert np.max(np.abs(getattr(rep, key) - want)) < 1e-9 * scale(ref), key
     # the report keeps no per-pair array: its size does not grow with n_z
     assert all(np.size(v) <= psi.dim ** 2 for v in dataclasses.asdict(rep).values())
+
+
+@PROPERTY
+@given(chains(), st.floats(0.0, 0.99))
+def test_dirichlet_gap_is_the_support_chains(case, beta):
+    # oracle: K_beta solved on the support chain itself, not restricted from the full one
+    c, psi, _ = case
+    sup = c.support
+    p = c.transition[np.ix_(sup, sup)]
+    on_support = FiniteChain(transition=p, cost_vec=c.cost_vec[sup], stationary=c.stationary[sup])
+    want = spectral_gap(_k_beta(p, beta), on_support)
+    rep = dirichlet_report(c, psi, beta)
+    assert abs(rep.gap - want) <= 1e-12
+    assert rep.restricted_support == (len(sup) < c.n_z)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 import learner_oracle
 import rtdlab
 from rtdlab import learner
-from rtdlab.errors import ConfigError
+from rtdlab.errors import ConfigError, SingularSystem
 from rtdlab.learner import LearnerConfig, StepSchedule, run, substream
 from rtdlab.meanflow import spectral_report
 from rtdlab.speedscale import (MomentCheck, SpeedScalingEnv, SpeedScalingModel,
@@ -109,6 +109,15 @@ class TestStats:
         sig = estimate_noise_covariance(model, stats, 0.9, 1.0, 10 ** 5, 6, window=100)
         assert np.max(np.abs(sig - sig.T)) < 1e-8
         assert np.min(np.linalg.eigvalsh(sig)) > -1e-6 * np.max(np.abs(sig))
+
+    def test_noise_covariance_needs_more_steps_than_its_window(self, model):
+        stats = estimate_stats(model, 1000, 6)
+        with pytest.raises(ConfigError):
+            estimate_noise_covariance(model, stats, 0.9, 1.0, 100, 6, window=100)
+
+    def test_singular_estimate_raises(self, model):
+        with pytest.raises(SingularSystem):
+            estimate_stats(model, 1, 6).theta_star(0.9, 0.0)
 
 
 class TestEnv:
