@@ -10,28 +10,47 @@ is the consecutive pair phi = (z, z') and the update is linear:
     b(phi) = c(z) psi(z).
 
 The noise covariance Sigma_Delta is the two-sided autocorrelation sum of the
-stationary zero-mean sequence Delta_n = f(theta_star, Phi_n), evaluated
-exactly through the Poisson equation of the pair process, and the optimal
+stationary zero-mean sequence Delta_n = f(theta_star, Phi_n), and the optimal
 asymptotic covariance is Sigma_theta = A_bar^{-1} Sigma_Delta A_bar^{-T}.
 The asymptotic bias under step size alpha_n = n^{-rho} is
-(1/(1-rho)) A_bar^{-1} Upsilon_bar with
-Upsilon_bar = E[(A - A_hat)(A theta_star + b)], A_hat the matrix Poisson
-solution of (I - P_hat) A_hat = A - A_bar.
+(1/(1-rho)) A_bar^{-1} Upsilon_bar with Upsilon_bar = E[(A - A_hat) Delta],
+A_hat the matrix Poisson solution of (I - P_hat) A_hat = A - A_bar.
 
-Each pair Poisson equation (I - P_hat) H = F - E[F] is solved on the base
-chain.  The pair kernel P_hat[(z, z'), (y, y')] = 1{y = z'} P(z', y') maps H
-to a function of z' alone, so the centered solution splits as
+Per-state form.  Each pair function a report reads is
+F(z, z') = psi(z) e(z, z') + kappa, with e an n_z x n_z scalar matrix.  The
+noise has e = u(z) + gamma v(z'), v = Psi theta_star and u = c - v (less
+delta_r s for varpi_relative_td0, s = psi_bar'theta_star), and
+kappa = -delta_r s psi_bar for fixed_relative_td0 (0 otherwise).  So every
+mean under the pair law varpi(z) P(z, z') is a product with P and
+D = diag(varpi):
 
-    H(z, z') = F_c(z, z') + g(z'),    F_c = F - E[F],
-    (I - P) g = sum_y P(., y) F_c(., y),    varpi'g = 0,
+    E[F]     = m_F + kappa_F,    m_F = Psi' (varpi o (P o e_F) 1),
+    E[F H']  = Psi' diag(varpi o (P o e_F o e_H) 1) Psi
+               + m_F kappa_H' + kappa_F m_H' + kappa_F kappa_H',
+    w_F(z')  = sum_z varpi(z) P(z, z') F(z, z') = (D P o e_F)' Psi + varpi kappa_F'.
 
-one n_z x n_z solve whose g also centers H under the pair law
-varpi(z) P(z, z').  Pair functions are stored with one row per pair,
-flattened as z * n_z + z'.
+Poisson route (Glynn & Meyn, 1996).  The pair kernel
+P_hat[(z, z'), (y, y')] = 1{y = z'} P(z', y') maps any pair function to a
+function of z' alone, so the centered pair Poisson solution of a zero-mean F
+is F(z, z') + g(z'), where (I - P) g = sum_y P(., y) F(., y) and varpi'g = 0:
+one base-chain solve.  Likewise A_hat(z, z') = A(z, z') - A_bar + G(z') with
+G the base solution for R_A(x) = sum_y P(x, y) (A(x, y) - A_bar), so
+A - A_hat = A_bar - G(z') and
 
-A report (``asymptotics_report``, ``sensitivity``) makes one such solve,
-stacked over the columns [Delta | A - A_bar], and inverts A_bar once for
-both Sigma_theta and the bias.  It keeps no per-pair array.
+    Sigma_Delta = E[Delta Delta'] + w_Delta' g + g' w_Delta,
+    Upsilon_bar = A_bar E[Delta] - sum_z' G(z') w_Delta(z').
+
+The solve centers its input, so R_A is formed without its constant part,
+and varpi'g = 0, varpi'G = 0 drop the varpi kappa' part of w from both sums.
+
+The pair residual of (I - P_hat) A_hat = A - A_bar at (z, z') is the base
+residual (I - P) G - R_A at z', and that is what the plug-back check reads.
+
+A report (``asymptotics_report``, ``sensitivity``) makes one base-chain solve
+over the columns [Delta | R_A (| Delta')] and inverts A_bar once.  Besides P
+it holds n_z x n_z scalar matrices and n_z x d^2 arrays, never a per-pair
+vector or matrix.  ``build_noise_model`` tabulates the (n_z^2, d, d) pair
+coefficients for tests and small chains; no report reads it.
 """
 
 from __future__ import annotations
@@ -41,10 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonZeroMean, RtdLabError, SingularSystem
+from .errors import ConfigError, NonZeroMean, SingularSystem
 from .features import FeatureMap, feature_mean
 from .markov import FiniteChain, guarded_solve, poisson_solve_columns
-from .meanflow import b_bar as mean_b_bar
 
 VARIANT_TD0 = "td0"
 # baseline applied as the deterministic matrix -delta_r psi_bar psi_bar'
@@ -127,11 +145,6 @@ def _scale(x: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(x))))
 
 
-def _pair_law(chain: FiniteChain) -> np.ndarray:
-    """Stationary law varpi(z) P(z, z') of the pair (Z_n, Z_{n+1})."""
-    return (chain.stationary[:, None] * chain.transition).reshape(-1)
-
-
 def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
     """The noise model and baseline weight that describe learner ``variant``.
 
@@ -149,109 +162,138 @@ def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
     return NOISE_VARIANTS[variant], delta_r
 
 
-def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
-                      delta_r: float, variant: str = VARIANT_TD0) -> NoiseModel:
-    """Per-pair A(phi), b(phi) and the stationary point theta_star at lam = 0."""
+def _mean_point(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
+                variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_bar = Psi' D (gamma P Psi - Psi) - delta_r psi_bar psi_bar', b_bar and theta_star."""
     if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
         raise ConfigError(f"unknown noise model {variant!r}")
     if variant == VARIANT_TD0 and delta_r != 0.0:
         raise ConfigError(f"noise model td0 requires delta_r = 0, got {delta_r}")
+    mat, pi = psi.matrix, chain.stationary
+    psi_bar = feature_mean(chain, psi)
+    a_bar = (mat.T @ (pi[:, None] * (gamma * (chain.transition @ mat) - mat))
+             - delta_r * np.outer(psi_bar, psi_bar))
+    b_bar = mat.T @ (pi * chain.cost_vec)
+    theta_star = -guarded_solve(a_bar, b_bar, SingularSystem, "mean-flow matrix")
+    return a_bar, b_bar, theta_star
+
+
+def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
+                      delta_r: float, variant: str = VARIANT_TD0) -> NoiseModel:
+    """Per-pair A(phi), b(phi) at lam = 0, with the reports' A_bar, b_bar and theta_star.
+
+    The table holds n_z^2 d^2 floats; it serves tests and small chains.
+    """
+    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r, variant)
     n = chain.n_z
     mat = psi.matrix
     # A[(z, z')] = psi(z) (-psi(z) + gamma psi(z'))'
     a = (mat[:, None, :, None] * (-mat[:, None, None, :] + gamma * mat[None, :, None, :]))
     a = a.reshape(n * n, psi.dim, psi.dim)
+    psi_bar = feature_mean(chain, psi)
     if variant == VARIANT_FIXED_RELATIVE:
-        psi_bar = feature_mean(chain, psi)
         a = a - delta_r * np.outer(psi_bar, psi_bar)[None, :, :]
     elif variant == VARIANT_VARPI_LIMIT:
-        psi_bar = feature_mean(chain, psi)
         # correction -delta_r psi(z) psi_bar' theta rides the update direction
         lead = np.repeat(mat, n, axis=0)  # psi(z) per pair (z, z')
         a = a - delta_r * lead[:, :, None] * psi_bar[None, None, :]
     b = np.broadcast_to((chain.cost_vec[:, None] * mat)[:, None, :],
                         (n, n, psi.dim)).reshape(n * n, psi.dim)
-    pi_hat = _pair_law(chain)
-    a_bar = np.einsum("p,pij->ij", pi_hat, a)
-    b_mean = pi_hat @ b
-    b_exact = mean_b_bar(chain, psi, gamma, 0.0)
-    if np.max(np.abs(b_mean - b_exact)) > 1e-10 * _scale(b_exact):
-        raise RtdLabError("pair-averaged b disagrees with closed form")
-    theta_star = -guarded_solve(a_bar, b_mean, SingularSystem, "mean-flow matrix")
     return NoiseModel(a_of_phi=a, b_of_phi=b, theta_star=theta_star,
-                      a_bar=a_bar, b_bar=b_mean, delta_r=delta_r, variant=variant)
+                      a_bar=a_bar, b_bar=b_bar, delta_r=delta_r, variant=variant)
 
 
-def _pair_poisson(chain: FiniteChain, f: np.ndarray) -> np.ndarray:
-    """Centered solution H of (I - P_hat) H = F - E[F], column by column.
+@dataclass(frozen=True)
+class _PairTerm:
+    """F(z, z') = psi(z) e(z, z') + kappa with its pair-law sums (module docstring).
 
-    Solved on the base chain through the split in the module docstring.
+    ``mean`` is E[F], ``col`` = sum_y P(., y) F(., y) (the base Poisson
+    input) and ``w`` = (D P o e)' Psi, the psi(z) e part of
+    sum_z varpi(z) P(z, .) F(z, .); its kappa part varpi kappa' only ever
+    meets base solutions, which varpi' annihilates.
     """
-    n = chain.n_z
-    f_c = (f - _pair_law(chain) @ f).reshape(n, n, -1)
-    g = poisson_solve_columns(chain, np.einsum("zy,zyk->zk", chain.transition, f_c))
-    return (f_c + g[None, :, :]).reshape(n * n, -1)
+
+    e: np.ndarray
+    kappa: np.ndarray
+    mean: np.ndarray
+    col: np.ndarray
+    w: np.ndarray
 
 
-def _check_plugback(chain: FiniteChain, rhs: np.ndarray, h: np.ndarray) -> None:
-    """Raise unless (I - P_hat) h = rhs - E[rhs] within 1e-9.
-
-    P_hat is applied without forming it: (P_hat h)(z, z') = sum_y P(z', y) h(z', y).
-    """
-    n = chain.n_z
-    h3 = h.reshape(n, n, -1)
-    p_hat_h = np.einsum("zy,zyk->zk", chain.transition, h3)[None, :, :]
-    resid = rhs - _pair_law(chain) @ rhs - (h3 - p_hat_h).reshape(n * n, -1)
-    if np.max(np.abs(resid)) > 1e-9:
-        raise SingularSystem("matrix Poisson plug-back residual too large")
+def _pair_term(chain: FiniteChain, mat: np.ndarray, e: np.ndarray,
+               kappa: np.ndarray) -> _PairTerm:
+    weighted = chain.stationary[:, None] * chain.transition * e   # D P o e
+    rows = np.einsum("zy,zy->z", chain.transition, e)
+    return _PairTerm(e=e, kappa=kappa, mean=mat.T @ weighted.sum(axis=1) + kappa,
+                     col=mat * rows[:, None] + kappa, w=weighted.T @ mat)
 
 
-def _sigma_from(noise: NoiseModel, chain: FiniteChain, h_hat: np.ndarray) -> np.ndarray:
-    """Sigma_Delta from H_hat, the centered Poisson solution for Delta."""
-    delta = noise.delta_of_phi
-    w = _pair_law(chain)[:, None] * delta
-    mean = float(np.max(np.abs(w.sum(axis=0))))
-    if mean > 1e-8 * _scale(noise.b_bar):
-        raise NonZeroMean(f"Delta has stationary mean {mean:.3e}")
-    cross = w.T @ h_hat
-    sig = cross + cross.T - w.T @ delta
-    return 0.5 * (sig + sig.T)
+def _second_moment(chain: FiniteChain, mat: np.ndarray, f: _PairTerm,
+                   h: _PairTerm) -> np.ndarray:
+    """E[F H'] under the pair law."""
+    diag = np.einsum("z,zy,zy,zy->z", chain.stationary, chain.transition, f.e, h.e)
+    m_f, m_h = f.mean - f.kappa, h.mean - h.kappa
+    return ((mat * diag[:, None]).T @ mat + np.outer(m_f, h.kappa)
+            + np.outer(f.kappa, m_h) + np.outer(f.kappa, h.kappa))
 
 
-def _exact(noise: NoiseModel, chain: FiniteChain, rho: float,
-           extra: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple:
-    """The report of ``noise``, with A_bar^{-1}, H_hat, A_hat and H_F.
+def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
+           variant: str, rho: float,
+           extra: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                           tuple[np.ndarray, np.ndarray]] | None = None) -> tuple:
+    """The report of noise model ``variant``, with the pieces ``sensitivity`` reads.
 
-    The pair Poisson solutions of [Delta | A - A_bar | F] are H_hat, A_hat
-    (shaped (n_pair, d, d)) and H_F, where the columns F = ``extra(A_bar^{-1})``
-    are optional.  Sigma_Delta = E[Delta H_hat'] + E[H_hat Delta'] - E[Delta Delta']
-    (symmetrized), Upsilon_bar = E[(A - A_hat) Delta], Sigma_theta =
-    A_bar^{-1} Sigma_Delta A_bar^{-T} and bias = (1/(1-rho)) A_bar^{-1} Upsilon_bar.
+    ``extra(a_bar, a_inv, theta_star)`` gives (e, kappa) of an optional
+    zero-mean pair function F whose base Poisson solution g_F rides the same
+    solve.  Returns (report, A_bar, A_bar^{-1}, G shaped (n_z, d, d),
+    (Delta, g), (F, g_F)), with (None, an n_z x 0 array) for no F.
     """
     if not 0.5 < rho < 1.0:
         raise ConfigError("rho must lie in (1/2, 1)")
-    n_pair, d, _ = noise.a_of_phi.shape
-    a_inv = guarded_solve(noise.a_bar, np.eye(d), SingularSystem, "A_bar")
-    delta = noise.delta_of_phi
-    a_dev = (noise.a_of_phi - noise.a_bar).reshape(n_pair, d * d)
-    cols = [delta, a_dev] if extra is None else [delta, a_dev, extra(a_inv)]
-    h = _pair_poisson(chain, np.hstack(cols))
-    _check_plugback(chain, a_dev, h[:, d:d + d * d])
-    h_hat, a_hat = h[:, :d], h[:, d:d + d * d].reshape(n_pair, d, d)
-    sig_d = _sigma_from(noise, chain, h_hat)
-    ups = np.einsum("p,pij,pj->i", _pair_law(chain), noise.a_of_phi - a_hat, delta)
+    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r, variant)
+    n, d = psi.matrix.shape
+    mat = psi.matrix
+    a_inv = guarded_solve(a_bar, np.eye(d), SingularSystem, "A_bar")
+    psi_bar = feature_mean(chain, psi)
+    v = mat @ theta_star
+    s = float(psi_bar @ theta_star)
+    u = chain.cost_vec - v
+    # A(x, y) = psi(x) a(x, y)' + K with K constant and trail = sum_y P(., y) a(., y),
+    # so R_A = psi trail' up to a constant, which the Poisson solve centers away
+    trail = gamma * (chain.transition @ mat) - mat
+    kappa = np.zeros(d)
+    if variant == VARIANT_FIXED_RELATIVE:
+        kappa = -delta_r * s * psi_bar
+    elif variant == VARIANT_VARPI_LIMIT:
+        u = u - delta_r * s
+        trail = trail - delta_r * psi_bar
+    delta = _pair_term(chain, mat, u[:, None] + gamma * v[None, :], kappa)
+    mean = float(np.max(np.abs(delta.mean)))
+    if mean > 1e-8 * _scale(b_bar):
+        raise NonZeroMean(f"Delta has stationary mean {mean:.3e}")
+    f = None if extra is None else _pair_term(chain, mat, *extra(a_bar, a_inv, theta_star))
+    r_a = (mat[:, :, None] * trail[:, None, :]).reshape(n, d * d)
+    sol = poisson_solve_columns(chain, np.hstack([delta.col, r_a] + ([] if f is None else [f.col])))
+    g, big_g, g_f = sol[:, :d], sol[:, d:d + d * d], sol[:, d + d * d:]
+    resid = r_a - chain.stationary @ r_a - (big_g - chain.transition @ big_g)
+    if np.max(np.abs(resid)) > 1e-9:
+        raise SingularSystem("matrix Poisson plug-back residual too large")
+    big_g = big_g.reshape(n, d, d)
+    half = 0.5 * _second_moment(chain, mat, delta, delta) + delta.w.T @ g
+    sig_d = half + half.T
+    ups = a_bar @ delta.mean - np.einsum("zij,zj->i", big_g, delta.w)
     report = AsymptoticsReport(
         sigma_delta=sig_d, sigma_theta_star=a_inv @ sig_d @ a_inv.T,
-        bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=noise.theta_star,
-        rho=rho, variant=noise.variant, delta_r=noise.delta_r)
-    return report, a_inv, h_hat, a_hat, h[:, d + d * d:]
+        bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=theta_star,
+        rho=rho, variant=variant, delta_r=delta_r)
+    return report, a_bar, a_inv, big_g, (delta, g), (f, g_f)
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
                        delta_r: float, rho: float,
                        variant: str = VARIANT_FIXED_RELATIVE) -> AsymptoticsReport:
     """One-stop exact report of noise model ``variant`` at ``delta_r``."""
-    return _exact(build_noise_model(chain, psi, gamma, delta_r, variant), chain, rho)[0]
+    return _exact(chain, psi, gamma, delta_r, variant, rho)[0]
 
 
 def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
@@ -265,38 +307,46 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
         (A_bar^{-1})' = -A_bar^{-1} A_bar' A_bar^{-1}
         theta_star'   = -A_bar^{-1} A_bar' theta_star = s phi_bar
         Delta'(phi)   = s (A(phi) - A_bar) phi_bar
+                      = psi(z) s (gamma q(z') - q(z)) - s A_bar phi_bar,  q = Psi phi_bar.
 
     Sigma_Delta' follows by differentiating the Poisson representation of the
     two-sided sum (the derivative H_hat' solves the same Poisson system with
-    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' rides the
-    base report's pair Poisson solve as its extra columns, and A_bar^{-1} is
-    the report's inverse.  The covariance and bias derivatives are then
+    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' is in
+    per-state form, so its base solution g' rides the base report's solve and
+    A_bar^{-1} is the report's inverse:
+
+        Sigma_Delta' = M + M',  M = E[F Delta'] + w_F' g + w_Delta' g_F,
+        Upsilon_bar' = A_bar E[F] - sum_z' G(z') w_F(z'),
+
+    with F = Delta' and g_F its base solution.
+
+    The covariance and bias derivatives are then
 
         Sigma_theta' = A_bar^{-1} Sigma_Delta' A_bar^{-T}
                        - A_bar^{-1} A_bar' Sigma_theta - [A_bar^{-1} A_bar' Sigma_theta]'
         bias'        = A_bar^{-1} [ -A_bar' bias + Upsilon_bar'/(1 - rho) ].
     """
-    noise = build_noise_model(chain, psi, gamma, 0.0, VARIANT_TD0)
+    mat = psi.matrix
     psi_bar = feature_mean(chain, psi)
-    s = float(psi_bar @ noise.theta_star)
 
-    def delta_prime_of(a_inv):
-        return s * ((noise.a_of_phi - noise.a_bar) @ (a_inv @ psi_bar))
+    def delta_prime_of(a_bar, a_inv, theta_star):
+        s = float(psi_bar @ theta_star)
+        phi_bar = a_inv @ psi_bar
+        q = mat @ phi_bar
+        return s * (gamma * q[None, :] - q[:, None]), -s * (a_bar @ phi_bar)
 
-    base, a_inv, h_hat, a_hat, h_hat_prime = _exact(noise, chain, rho, delta_prime_of)
-    delta_prime = delta_prime_of(a_inv)
+    base, a_bar, a_inv, big_g, (delta, g), (delta_prime, g_prime) = _exact(
+        chain, psi, gamma, 0.0, VARIANT_TD0, rho, delta_prime_of)
     d_a_bar = -np.outer(psi_bar, psi_bar)
     d_a_inv = -a_inv @ d_a_bar @ a_inv
-    d_theta = -a_inv @ d_a_bar @ noise.theta_star
+    d_theta = -a_inv @ d_a_bar @ base.theta_star
     phi_bar = a_inv @ psi_bar
     outer_residual = float(np.max(np.abs(d_a_inv - np.outer(phi_bar, phi_bar))))
 
-    delta = noise.delta_of_phi
-    w = _pair_law(chain)
-    cross = (w[:, None] * delta_prime).T @ h_hat + (w[:, None] * delta).T @ h_hat_prime
-    r0_prime = (w[:, None] * delta_prime).T @ delta
-    sig_d_prime = cross + cross.T - (r0_prime + r0_prime.T)
-    ups_prime = np.einsum("p,pij,pj->i", w, noise.a_of_phi - a_hat, delta_prime)
+    half = (_second_moment(chain, mat, delta_prime, delta)
+            + delta_prime.w.T @ g + delta.w.T @ g_prime)
+    sig_d_prime = half + half.T
+    ups_prime = a_bar @ delta_prime.mean - np.einsum("zij,zj->i", big_g, delta_prime.w)
 
     correction = a_inv @ d_a_bar @ base.sigma_theta_star
     d_sigma = a_inv @ sig_d_prime @ a_inv.T - correction - correction.T

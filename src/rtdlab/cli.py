@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -96,9 +97,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def _resolved(args: argparse.Namespace) -> dict:
-    skip = {"func", "out", "config"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not callable(v)}
+    skip = {"out", "config"}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def write_outputs(out: FsPath, files: dict, args: argparse.Namespace) -> None:
@@ -457,7 +457,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="rtdlab", description="relative TD policy-evaluation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (flags, fixed) in COMMANDS.items():
@@ -467,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in flags.split():
             spec = {**FLAGS[dest], **OVERRIDES.get((name, dest), {})}
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
-        # looked up at each build, so a cmd_* replaced on the module is the one run
-        p.set_defaults(func=globals()[f"cmd_{name}"], **fixed)
+        p.set_defaults(**fixed)
     return parser
 
 
@@ -505,7 +506,9 @@ def main(argv: list[str] | None = None) -> int:
             # the command line's, so the command line wins
             flags = _config_flags(args.command, args.config)
             args = parser.parse_args(argv[:1] + flags + argv[1:])
-        write_outputs(FsPath(args.out), args.func(args), args)
+        # looked up at each call, so a cmd_* replaced on the module is the one run
+        command = globals()[f"cmd_{args.command}"]
+        write_outputs(FsPath(args.out), command(args), args)
         return 0
     except RtdLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

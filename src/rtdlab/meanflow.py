@@ -62,7 +62,6 @@ class SpectralReport:
 @dataclass(frozen=True)
 class DirichletReport:
     beta: float
-    k_beta: np.ndarray
     m_beta: np.ndarray
     gap: float
     restricted_support: bool
@@ -174,7 +173,7 @@ def eps_p(chain: FiniteChain) -> float:
 
 
 def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> DirichletReport:
-    """K_beta, M_beta and the Poincare gap at beta in [0, 1); eps_p gives the grid minimum.
+    """M_beta and the Poincare gap of K_beta at beta in [0, 1); eps_p gives the grid minimum.
 
     The gap is spectral_gap's, on the support of varpi; ``restricted_support``
     records that states of zero stationary mass were left out.  ``degenerate``
@@ -182,9 +181,8 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> Dirich
     """
     r0 = autocorrelation(chain, psi, 0)
     m_beta = r0 - (1.0 - beta) * resolvent_sum(chain, psi, beta)
-    k_beta = _k_beta(chain.transition, beta)
-    gap = spectral_gap(k_beta, chain)
-    return DirichletReport(beta=beta, k_beta=k_beta, m_beta=m_beta, gap=gap,
+    gap = spectral_gap(_k_beta(chain.transition, beta), chain)
+    return DirichletReport(beta=beta, m_beta=m_beta, gap=gap,
                            restricted_support=len(chain.support) < chain.n_z,
                            degenerate=gap <= 1e-12)
 

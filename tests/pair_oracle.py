@@ -1,16 +1,23 @@
-"""Explicit pair-chain oracle for the noise and bias analysis.
+"""Pair-chain oracles for the noise and bias analysis.
 
-rtdlab solves every Poisson equation of the pair process (Z_n, Z_{n+1}) on
-the base chain.  The tests check it against the direct route kept here: the
-n_z^2-state pair chain with its dense kernel and fundamental matrix.  The
-pair chain costs n_z^4 memory, so it serves small chains only.
+rtdlab evaluates every pair expectation of the process (Z_n, Z_{n+1}) in
+per-state form on the base chain.  The tests check it against two direct
+routes kept here:
+
+- the n_z^2-state pair chain with its dense kernel and fundamental matrix,
+  which costs n_z^4 memory and so serves small chains only;
+- the pair-array route (``exact``, ``exact_sensitivity``): the (n_z^2, d, d)
+  coefficient table of ``build_noise_model``, averaged under the pair law,
+  with each pair Poisson equation split into the centered input plus one
+  base-chain solve in z'.  It costs n_z^2 d^2 memory, so it also checks
+  chains of a few hundred states.
 """
 
 import numpy as np
 
 from rtdlab.asymptotics import VARIANT_TD0, build_noise_model
 from rtdlab.features import feature_mean
-from rtdlab.markov import FiniteChain
+from rtdlab.markov import FiniteChain, poisson_solve_columns
 
 
 def pair_chain(chain: FiniteChain) -> FiniteChain:
@@ -89,3 +96,92 @@ def asymptotics(noise, pair: FiniteChain, rho: float) -> dict:
     return {"theta_star": -a_inv @ (pair.stationary @ noise.b_of_phi),
             "sigma_delta": sig_d, "sigma_theta_star": a_inv @ sig_d @ a_inv.T,
             "upsilon_bar": ups, "bias": a_inv @ ups / (1.0 - rho)}
+
+
+def pair_law(chain: FiniteChain) -> np.ndarray:
+    """Stationary law varpi(z) P(z, z') of the pair (Z_n, Z_{n+1})."""
+    return (chain.stationary[:, None] * chain.transition).reshape(-1)
+
+
+def split_poisson(chain: FiniteChain, f: np.ndarray) -> np.ndarray:
+    """Centered pair Poisson solution H = F_c + g(z') of each column of F.
+
+    F_c = F - E[F] and (I - P) g = sum_y P(., y) F_c(., y), varpi'g = 0.
+    """
+    n = chain.n_z
+    f_c = (f - pair_law(chain) @ f).reshape(n, n, -1)
+    g = poisson_solve_columns(chain, np.einsum("zy,zyk->zk", chain.transition, f_c))
+    return (f_c + g[None, :, :]).reshape(n * n, -1)
+
+
+def plugback_residual(chain: FiniteChain, rhs: np.ndarray, h: np.ndarray) -> float:
+    """max |(I - P_hat) h - (rhs - E[rhs])|, with P_hat applied without forming it."""
+    n = chain.n_z
+    h3 = h.reshape(n, n, -1)
+    p_hat_h = np.einsum("zy,zyk->zk", chain.transition, h3)[None, :, :]
+    resid = rhs - pair_law(chain) @ rhs - (h3 - p_hat_h).reshape(n * n, -1)
+    return float(np.max(np.abs(resid)))
+
+
+def exact(noise, chain: FiniteChain, rho: float, extra=None) -> tuple:
+    """Report fields of ``noise`` from its pair arrays alone, with A_bar^{-1}, A_hat and H_F.
+
+    A_bar, b_bar and theta_star are averaged under the pair law.  The pair
+    Poisson solutions of [Delta | A - A_bar | F] are H_hat, A_hat (shaped
+    (n_pair, d, d)) and H_F, where the columns F = ``extra(A_bar, A_bar^{-1},
+    theta_star)`` are optional.  Sigma_Delta = E[Delta H_hat'] + E[H_hat Delta']
+    - E[Delta Delta'] (symmetrized) and Upsilon_bar = E[(A - A_hat) Delta].
+    """
+    n_pair, d, _ = noise.a_of_phi.shape
+    w = pair_law(chain)
+    a_bar = np.einsum("p,pij->ij", w, noise.a_of_phi)
+    a_inv = np.linalg.inv(a_bar)
+    theta = -np.linalg.solve(a_bar, w @ noise.b_of_phi)
+    delta = noise.a_of_phi @ theta + noise.b_of_phi
+    a_dev = (noise.a_of_phi - a_bar).reshape(n_pair, d * d)
+    cols = [delta, a_dev] if extra is None else [delta, a_dev, extra(a_bar, a_inv, theta)]
+    h = split_poisson(chain, np.hstack(cols))
+    assert plugback_residual(chain, a_dev, h[:, d:d + d * d]) < 1e-9
+    h_hat, a_hat = h[:, :d], h[:, d:d + d * d].reshape(n_pair, d, d)
+    cross = (w[:, None] * delta).T @ h_hat
+    sig = cross + cross.T - (w[:, None] * delta).T @ delta
+    sig_d = 0.5 * (sig + sig.T)
+    ups = np.einsum("p,pij,pj->i", w, noise.a_of_phi - a_hat, delta)
+    fields = {"theta_star": theta, "sigma_delta": sig_d,
+              "sigma_theta_star": a_inv @ sig_d @ a_inv.T, "upsilon_bar": ups,
+              "bias": a_inv @ ups / (1.0 - rho)}
+    return fields, a_inv, delta, h_hat, a_hat, h[:, d + d * d:]
+
+
+def exact_sensitivity(chain: FiniteChain, psi, gamma: float, rho: float) -> dict:
+    """The fields of ``sensitivity`` from pair arrays, Delta' riding the report's solve."""
+    noise = build_noise_model(chain, psi, gamma, 0.0, VARIANT_TD0)
+    psi_bar = feature_mean(chain, psi)
+    d_a_bar = -np.outer(psi_bar, psi_bar)
+
+    def delta_prime_of(a_bar, a_inv, theta):
+        return float(psi_bar @ theta) * ((noise.a_of_phi - a_bar) @ (a_inv @ psi_bar))
+
+    base, a_inv, delta, h_hat, a_hat, h_hat_prime = exact(noise, chain, rho, delta_prime_of)
+    w = pair_law(chain)[:, None]
+    a_bar = np.einsum("p,pij->ij", w[:, 0], noise.a_of_phi)
+    delta_prime = delta_prime_of(a_bar, a_inv, base["theta_star"])
+    cross = (w * delta_prime).T @ h_hat + (w * delta).T @ h_hat_prime
+    r0_prime = (w * delta_prime).T @ delta
+    sig_d_prime = cross + cross.T - (r0_prime + r0_prime.T)
+    ups_prime = np.einsum("p,pij,pj->i", w[:, 0], noise.a_of_phi - a_hat, delta_prime)
+    correction = a_inv @ d_a_bar @ base["sigma_theta_star"]
+    return {"d_theta_star": -a_inv @ d_a_bar @ base["theta_star"],
+            "d_a_inv": -a_inv @ d_a_bar @ a_inv,
+            "d_sigma": a_inv @ sig_d_prime @ a_inv.T - correction - correction.T,
+            "d_bias": a_inv @ (-d_a_bar @ base["bias"] + ups_prime / (1.0 - rho)),
+            "sigma_delta_prime": sig_d_prime, "upsilon_bar_prime": ups_prime,
+            "d_sigma_frozen_noise": -correction - correction.T,
+            "d_bias_frozen_noise": a_inv @ (-d_a_bar @ base["bias"])}
+
+
+def a_hat_from(noise, big_g: np.ndarray) -> np.ndarray:
+    """A_hat(z, z') = A(z, z') - A_bar + G(z') as a pair array, from a base solution G."""
+    n, d, _ = big_g.shape
+    a_dev = (noise.a_of_phi - noise.a_bar).reshape(n, n, d, d)
+    return (a_dev + big_g[None, :, :, :]).reshape(n * n, d, d)

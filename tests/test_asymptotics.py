@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rtdlab import models
+from rtdlab import asymptotics, models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
                                 VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
                                 build_noise_model, noise_variant, sensitivity)
@@ -11,7 +13,7 @@ from rtdlab.errors import ConfigError, NonZeroMean
 from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
 from rtdlab.learner import VARIANTS
 from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
-from rtdlab.meanflow import mean_flow_relative, mean_flow_td_lambda
+from rtdlab.meanflow import b_bar, mean_flow_relative, mean_flow_td_lambda
 
 import pair_oracle
 from pair_oracle import pair_chain
@@ -42,6 +44,21 @@ def iid_pair_setup(n=3, d=2, seed=0):
     return c, psi
 
 
+def constant_feature(chain):
+    """One feature equal to 1 everywhere: A(phi) = gamma - 1 (td0) on every pair."""
+    return FeatureMap(np.ones((chain.n_z, 1)))
+
+
+def route_a_hat(chain, psi, gamma, delta_r, variant):
+    """The pair table of the model and A_hat of the base-chain route as a pair array."""
+    noise = build_noise_model(chain, psi, gamma, delta_r, variant)
+    big_g = _exact(chain, psi, gamma, delta_r, variant, 0.65)[3]
+    return noise, pair_oracle.a_hat_from(noise, big_g)
+
+
+MODELS = [(VARIANT_TD0, 0.0), (VARIANT_FIXED_RELATIVE, 0.5), (VARIANT_VARPI_LIMIT, 0.5)]
+
+
 class TestNoiseModel:
     def test_mean_matches_mean_flow_td0(self, chain, psi):
         noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
@@ -57,6 +74,17 @@ class TestNoiseModel:
     def test_delta_zero_mean_under_pair_law(self, chain, psi, pair):
         noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
         assert np.max(np.abs(pair.stationary @ noise.delta_of_phi)) < 1e-10
+
+    @pytest.mark.parametrize("variant,delta_r", MODELS)
+    def test_pair_law_means_match_closed_form(self, chain, psi, pair, variant, delta_r):
+        # the table averaged under the pair law against the per-state A_bar and b_bar
+        noise = build_noise_model(chain, psi, 0.99, delta_r, variant)
+        a_mean = np.einsum("p,pij->ij", pair.stationary, noise.a_of_phi)
+        b_mean = pair.stationary @ noise.b_of_phi
+        b_exact = b_bar(chain, psi, 0.99, 0.0)
+        assert np.max(np.abs(a_mean - noise.a_bar)) < 1e-10 * asymptotics._scale(noise.a_bar)
+        assert np.max(np.abs(b_mean - b_exact)) < 1e-10 * asymptotics._scale(b_exact)
+        assert np.max(np.abs(noise.b_bar - b_exact)) < 1e-10 * asymptotics._scale(b_exact)
 
     def test_scalar_chain(self):
         c = FiniteChain(transition=[[1.0]], cost_vec=[2.0], stationary=[1.0])
@@ -115,10 +143,15 @@ class TestSigmaDelta:
         assert np.max(np.abs(sig - trunc)) < 1e-6
 
     def test_nonzero_mean_rejected(self, chain, psi):
-        noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
-        bad = dataclasses.replace(noise, b_of_phi=noise.b_of_phi + 1.0)
-        with pytest.raises(NonZeroMean):
-            _exact(bad, chain, 0.65)
+        # a theta_star off by 1 in every component leaves Delta a nonzero mean
+        solve = asymptotics.guarded_solve
+
+        def off(m, rhs, error, what):
+            x = solve(m, rhs, error, what)
+            return x + 1.0 if what == "mean-flow matrix" else x
+
+        with mock.patch.object(asymptotics, "guarded_solve", off), pytest.raises(NonZeroMean):
+            asymptotics_report(chain, psi, 0.99, 0.0, 0.65, VARIANT_TD0)
 
     def test_psd(self, chain, psi):
         sig = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE).sigma_delta
@@ -139,24 +172,19 @@ def truncated_sigma(noise, pair, k_max):
 
 
 class TestSigmaThetaStar:
-    def test_identity_flow(self, chain, psi):
-        # A(phi) = -I throughout: theta_star = b_bar and Sigma_theta = Sigma_Delta
-        noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
-        minus_i = -np.eye(psi.dim)
-        flat = dataclasses.replace(
-            noise, a_of_phi=np.broadcast_to(minus_i, noise.a_of_phi.shape).copy(),
-            a_bar=minus_i, theta_star=noise.b_bar)
-        rep = _exact(flat, chain, 0.65)[0]
+    def test_identity_flow(self, chain):
+        # a constant feature at gamma = 0 gives A(phi) = -1 throughout:
+        # theta_star = b_bar = E[c] and Sigma_theta = Sigma_Delta
+        rep = asymptotics_report(chain, constant_feature(chain), 0.0, 0.0, 0.65, VARIANT_TD0)
+        assert rep.theta_star == pytest.approx([chain.stationary @ chain.cost_vec], abs=1e-12)
         assert np.allclose(rep.sigma_theta_star, rep.sigma_delta)
 
     def test_linear_scaling(self, chain, psi):
-        # doubling b(phi) doubles Delta, so Sigma_theta grows fourfold
-        noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        double = dataclasses.replace(noise, b_of_phi=2 * noise.b_of_phi,
-                                     b_bar=2 * noise.b_bar, theta_star=2 * noise.theta_star)
-        s1 = _exact(noise, chain, 0.65)[0].sigma_theta_star
-        s4 = _exact(double, chain, 0.65)[0].sigma_theta_star
-        assert np.max(np.abs(s4 - 4 * s1)) < 1e-9
+        # doubling the cost doubles theta_star and Delta, so Sigma_theta grows fourfold
+        double = dataclasses.replace(chain, cost_vec=2 * chain.cost_vec)
+        s1 = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+        s4 = asymptotics_report(double, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+        assert np.max(np.abs(s4.sigma_theta_star - 4 * s1.sigma_theta_star)) < 1e-9
 
     def test_finite_trace(self, chain, psi):
         s = asymptotics_report(chain, psi, 0.99, 0.5, 0.65,
@@ -180,16 +208,12 @@ class TestSigmaThetaStar:
 
 
 class TestMatrixPoisson:
-    def test_constant_coefficients_give_zero(self, chain, psi):
-        noise = build_noise_model(chain, psi, 0.99, 0.0, VARIANT_TD0)
-        const = dataclasses.replace(
-            noise, a_of_phi=np.broadcast_to(noise.a_bar, noise.a_of_phi.shape).copy())
-        a_hat = _exact(const, chain, 0.65)[3]
+    def test_constant_coefficients_give_zero(self, chain):
+        _, a_hat = route_a_hat(chain, constant_feature(chain), 0.99, 0.0, VARIANT_TD0)
         assert np.max(np.abs(a_hat)) < 1e-10
 
     def test_plugback_residual(self, chain, psi, pair):
-        noise = build_noise_model(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
-        a_hat = _exact(noise, chain, 0.65)[3]
+        noise, a_hat = route_a_hat(chain, psi, 0.99, 0.5, VARIANT_FIXED_RELATIVE)
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         rhs = noise.a_of_phi - noise.a_bar
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -203,20 +227,17 @@ class TestMatrixPoisson:
                         stationary=stationary_pmf(p))
         psi = FeatureMap(rng.standard_normal((4, 2)))
         pair = pair_chain(c)
-        noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        a_hat = _exact(noise, c, 0.65)[3]
+        noise, a_hat = route_a_hat(c, psi, 0.9, 0.0, VARIANT_TD0)
         lhs = a_hat - np.einsum("pq,qij->pij", pair.transition, a_hat)
         assert np.max(np.abs(lhs - (noise.a_of_phi - noise.a_bar))) < 1e-9
 
 
 class TestBias:
     def test_constant_a_zero_bias(self):
-        c, psi = iid_pair_setup(seed=9)
-        noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
-        const = dataclasses.replace(
-            noise, a_of_phi=np.broadcast_to(noise.a_bar, noise.a_of_phi.shape).copy(),
-            b_of_phi=np.broadcast_to(noise.b_bar, noise.b_of_phi.shape).copy())
-        assert np.max(np.abs(_exact(const, c, 0.65)[0].bias)) < 1e-10
+        # with A(phi) constant, A_hat = 0 and Upsilon_bar = A_bar E[Delta] = 0
+        c, _ = iid_pair_setup(seed=9)
+        rep = asymptotics_report(c, constant_feature(c), 0.9, 0.0, 0.65, VARIANT_TD0)
+        assert np.max(np.abs(rep.bias)) < 1e-10
 
     def test_rho_scaling(self, chain, psi):
         b65 = asymptotics_report(chain, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE).bias
@@ -368,19 +389,17 @@ ORACLE_CASES = ["random_2", "random_3", "random_5", "random_7", "random_10",
 class TestBaseChainRoute:
     """The base-chain split against the explicit pair chain (``pair_oracle``)."""
 
-    @pytest.mark.parametrize("variant,delta_r", [(VARIANT_TD0, 0.0),
-                                                 (VARIANT_FIXED_RELATIVE, 0.5),
-                                                 (VARIANT_VARPI_LIMIT, 0.5)])
+    @pytest.mark.parametrize("variant,delta_r", MODELS)
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_pair_chain_oracle(self, case, variant, delta_r):
         c, psi = oracle_case(case)
         pair = pair_chain(c)
-        noise = build_noise_model(c, psi, 0.9, delta_r, variant)
+        noise, a_hat = route_a_hat(c, psi, 0.9, delta_r, variant)
         # relative to the lag-zero term E[Delta Delta']: on the two-cycle Delta
         # alternates in sign along the cycle and Sigma_Delta is 0
         delta = noise.delta_of_phi
         r0 = (pair.stationary[:, None] * delta).T @ delta
-        rep, _, _, a_hat, _ = _exact(noise, c, 0.65)
+        rep = asymptotics_report(c, psi, 0.9, delta_r, 0.65, variant)
         err = np.max(np.abs(rep.sigma_delta - pair_oracle.sigma_delta(noise, pair)))
         assert err < 1e-10 * np.max(np.abs(r0))
         assert rel_err(rep.upsilon_bar, pair_oracle.upsilon_bar(noise, pair)) < 1e-10
@@ -394,7 +413,20 @@ class TestBaseChainRoute:
         c, psi = oracle_case(case)
         rep = sensitivity(c, psi, 0.9, 0.65)
         d_sigma, d_bias = pair_oracle.sensitivity(c, psi, 0.9, 0.65)
-        assert rel_err(rep.d_sigma, d_sigma) < 1e-10
+        if case == "two_cycle":
+            # d_sigma is 0 in exact arithmetic there: measure against the
+            # lag-zero scale A_bar^{-1} E[Delta' Delta'] A_bar^{-T}
+            noise = build_noise_model(c, psi, 0.9, 0.0, VARIANT_TD0)
+            a_inv = np.linalg.inv(noise.a_bar)
+            psi_bar = feature_mean(c, psi)
+            delta = noise.delta_of_phi
+            delta_prime = float(psi_bar @ noise.theta_star) * (
+                (noise.a_of_phi - noise.a_bar) @ (a_inv @ psi_bar))
+            r0_prime = (pair_chain(c).stationary[:, None] * delta_prime).T @ delta
+            lag_zero = np.max(np.abs(a_inv @ r0_prime @ a_inv.T))
+            assert np.max(np.abs(rep.d_sigma - d_sigma)) < 1e-10 * lag_zero
+        else:
+            assert rel_err(rep.d_sigma, d_sigma) < 1e-10
         assert rel_err(rep.d_bias, d_bias) < 1e-10
 
     def test_report_at_200_states(self):
@@ -417,6 +449,21 @@ class TestBaseChainRoute:
         assert rel_err(rep.sigma_delta, want) < 1e-9
         assert np.min(np.linalg.eigvalsh(rep.sigma_theta_star)) > 0
         assert rel_err(noise.a_bar @ ((1 - rep.rho) * rep.bias), rep.upsilon_bar) < 1e-9
+        # and every field against the pair-array route
+        for key, want in pair_oracle.exact(noise, c, 0.65)[0].items():
+            assert rel_err(getattr(rep, key), want) < 1e-10, key
+
+    def test_report_memory_at_400_states(self):
+        # a pair array of this chain would hold 400^2 x 4 x 4 floats (20 MB)
+        c = random_unichain(400, seed=5)
+        psi = FeatureMap(np.random.default_rng(6).standard_normal((400, 4)))
+        tracemalloc.start()
+        try:
+            asymptotics_report(c, psi, 0.9, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCostScaling:

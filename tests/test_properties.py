@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                _exact, asymptotics_report, build_noise_model)
+                                _exact, asymptotics_report, build_noise_model, sensitivity)
 from rtdlab import learner
 from rtdlab.features import FeatureMap, baseline_mean, feature_mean, resolvent_sum
 from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -116,7 +116,8 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
     # relative to the lag-zero term E[Delta Delta'], which is 0 when the
     # features fit the values exactly
     r0 = (pair.stationary[:, None] * delta).T @ delta
-    rep, _, _, a_hat, _ = _exact(noise, c, 0.65)
+    rep, _, _, big_g, *_ = _exact(c, psi, gamma, delta_r, name, 0.65)
+    a_hat = pair_oracle.a_hat_from(noise, big_g)
     want = pair_oracle.sigma_delta(noise, pair)
     assert np.max(np.abs(rep.sigma_delta - want)) < 1e-9 * scale(r0)
     want = pair_oracle.matrix_poisson(noise, pair)
@@ -128,6 +129,32 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
         assert np.max(np.abs(getattr(rep, key) - want)) < 1e-9 * scale(ref), key
     # the report keeps no per-pair array: its size does not grow with n_z
     assert all(np.size(v) <= psi.dim ** 2 for v in dataclasses.asdict(rep).values())
+
+
+@PROPERTY
+@given(chains(), st.floats(0.5, 0.99), st.one_of(
+    st.just((VARIANT_TD0, 0.0)),
+    st.tuples(st.sampled_from([VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT]),
+              st.floats(0.0, 2.0)),
+    st.tuples(st.just(VARIANT_FIXED_RELATIVE), st.floats(-0.5, -0.01))))
+def test_report_and_sensitivity_match_pair_arrays(case, gamma, variant):
+    # the per-state route against the pair-array route of ``pair_oracle``; a
+    # negative delta_r is drawn as a share of 1 - gamma, which keeps the
+    # symmetric part of A_bar negative definite
+    c, psi, _ = case
+    name, delta_r = variant
+    if delta_r < 0:
+        delta_r *= 1.0 - gamma
+    noise = build_noise_model(c, psi, gamma, delta_r, name)
+    fields, _, delta, *_ = pair_oracle.exact(noise, c, 0.65)
+    r0 = (pair_oracle.pair_law(c)[:, None] * delta).T @ delta
+    rep = asymptotics_report(c, psi, gamma, delta_r, 0.65, name)
+    for key, want in fields.items():
+        ref = r0 if key == "sigma_delta" else want
+        assert np.max(np.abs(getattr(rep, key) - want)) < 1e-10 * scale(ref), key
+    sens = sensitivity(c, psi, gamma, 0.65)
+    for key, want in pair_oracle.exact_sensitivity(c, psi, gamma, 0.65).items():
+        assert np.max(np.abs(getattr(sens, key) - want)) < 1e-10 * scale(want), key
 
 
 @PROPERTY
