@@ -47,9 +47,10 @@ The pair residual of (I - P_hat) A_hat = A - A_bar at (z, z') is the base
 residual (I - P) G - R_A at z', and that is what the plug-back check reads.
 
 A report (``asymptotics_report``, ``sensitivity``) makes one base-chain solve
-over the columns [Delta | R_A (| Delta')] and inverts A_bar once.  Besides P
-it holds n_z x n_z scalar matrices and n_z x d^2 arrays, never a per-pair
-vector or matrix.  ``build_noise_model`` tabulates the (n_z^2, d, d) pair
+over the columns [Delta | R_A (| Delta')], which reads the chain's cached
+condition number, and checks cond(A_bar) once for its two solves on A_bar
+(theta_star and the inverse).  Besides P it holds n_z x n_z scalar matrices
+and n_z x d^2 arrays, never a per-pair vector or matrix.  ``build_noise_model`` tabulates the (n_z^2, d, d) pair
 coefficients for tests and small chains; no report reads it.
 """
 
@@ -253,7 +254,8 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
     a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r, variant)
     n, d = psi.matrix.shape
     mat = psi.matrix
-    a_inv = guarded_solve(a_bar, np.eye(d), SingularSystem, "A_bar")
+    # _mean_point has checked cond(A_bar)
+    a_inv = np.linalg.solve(a_bar, np.eye(d))
     psi_bar = feature_mean(chain, psi)
     v = mat @ theta_star
     s = float(psi_bar @ theta_star)

@@ -117,9 +117,14 @@ def autocorrelation(chain: FiniteChain, psi: FeatureMap, k: int) -> np.ndarray:
 
 
 def resolvent_sum(chain: FiniteChain, psi: FeatureMap, beta: float) -> np.ndarray:
-    """Closed form of sum_{k>=0} beta^k R(k+1) = Psi' D P (I - beta P)^{-1} Psi."""
+    """Closed form of sum_{k>=0} beta^k R(k+1) = Psi' D P (I - beta P)^{-1} Psi.
+
+    At beta = 0 the sum is R(1), the same products without a solve on I.
+    """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
+    if beta == 0.0:
+        return autocorrelation(chain, psi, 1)
     n = chain.n_z
     resolvent_psi = guarded_solve(np.eye(n) - beta * chain.transition, psi.matrix,
                                   SingularResolvent, f"I - {beta}*P")

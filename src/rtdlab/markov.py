@@ -3,14 +3,18 @@
 State-action chains induced by a randomized stationary policy, their
 stationary distributions, Poisson equations solved as one linear system on
 I - P + 1 varpi', discounted value functions, and the guarded linear solve
-the whole package uses.  Everything here is deterministic linear algebra on
-small dense matrices; simulation lives in :mod:`rtdlab.learner`.
+the whole package uses.  The condition number of I - P + 1 varpi' is an SVD
+computed once per chain and kept on it as one float; every Poisson solve of
+the chain checks that number and solves the rebuilt matrix.  Everything here
+is deterministic linear algebra on small dense matrices; simulation lives in
+:mod:`rtdlab.learner`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +29,22 @@ _UNICHAIN_RTOL = 1e-8
 _COND_LIMIT = 1e12
 
 
+def _check_cond(cond: float, error: type[Exception], what: str) -> None:
+    """Raise ``error`` when the condition number ``cond`` exceeds _COND_LIMIT."""
+    if cond > _COND_LIMIT:
+        raise error(f"{what} is numerically singular")
+
+
 def guarded_solve(m: np.ndarray, rhs: np.ndarray, error: type[Exception],
                   what: str) -> np.ndarray:
-    """Solve m x = rhs, raising ``error`` when cond(m) exceeds _COND_LIMIT."""
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise error(f"{what} is numerically singular")
+    """Solve m x = rhs, raising ``error`` when cond(m) exceeds _COND_LIMIT.
+
+    cond(m) is a full SVD and costs several times the solve.  So a matrix
+    that is solved more than once is checked once and then solved with
+    ``np.linalg.solve``: A_bar's second solve in a report, and every Poisson
+    solve of a chain, which compares the cached ``FiniteChain.poisson_cond``.
+    """
+    _check_cond(np.linalg.cond(m), error, what)
     return np.linalg.solve(m, rhs)
 
 
@@ -90,6 +105,11 @@ class FiniteChain:
     ``transition[z, z'] = P_u(x, x') * policy(u' | x')`` for z = (x, u) and
     z' = (x', u').  ``stationary`` is the unique invariant pmf (assumption of a
     unichain).
+
+    ``poisson_cond`` is computed from the arrays on first use and then kept,
+    so a chain's arrays must not be changed in place once it exists: build a
+    new chain instead.  Only that float is cached; the chain holds no n_z x n_z
+    array beyond ``transition``.
     """
 
     transition: np.ndarray
@@ -121,6 +141,11 @@ class FiniteChain:
         """Indices z with stationary mass > 0 (relative 1e-12 dust threshold)."""
         tol = 1e-12 * max(1.0, float(self.stationary.max()))
         return np.flatnonzero(self.stationary > tol)
+
+    @cached_property
+    def poisson_cond(self) -> float:
+        """2-norm condition number of I - P + 1 varpi', one SVD per chain."""
+        return float(np.linalg.cond(_poisson_matrix(self)))
 
 
 @dataclass(frozen=True)
@@ -193,6 +218,11 @@ def solve_poisson(chain: FiniteChain, g: np.ndarray) -> PoissonSolution:
     return PoissonSolution(eta=eta, h=poisson_solve_columns(chain, g))
 
 
+def _poisson_matrix(chain: FiniteChain) -> np.ndarray:
+    """I - P + 1 varpi', built anew on each call so that the chain keeps no copy."""
+    return np.eye(chain.n_z) - chain.transition + chain.stationary[None, :]
+
+
 def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
     """Column-wise Poisson solves: each column of ``g_cols`` is centered and solved.
 
@@ -202,15 +232,16 @@ def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
     """
     g_cols = np.asarray(g_cols, dtype=float)
     means = chain.stationary @ g_cols
-    n = chain.n_z
-    m = np.eye(n) - chain.transition + np.outer(np.ones(n), chain.stationary)
-    return guarded_solve(m, g_cols - means, SingularSystem, "I - P + 1 varpi'")
+    _check_cond(chain.poisson_cond, SingularSystem, "I - P + 1 varpi'")
+    return np.linalg.solve(_poisson_matrix(chain), g_cols - means)
 
 
 def discounted_q(chain: FiniteChain, gamma: float) -> np.ndarray:
-    """Discounted value Q = (I - gamma*P)^{-1} c for 0 <= gamma < 1."""
+    """Discounted value Q = (I - gamma*P)^{-1} c for 0 <= gamma < 1; a copy of c at 0."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    if gamma == 0.0:
+        return chain.cost_vec.copy()
     n = chain.n_z
     return np.linalg.solve(np.eye(n) - gamma * chain.transition, chain.cost_vec)
 

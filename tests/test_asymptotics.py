@@ -466,6 +466,47 @@ class TestBaseChainRoute:
         assert peak < 16e6
 
 
+# the five reports of one chain in the exact_large benchmark workload
+CHAIN_REPORTS = ((VARIANT_TD0, 0.99, 0.0), (VARIANT_TD0, 0.999, 0.0),
+                 (VARIANT_FIXED_RELATIVE, 0.99, 0.5), (VARIANT_FIXED_RELATIVE, 0.999, 0.5),
+                 (VARIANT_VARPI_LIMIT, 0.99, 0.5))
+
+
+def chain_reports(c, psi):
+    for variant, gamma, delta_r in CHAIN_REPORTS:
+        asymptotics_report(c, psi, gamma, delta_r, 0.65, variant)
+    sensitivity(c, psi, 0.99, 0.65)
+
+
+class TestConditionChecks:
+    """cond(I - P + 1 varpi') is one SVD per chain, and only a float is kept."""
+
+    def test_one_poisson_cond_per_chain(self):
+        c = random_unichain(28, seed=8)
+        psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            chain_reports(c, psi)
+        shapes = [call.args[0].shape for call in cond.call_args_list]
+        assert shapes.count((28, 28)) == 1
+
+    def test_no_chain_solve_in_the_lam_zero_mean_flow(self):
+        c = random_unichain(28, seed=8)
+        psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            mean_flow_relative(c, psi, 0.99, 0.0, 0.5)
+        assert all(call.args[0].shape != (28, 28) for call in solve.call_args_list)
+
+    def test_chain_caches_scalars_only(self):
+        # an n_z^2 cache on the chain would outlive the report and raise peak RSS
+        c = random_unichain(400, seed=5)
+        psi = FeatureMap(np.random.default_rng(6).standard_normal((400, 4)))
+        chain_reports(c, psi)
+        fields = {f.name for f in dataclasses.fields(c)}
+        extra = {k: v for k, v in vars(c).items() if k not in fields}
+        assert "poisson_cond" in extra
+        assert all(type(v) in (bool, int, float) for v in extra.values()), extra
+
+
 class TestCostScaling:
     def test_large_costs(self):
         # with costs scaled by s, Sigma_Delta scales by s^2 and Upsilon_bar by s;

@@ -76,8 +76,7 @@ class TestAutocorrelation:
 
 class TestResolventSum:
     def test_beta_zero_is_r1(self, chain, psi):
-        assert np.max(np.abs(resolvent_sum(chain, psi, 0.0)
-                             - autocorrelation(chain, psi, 1))) < 1e-12
+        assert np.array_equal(resolvent_sum(chain, psi, 0.0), autocorrelation(chain, psi, 1))
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
     def test_matches_truncated_sum(self, chain, psi, beta):

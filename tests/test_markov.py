@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.errors import NotUnichain
+from rtdlab.errors import NotUnichain, SingularSystem
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
-                           discounted_q, load_model, save_model, solve_poisson,
-                           stationary_pmf)
+                           discounted_q, load_model, save_model, poisson_solve_columns,
+                           solve_poisson, stationary_pmf)
 
 from pair_oracle import pair_chain
 
@@ -105,10 +105,31 @@ class TestPoisson:
         resid = (np.eye(6) - c.transition) @ sol.h - (g - sol.eta)
         assert np.max(np.abs(resid)) < 1e-9
 
+    @pytest.mark.parametrize("solve", [poisson_solve_columns, solve_poisson])
+    def test_singular_matrix_raises_on_every_call(self, solve):
+        # varpi is invariant for P = I, but I - P + 1 varpi' = 1 varpi' has rank 1;
+        # the cached condition number must keep rejecting it
+        c = FiniteChain(transition=np.eye(2), cost_vec=[0.0, 1.0], stationary=[0.5, 0.5])
+        for _ in range(2):
+            with pytest.raises(SingularSystem):
+                solve(c, c.cost_vec)
+
+    def test_repeated_solves_match_the_direct_solve(self, chain):
+        g = np.column_stack([chain.cost_vec, np.arange(6.0)])
+        m = np.eye(6) - chain.transition + np.outer(np.ones(6), chain.stationary)
+        want = np.linalg.solve(m, g - chain.stationary @ g)
+        for _ in range(3):
+            assert np.array_equal(poisson_solve_columns(chain, g), want)
+
 
 class TestDiscountedQ:
-    def test_zero_discount_is_cost(self, chain):
-        assert np.array_equal(discounted_q(chain, 0.0), chain.cost_vec)
+    def test_zero_discount_is_cost(self):
+        chain = models.finite_chain()
+        cost = chain.cost_vec.copy()
+        q = discounted_q(chain, 0.0)
+        assert np.array_equal(q, cost)
+        q += 1.0
+        assert np.array_equal(chain.cost_vec, cost)
 
     def test_two_state_geometric_series(self):
         c = FiniteChain(transition=[[0.0, 1.0], [1.0, 0.0]], cost_vec=[0.0, 1.0],
