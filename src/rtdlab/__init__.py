@@ -12,9 +12,8 @@ Layers:
 * :mod:`rtdlab.cli`         experiment front end
 """
 
-from .asymptotics import (AsymptoticsReport, NoiseModel, SensitivityReport,
-                          asymptotics_report, build_noise_model, noise_variant,
-                          sensitivity)
+from .asymptotics import (AsymptoticsReport, SensitivityReport, asymptotics_report,
+                          noise_variant, sensitivity)
 from .errors import (ConfigError, MissingSplitSample, NoNormalizer, NonZeroMean,
                      NotSimple, NotUnichain, NumericalDivergence, RtdLabError,
                      SingularResolvent, SingularSystem)
@@ -25,9 +24,8 @@ from .features import (BaselineMean, FeatureMap, FeatureStats, NormalizerResult,
 from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, RunResult, Snapshot,
                       StepSchedule, empirical_bias, empirical_clt_samples, run, run_many,
                       snapshot_indices, substream)
-from .markov import (FiniteChain, FiniteMdp, PoissonSolution, RandomizedPolicy,
-                     build_chain, discounted_q, load_model, save_model, solve_poisson,
-                     stationary_pmf)
+from .markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain, discounted_q,
+                     load_model, save_model, stationary_pmf)
 from .meanflow import (DirichletReport, InstabilityTable, MeanFlow,
                        PerturbationReport, SpectralReport, b_bar, dirichlet_report,
                        eigen_perturbation, eps_p, instability_probe, mean_flow_relative,

@@ -46,17 +46,18 @@ and varpi'g = 0, varpi'G = 0 drop the varpi kappa' part of w from both sums.
 The pair residual of (I - P_hat) A_hat = A - A_bar at (z, z') is the base
 residual (I - P) G - R_A at z', and that is what the plug-back check reads.
 
-A report (``asymptotics_report``, ``sensitivity``) makes one base-chain solve
-over the columns [Delta | R_A (| Delta')], which reads the chain's cached
-condition number, and checks cond(A_bar) once for its two solves on A_bar
-(theta_star and the inverse).  Besides P it holds n_z x n_z scalar matrices
-and n_z x d^2 arrays, never a per-pair vector or matrix.  ``build_noise_model`` tabulates the (n_z^2, d, d) pair
-coefficients for tests and small chains; no report reads it.
+A_bar, b_bar and theta_star are meanflow's lam = 0 mean flow,
+A_bar(0; 0) - delta_r psi_bar psi_bar' with b_bar = Psi' D c, for every
+noise model and either sign of delta_r.  A report (``asymptotics_report``,
+``sensitivity``) makes one base-chain solve over the columns [Delta | R_A],
+which reads the chain's cached condition number, and checks cond(A_bar) once
+for its two solves on A_bar (theta_star and the inverse).  Besides P it holds
+n_z x n_z scalar matrices and n_z x d^2 arrays, never a per-pair vector or
+matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,7 @@ import numpy as np
 from .errors import ConfigError, NonZeroMean, SingularSystem
 from .features import FeatureMap, feature_mean
 from .markov import FiniteChain, guarded_solve, poisson_solve_columns
+from .meanflow import b_bar, mean_flow_td_lambda
 
 VARIANT_TD0 = "td0"
 # baseline applied as the deterministic matrix -delta_r psi_bar psi_bar'
@@ -80,24 +82,6 @@ NOISE_VARIANTS = {
     "varpi_relative": VARIANT_VARPI_LIMIT,
     "varpi_relative_fixed": VARIANT_FIXED_RELATIVE,
 }
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Pair-state coefficients of the linear update and their steady means."""
-
-    a_of_phi: np.ndarray      # (n_pair, d, d)
-    b_of_phi: np.ndarray      # (n_pair, d)
-    theta_star: np.ndarray
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-    delta_r: float
-    variant: str
-
-    @property
-    def delta_of_phi(self) -> np.ndarray:
-        """Stationary noise Delta(phi) = A(phi) theta_star + b(phi)."""
-        return self.a_of_phi @ self.theta_star + self.b_of_phi
 
 
 @dataclass(frozen=True)
@@ -163,45 +147,18 @@ def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
     return NOISE_VARIANTS[variant], delta_r
 
 
-def _mean_point(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
-                variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A_bar = Psi' D (gamma P Psi - Psi) - delta_r psi_bar psi_bar', b_bar and theta_star."""
-    if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
-        raise ConfigError(f"unknown noise model {variant!r}")
-    if variant == VARIANT_TD0 and delta_r != 0.0:
-        raise ConfigError(f"noise model td0 requires delta_r = 0, got {delta_r}")
-    mat, pi = psi.matrix, chain.stationary
-    psi_bar = feature_mean(chain, psi)
-    a_bar = (mat.T @ (pi[:, None] * (gamma * (chain.transition @ mat) - mat))
-             - delta_r * np.outer(psi_bar, psi_bar))
-    b_bar = mat.T @ (pi * chain.cost_vec)
-    theta_star = -guarded_solve(a_bar, b_bar, SingularSystem, "mean-flow matrix")
-    return a_bar, b_bar, theta_star
+def _mean_point(chain: FiniteChain, psi: FeatureMap, gamma: float,
+                delta_r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_bar = A_bar(0; 0) - delta_r psi_bar psi_bar', b_bar and theta_star.
 
-
-def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
-                      delta_r: float, variant: str = VARIANT_TD0) -> NoiseModel:
-    """Per-pair A(phi), b(phi) at lam = 0, with the reports' A_bar, b_bar and theta_star.
-
-    The table holds n_z^2 d^2 floats; it serves tests and small chains.
+    ``mean_flow_relative(chain, psi, gamma, 0, delta_r)`` gives the same three
+    bit for bit at delta_r >= 0; the central differences in delta_r also
+    need delta_r < 0, which it rejects.
     """
-    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r, variant)
-    n = chain.n_z
-    mat = psi.matrix
-    # A[(z, z')] = psi(z) (-psi(z) + gamma psi(z'))'
-    a = (mat[:, None, :, None] * (-mat[:, None, None, :] + gamma * mat[None, :, None, :]))
-    a = a.reshape(n * n, psi.dim, psi.dim)
     psi_bar = feature_mean(chain, psi)
-    if variant == VARIANT_FIXED_RELATIVE:
-        a = a - delta_r * np.outer(psi_bar, psi_bar)[None, :, :]
-    elif variant == VARIANT_VARPI_LIMIT:
-        # correction -delta_r psi(z) psi_bar' theta rides the update direction
-        lead = np.repeat(mat, n, axis=0)  # psi(z) per pair (z, z')
-        a = a - delta_r * lead[:, :, None] * psi_bar[None, None, :]
-    b = np.broadcast_to((chain.cost_vec[:, None] * mat)[:, None, :],
-                        (n, n, psi.dim)).reshape(n * n, psi.dim)
-    return NoiseModel(a_of_phi=a, b_of_phi=b, theta_star=theta_star,
-                      a_bar=a_bar, b_bar=b_bar, delta_r=delta_r, variant=variant)
+    a_bar = mean_flow_td_lambda(chain, psi, gamma, 0.0) - delta_r * np.outer(psi_bar, psi_bar)
+    b = b_bar(chain, psi, gamma, 0.0)
+    return a_bar, b, -guarded_solve(a_bar, b, SingularSystem, "mean-flow matrix")
 
 
 @dataclass(frozen=True)
@@ -239,19 +196,18 @@ def _second_moment(chain: FiniteChain, mat: np.ndarray, f: _PairTerm,
 
 
 def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
-           variant: str, rho: float,
-           extra: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                           tuple[np.ndarray, np.ndarray]] | None = None) -> tuple:
+           variant: str, rho: float) -> tuple:
     """The report of noise model ``variant``, with the pieces ``sensitivity`` reads.
 
-    ``extra(a_bar, a_inv, theta_star)`` gives (e, kappa) of an optional
-    zero-mean pair function F whose base Poisson solution g_F rides the same
-    solve.  Returns (report, A_bar, A_bar^{-1}, G shaped (n_z, d, d),
-    (Delta, g), (F, g_F)), with (None, an n_z x 0 array) for no F.
+    Returns (report, A_bar, A_bar^{-1}, G shaped (n_z, d, d), Delta, g).
     """
     if not 0.5 < rho < 1.0:
         raise ConfigError("rho must lie in (1/2, 1)")
-    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r, variant)
+    if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
+        raise ConfigError(f"unknown noise model {variant!r}")
+    if variant == VARIANT_TD0 and delta_r != 0.0:
+        raise ConfigError(f"noise model td0 requires delta_r = 0, got {delta_r}")
+    a_bar, b, theta_star = _mean_point(chain, psi, gamma, delta_r)
     n, d = psi.matrix.shape
     mat = psi.matrix
     # _mean_point has checked cond(A_bar)
@@ -271,12 +227,11 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
         trail = trail - delta_r * psi_bar
     delta = _pair_term(chain, mat, u[:, None] + gamma * v[None, :], kappa)
     mean = float(np.max(np.abs(delta.mean)))
-    if mean > 1e-8 * _scale(b_bar):
+    if mean > 1e-8 * _scale(b):
         raise NonZeroMean(f"Delta has stationary mean {mean:.3e}")
-    f = None if extra is None else _pair_term(chain, mat, *extra(a_bar, a_inv, theta_star))
     r_a = (mat[:, :, None] * trail[:, None, :]).reshape(n, d * d)
-    sol = poisson_solve_columns(chain, np.hstack([delta.col, r_a] + ([] if f is None else [f.col])))
-    g, big_g, g_f = sol[:, :d], sol[:, d:d + d * d], sol[:, d + d * d:]
+    sol = poisson_solve_columns(chain, np.hstack([delta.col, r_a]))
+    g, big_g = sol[:, :d], sol[:, d:]
     resid = r_a - chain.stationary @ r_a - (big_g - chain.transition @ big_g)
     if np.max(np.abs(resid)) > 1e-9:
         raise SingularSystem("matrix Poisson plug-back residual too large")
@@ -288,7 +243,7 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
         sigma_delta=sig_d, sigma_theta_star=a_inv @ sig_d @ a_inv.T,
         bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=theta_star,
         rho=rho, variant=variant, delta_r=delta_r)
-    return report, a_bar, a_inv, big_g, (delta, g), (f, g_f)
+    return report, a_bar, a_inv, big_g, delta, g
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
@@ -313,14 +268,16 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
 
     Sigma_Delta' follows by differentiating the Poisson representation of the
     two-sided sum (the derivative H_hat' solves the same Poisson system with
-    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' is in
-    per-state form, so its base solution g' rides the base report's solve and
-    A_bar^{-1} is the report's inverse:
+    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' is
+    s (A - A_bar) applied to the fixed vector phi_bar, so its pair Poisson
+    solution is s A_hat phi_bar and its base solution is g' = s G phi_bar,
+    read off the base report's G with no solve of its own; A_bar^{-1} is the
+    report's inverse:
 
-        Sigma_Delta' = M + M',  M = E[F Delta'] + w_F' g + w_Delta' g_F,
+        Sigma_Delta' = M + M',  M = E[F Delta'] + w_F' g + w_Delta' g',
         Upsilon_bar' = A_bar E[F] - sum_z' G(z') w_F(z'),
 
-    with F = Delta' and g_F its base solution.
+    with F = Delta'.
 
     The covariance and bias derivatives are then
 
@@ -330,21 +287,18 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
     """
     mat = psi.matrix
     psi_bar = feature_mean(chain, psi)
-
-    def delta_prime_of(a_bar, a_inv, theta_star):
-        s = float(psi_bar @ theta_star)
-        phi_bar = a_inv @ psi_bar
-        q = mat @ phi_bar
-        return s * (gamma * q[None, :] - q[:, None]), -s * (a_bar @ phi_bar)
-
-    base, a_bar, a_inv, big_g, (delta, g), (delta_prime, g_prime) = _exact(
-        chain, psi, gamma, 0.0, VARIANT_TD0, rho, delta_prime_of)
+    base, a_bar, a_inv, big_g, delta, g = _exact(chain, psi, gamma, 0.0, VARIANT_TD0, rho)
     d_a_bar = -np.outer(psi_bar, psi_bar)
     d_a_inv = -a_inv @ d_a_bar @ a_inv
     d_theta = -a_inv @ d_a_bar @ base.theta_star
     phi_bar = a_inv @ psi_bar
     outer_residual = float(np.max(np.abs(d_a_inv - np.outer(phi_bar, phi_bar))))
 
+    s = float(psi_bar @ base.theta_star)
+    q = mat @ phi_bar
+    delta_prime = _pair_term(chain, mat, s * (gamma * q[None, :] - q[:, None]),
+                             -s * (a_bar @ phi_bar))
+    g_prime = s * (big_g @ phi_bar)
     half = (_second_moment(chain, mat, delta_prime, delta)
             + delta_prime.w.T @ g + delta.w.T @ g_prime)
     sig_d_prime = half + half.T

@@ -148,14 +148,6 @@ class FiniteChain:
         return float(np.linalg.cond(_poisson_matrix(self)))
 
 
-@dataclass(frozen=True)
-class PoissonSolution:
-    """Average value ``eta`` and centered solution ``h`` of (I - P)h = g - eta*1."""
-
-    eta: float
-    h: np.ndarray
-
-
 def _null_dimension(p: np.ndarray) -> int:
     """Dimension of the null space of (I - P), i.e. geometric multiplicity of eigenvalue 1."""
     sv = np.linalg.svd(np.eye(p.shape[0]) - p, compute_uv=False)
@@ -209,13 +201,6 @@ def build_chain(mdp: FiniteMdp, policy: RandomizedPolicy) -> FiniteChain:
     pi = stationary_pmf(p)
     return FiniteChain(transition=p, cost_vec=cost, stationary=pi,
                        state_action_shape=(nx, nu))
-
-
-def solve_poisson(chain: FiniteChain, g: np.ndarray) -> PoissonSolution:
-    """Solve (I - P) h = g - eta*1 with eta = varpi'g and varpi'h = 0."""
-    g = np.asarray(g, dtype=float)
-    eta = float(chain.stationary @ g)
-    return PoissonSolution(eta=eta, h=poisson_solve_columns(chain, g))
 
 
 def _poisson_matrix(chain: FiniteChain) -> np.ndarray:

@@ -11,13 +11,15 @@ This module also carries the Dirichlet-form machinery that certifies a
 uniform spectral bound: with beta = lam*gamma and varrho = gamma*(1-lam)/(1-beta),
 
     A_bar(lam; 0) = -(1 - varrho) R(0) - varrho M_beta,
-    M_beta = R(0) - (1-beta) sum_k beta^k R(k+1) ,
+    M_beta = R(0) - (1-beta) sum_k beta^k R(k+1) = R(0) - Psi' D K_beta Psi ,
     theta' M_beta theta = <g_theta, (I - K_beta) g_theta>_{L2(varpi)} ,
 
 and the Poincare constant gamma_beta of the additive reversibilization of
 K_beta = (1-beta) P (I - beta P)^{-1} yields
 theta' A_bar theta <= -eps_P * theta' Sigma(0) theta with
-eps_P = min over a beta grid of gamma_beta.
+eps_P = min over a beta grid of gamma_beta.  K_beta is one guarded solve of
+(I - beta P)' per beta; a Dirichlet report reads both M_beta and the gap
+from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNormalizer, NotSimple, SingularSystem
+from .errors import NoNormalizer, NotSimple, SingularResolvent, SingularSystem
 from .features import (BaselineMean, FeatureMap, autocorrelation, baseline_mean,
                        feature_mean, find_normalizer, resolvent_sum)
 from .markov import FiniteChain, discounted_q, guarded_solve
@@ -146,8 +148,9 @@ def spectral_report(a_bar: np.ndarray) -> SpectralReport:
 
 
 def _k_beta(p: np.ndarray, beta: float) -> np.ndarray:
-    """K_beta = (1 - beta) P (I - beta P)^{-1}."""
-    return (1.0 - beta) * np.linalg.solve((np.eye(len(p)) - beta * p).T, p.T).T
+    """K_beta = (1 - beta) P (I - beta P)^{-1}, raising SingularResolvent past the cond limit."""
+    return (1.0 - beta) * guarded_solve((np.eye(len(p)) - beta * p).T, p.T,
+                                        SingularResolvent, f"I - {beta}*P").T
 
 
 def spectral_gap(k: np.ndarray, chain: FiniteChain) -> float:
@@ -178,24 +181,16 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> Dirich
     The gap is spectral_gap's, on the support of varpi; ``restricted_support``
     records that states of zero stationary mass were left out.  ``degenerate``
     flags a gap at or below numerical zero, as produced by a periodic chain.
+    One guarded solve of I - beta P gives K_beta, which serves both
+    M_beta = R(0) - Psi' D K_beta Psi and the gap.
     """
-    r0 = autocorrelation(chain, psi, 0)
-    m_beta = r0 - (1.0 - beta) * resolvent_sum(chain, psi, beta)
-    gap = spectral_gap(_k_beta(chain.transition, beta), chain)
+    k = _k_beta(chain.transition, beta)
+    d_psi = chain.stationary[:, None] * psi.matrix
+    m_beta = autocorrelation(chain, psi, 0) - d_psi.T @ (k @ psi.matrix)
+    gap = spectral_gap(k, chain)
     return DirichletReport(beta=beta, m_beta=m_beta, gap=gap,
                            restricted_support=len(chain.support) < chain.n_z,
                            degenerate=gap <= 1e-12)
-
-
-def dirichlet_quadratic_form(chain: FiniteChain, psi: FeatureMap, beta: float,
-                             theta: np.ndarray) -> float:
-    """<g_theta, (I - K_beta) g_theta>_{L2(varpi)} evaluated as an explicit sum.
-
-    Independent route for the identity theta' M_beta theta = E_K(g, g).
-    """
-    g = psi.matrix @ theta
-    k = _k_beta(chain.transition, beta)
-    return float(np.sum(chain.stationary * g * (g - k @ g)))
 
 
 def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> PerturbationReport:

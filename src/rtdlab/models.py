@@ -67,19 +67,9 @@ def finite_eval_policy() -> RandomizedPolicy:
     return RandomizedPolicy(probs=FINITE_EVAL_POLICY)
 
 
-def finite_greedy_policy() -> RandomizedPolicy:
-    return RandomizedPolicy(probs=FINITE_GREEDY_POLICY)
-
-
 def finite_chain() -> FiniteChain:
     """State-action chain of the 3x2 model under the evaluation policy."""
     return build_chain(finite_mdp(), finite_eval_policy())
-
-
-def state_marginal(chain: FiniteChain) -> np.ndarray:
-    """Marginal of the stationary pmf over states."""
-    nx, nu = chain.state_action_shape
-    return chain.stationary.reshape(nx, nu).sum(axis=1)
 
 
 def unstable_demo() -> tuple[FiniteMdp, RandomizedPolicy, FeatureMap, BaselineMean, BaselineMean]:

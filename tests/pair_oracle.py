@@ -11,13 +11,64 @@ routes kept here:
   with each pair Poisson equation split into the centered input plus one
   base-chain solve in z'.  It costs n_z^2 d^2 memory, so it also checks
   chains of a few hundred states.
+
+``build_noise_model`` tabulates A(phi) and b(phi) per pair straight from the
+update rule.  Its A_bar, b_bar and theta_star are the reports' own
+(``asymptotics._mean_point``), so the table's pair-law means can be checked
+against them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from rtdlab.asymptotics import VARIANT_TD0, build_noise_model
-from rtdlab.features import feature_mean
+from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
+                                _mean_point)
+from rtdlab.features import FeatureMap, feature_mean
 from rtdlab.markov import FiniteChain, poisson_solve_columns
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Pair-state coefficients of the linear update and their steady means."""
+
+    a_of_phi: np.ndarray      # (n_pair, d, d)
+    b_of_phi: np.ndarray      # (n_pair, d)
+    theta_star: np.ndarray
+    a_bar: np.ndarray
+    b_bar: np.ndarray
+    delta_r: float
+    variant: str
+
+    @property
+    def delta_of_phi(self) -> np.ndarray:
+        """Stationary noise Delta(phi) = A(phi) theta_star + b(phi)."""
+        return self.a_of_phi @ self.theta_star + self.b_of_phi
+
+
+def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
+                      delta_r: float, variant: str = VARIANT_TD0) -> NoiseModel:
+    """Per-pair A(phi), b(phi) at lam = 0, with the reports' A_bar, b_bar and theta_star.
+
+    The table holds n_z^2 d^2 floats; it serves tests and small chains.
+    """
+    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r)
+    n = chain.n_z
+    mat = psi.matrix
+    # A[(z, z')] = psi(z) (-psi(z) + gamma psi(z'))'
+    a = (mat[:, None, :, None] * (-mat[:, None, None, :] + gamma * mat[None, :, None, :]))
+    a = a.reshape(n * n, psi.dim, psi.dim)
+    psi_bar = feature_mean(chain, psi)
+    if variant == VARIANT_FIXED_RELATIVE:
+        a = a - delta_r * np.outer(psi_bar, psi_bar)[None, :, :]
+    elif variant == VARIANT_VARPI_LIMIT:
+        # correction -delta_r psi(z) psi_bar' theta rides the update direction
+        lead = np.repeat(mat, n, axis=0)  # psi(z) per pair (z, z')
+        a = a - delta_r * lead[:, :, None] * psi_bar[None, None, :]
+    b = np.broadcast_to((chain.cost_vec[:, None] * mat)[:, None, :],
+                        (n, n, psi.dim)).reshape(n * n, psi.dim)
+    return NoiseModel(a_of_phi=a, b_of_phi=b, theta_star=theta_star,
+                      a_bar=a_bar, b_bar=b_bar, delta_r=delta_r, variant=variant)
 
 
 def pair_chain(chain: FiniteChain) -> FiniteChain:

@@ -12,16 +12,19 @@ import pytest
 
 from rtdlab import models
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                asymptotics_report, build_noise_model, sensitivity)
+                                asymptotics_report, sensitivity)
 from rtdlab.errors import NumericalDivergence
 from rtdlab.features import (autocorrelation, baseline_mean, feature_mean, feature_stats,
                              finite_poly_basis, resolvent_sum, tabular_basis)
 from rtdlab.learner import (FiniteChainEnv, LearnerConfig, StepSchedule, empirical_bias,
                             run, run_many)
-from rtdlab.markov import build_chain, discounted_q, solve_poisson
+from rtdlab.markov import build_chain, discounted_q
 from rtdlab.meanflow import (dirichlet_report, eigen_perturbation, eps_p, instability_probe,
                              mean_flow_relative, mean_flow_td_lambda, spectral_report)
 from rtdlab.speedscale import SpeedScalingModel, estimate_stats, gamma_moment_check
+
+from chain_helpers import finite_greedy_policy, solve_poisson, state_marginal
+from pair_oracle import build_noise_model
 
 
 def report(criterion: int, text: str):
@@ -44,12 +47,12 @@ def env(chain, psi):
 
 
 def test_criterion_01_stationary_anchors(chain):
-    pi_eval = models.state_marginal(chain)
+    pi_eval = state_marginal(chain)
     assert np.max(np.abs(pi_eval - np.array([85, 108, 315]) / 508)) < 1e-10
     eta_eval = solve_poisson(chain, chain.cost_vec).eta
     assert abs(eta_eval - 587 / 1016) < 1e-10
-    greedy = build_chain(models.finite_mdp(), models.finite_greedy_policy())
-    pi_greedy = models.state_marginal(greedy)
+    greedy = build_chain(models.finite_mdp(), finite_greedy_policy())
+    pi_greedy = state_marginal(greedy)
     assert np.max(np.abs(pi_greedy - np.array([1, 6, 6]) / 13)) < 1e-10
     eta_greedy = solve_poisson(greedy, greedy.cost_vec).eta
     assert abs(eta_greedy - 3 / 65) < 1e-10

@@ -8,15 +8,15 @@ import pytest
 from rtdlab import asymptotics, models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
                                 VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
-                                build_noise_model, noise_variant, sensitivity)
+                                noise_variant, sensitivity)
 from rtdlab.errors import ConfigError, NonZeroMean
 from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
 from rtdlab.learner import VARIANTS
 from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
-from rtdlab.meanflow import b_bar, mean_flow_relative, mean_flow_td_lambda
+from rtdlab.meanflow import b_bar, dirichlet_report, mean_flow_relative, mean_flow_td_lambda
 
 import pair_oracle
-from pair_oracle import pair_chain
+from pair_oracle import build_noise_model, pair_chain
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,22 @@ class TestNoiseModel:
         assert noise.a_of_phi[0, 0, 0] == pytest.approx(-(1 - 0.9) - 0.25, abs=1e-12)
 
 
+class TestMeanPoint:
+    @pytest.mark.parametrize("variant,delta_r", MODELS)
+    def test_theta_star_is_the_mean_flows(self, chain, psi, variant, delta_r):
+        # one route: the report's theta_star is meanflow's, bit for bit
+        rep = asymptotics_report(chain, psi, 0.99, delta_r, 0.65, variant)
+        flow = mean_flow_relative(chain, psi, 0.99, 0.0, delta_r)
+        assert np.array_equal(rep.theta_star, flow.theta_star)
+
+    def test_negative_delta_r(self, chain, psi):
+        # central differences in delta_r evaluate the report at -h
+        a_bar = _exact(chain, psi, 0.99, -0.5, VARIANT_FIXED_RELATIVE, 0.65)[1]
+        psi_bar = feature_mean(chain, psi)
+        want = mean_flow_td_lambda(chain, psi, 0.99, 0.0) + 0.5 * np.outer(psi_bar, psi_bar)
+        assert np.array_equal(a_bar, want)
+
+
 class TestNoiseVariant:
     def test_every_learner_variant_has_a_noise_model(self):
         assert set(NOISE_VARIANTS) == set(VARIANTS)
@@ -102,7 +118,7 @@ class TestNoiseVariant:
 
     def test_unknown_noise_model_rejected(self, chain, psi):
         with pytest.raises(ConfigError):
-            build_noise_model(chain, psi, 0.9, 0.5, "nope")
+            asymptotics_report(chain, psi, 0.9, 0.5, 0.65, "nope")
 
     def test_td0_with_baseline_rejected(self, chain, psi):
         with pytest.raises(ConfigError):
@@ -495,6 +511,25 @@ class TestConditionChecks:
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             mean_flow_relative(c, psi, 0.99, 0.0, 0.5)
         assert all(call.args[0].shape != (28, 28) for call in solve.call_args_list)
+
+    def test_sensitivity_solves_the_report_columns_only(self):
+        # Delta' reads the report's G, so the one solve has [Delta | R_A] only
+        c = random_unichain(28, seed=8)
+        psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
+        with mock.patch.object(asymptotics, "poisson_solve_columns",
+                               wraps=asymptotics.poisson_solve_columns) as solve:
+            sensitivity(c, psi, 0.99, 0.65)
+        assert [call.args[1].shape for call in solve.call_args_list] == [(28, 4 + 4 * 4)]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.35, 0.99])
+    def test_one_resolvent_solve_and_cond_per_dirichlet_report(self, beta):
+        c = random_unichain(28, seed=8)
+        psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+                mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            dirichlet_report(c, psi, beta)
+        for spy in (solve, cond):
+            assert [call.args[0].shape for call in spy.call_args_list] == [(28, 28)]
 
     def test_chain_caches_scalars_only(self):
         # an n_z^2 cache on the chain would outlive the report and raise peak RSS

@@ -179,6 +179,12 @@ class TestDirichletCmd:
             assert float(row[i]) >= -1e-10
             assert 0 < float(row[g]) <= 1.0
 
+    def test_singular_resolvent_is_reported(self, tmp_path, capsys):
+        # without the cond guard on I - beta P this beta writes a negative margin
+        rc = run_cli("dirichlet", "--out", str(tmp_path), "--beta-grid", "0.9999999999999")
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "SingularResolvent"
+
     def test_eps_p_is_computed_once(self, tmp_path):
         # eps_P takes one K_beta per grid point, each row's report one more
         with mock.patch.object(meanflow, "_k_beta", wraps=meanflow._k_beta) as k_beta:

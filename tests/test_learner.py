@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rtdlab import learner, models
-from rtdlab.asymptotics import build_noise_model, noise_variant
+from rtdlab.asymptotics import noise_variant
 from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
 from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_poly_basis
 from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
@@ -19,6 +19,7 @@ from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
 from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
                             td_step, textbook_step, transitions, tree_step)
+from pair_oracle import build_noise_model
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ from rtdlab import models
 from rtdlab.errors import NotUnichain, SingularSystem
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
                            discounted_q, load_model, save_model, poisson_solve_columns,
-                           solve_poisson, stationary_pmf)
+                           stationary_pmf)
 
+from chain_helpers import finite_greedy_policy, solve_poisson, state_marginal
 from pair_oracle import pair_chain
 
 
@@ -27,12 +28,12 @@ def random_chain(n, seed, cost_scale=1.0):
 class TestStationary:
     def test_published_eval_policy_marginal(self, chain):
         expect = np.array([85, 108, 315]) / 508
-        assert np.max(np.abs(models.state_marginal(chain) - expect)) < 1e-10
+        assert np.max(np.abs(state_marginal(chain) - expect)) < 1e-10
 
     def test_published_greedy_policy_marginal(self):
-        gchain = build_chain(models.finite_mdp(), models.finite_greedy_policy())
+        gchain = build_chain(models.finite_mdp(), finite_greedy_policy())
         expect = np.array([1, 6, 6]) / 13
-        assert np.max(np.abs(models.state_marginal(gchain) - expect)) < 1e-10
+        assert np.max(np.abs(state_marginal(gchain) - expect)) < 1e-10
 
     def test_two_cycle_is_half_half(self):
         pi = stationary_pmf(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -73,11 +74,11 @@ class TestBuildChain:
 
     def test_average_costs(self, chain):
         assert solve_poisson(chain, chain.cost_vec).eta == pytest.approx(587 / 1016, abs=1e-12)
-        gchain = build_chain(models.finite_mdp(), models.finite_greedy_policy())
+        gchain = build_chain(models.finite_mdp(), finite_greedy_policy())
         assert solve_poisson(gchain, gchain.cost_vec).eta == pytest.approx(3 / 65, abs=1e-12)
 
     def test_stationary_factorizes(self, chain):
-        pi = models.state_marginal(chain)
+        pi = state_marginal(chain)
         expect = (pi[:, None] * models.FINITE_EVAL_POLICY).reshape(6)
         assert np.max(np.abs(chain.stationary - expect)) < 1e-12
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rtdlab import meanflow, models
-from rtdlab.errors import NoNormalizer, NotSimple
+from rtdlab.errors import NoNormalizer, NotSimple, SingularResolvent
 from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature_mean,
                              feature_stats, finite_poly_basis, tabular_basis)
 from rtdlab.markov import FiniteChain, build_chain
-from rtdlab.meanflow import (EPS_P_BETA_GRID, b_bar, dirichlet_quadratic_form,
-                             dirichlet_report, eigen_perturbation, eps_p, instability_probe,
-                             mean_flow_relative, mean_flow_td_lambda, spectral_report)
+from rtdlab.meanflow import (EPS_P_BETA_GRID, b_bar, dirichlet_report, eigen_perturbation,
+                             eps_p, instability_probe, mean_flow_relative, mean_flow_td_lambda,
+                             spectral_report)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,16 @@ class TestSpectralReport:
             assert flow.a_bar[0, 0] == pytest.approx(-(1 - gamma) - delta, abs=1e-12)
 
 
+def dirichlet_quadratic_form(chain, psi, beta, theta):
+    """<g_theta, (I - K_beta) g_theta>_{L2(varpi)} evaluated as an explicit sum.
+
+    Independent route for the identity theta' M_beta theta = E_K(g, g).
+    """
+    g = psi.matrix @ theta
+    k = meanflow._k_beta(chain.transition, beta)
+    return float(np.sum(chain.stationary * g * (g - k @ g)))
+
+
 class TestDirichlet:
     def test_beta_zero(self, chain, psi):
         rep = dirichlet_report(chain, psi, 0.0)
@@ -234,6 +244,11 @@ class TestDirichlet:
         rep = dirichlet_report(chain_d, psi_d, 0.3)
         assert rep.restricted_support
         assert rep.gap > 0
+
+    def test_singular_resolvent_raises(self, chain, psi):
+        # cond(I - beta P) passes 1e12 as beta -> 1; the guarded K_beta solve must say so
+        with pytest.raises(SingularResolvent):
+            dirichlet_report(chain, psi, 1 - 1e-13)
 
     @pytest.mark.parametrize("beta", [0.0, 0.35, 0.99])
     def test_one_k_beta_and_one_gap_per_report(self, chain, psi, beta):

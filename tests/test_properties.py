@@ -19,17 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                _exact, asymptotics_report, build_noise_model, sensitivity)
+                                _exact, asymptotics_report, sensitivity)
 from rtdlab import learner
-from rtdlab.features import FeatureMap, baseline_mean, feature_mean, resolvent_sum
+from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature_mean,
+                             resolvent_sum)
 from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             run, run_many, substream)
-from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
-                           solve_poisson, stationary_pmf)
+from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, build_chain, stationary_pmf
 from rtdlab.meanflow import _k_beta, dirichlet_report, spectral_gap
 
 import learner_oracle
 import pair_oracle
+from chain_helpers import solve_poisson
+from pair_oracle import build_noise_model
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -169,6 +171,16 @@ def test_dirichlet_gap_is_the_support_chains(case, beta):
     rep = dirichlet_report(c, psi, beta)
     assert abs(rep.gap - want) <= 1e-12
     assert rep.restricted_support == (len(sup) < c.n_z)
+
+
+@PROPERTY
+@given(chains(), st.sampled_from([0.0, 0.5, 0.99]))
+def test_dirichlet_m_beta_is_the_resolvent_sum(case, beta):
+    # M_beta = R(0) - Psi' D K_beta Psi against R(0) - (1 - beta) Psi' D P (I - beta P)^{-1} Psi
+    c, psi, _ = case
+    want = autocorrelation(c, psi, 0) - (1.0 - beta) * resolvent_sum(c, psi, beta)
+    got = dirichlet_report(c, psi, beta).m_beta
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @st.composite
