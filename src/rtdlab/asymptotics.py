@@ -46,7 +46,7 @@ and varpi'g = 0, varpi'G = 0 drop the varpi kappa' part of w from both sums.
 The pair residual of (I - P_hat) A_hat = A - A_bar at (z, z') is the base
 residual (I - P) G - R_A at z', and that is what the plug-back check reads.
 
-A_bar, b_bar and theta_star are meanflow's lam = 0 mean flow,
+A_bar, b_bar and theta_star are ``meanflow.mean_flow_relative`` at lam = 0,
 A_bar(0; 0) - delta_r psi_bar psi_bar' with b_bar = Psi' D c, for every
 noise model and either sign of delta_r.  A report (``asymptotics_report``,
 ``sensitivity``) makes one base-chain solve over the columns [Delta | R_A],
@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import ConfigError, NonZeroMean, SingularSystem
 from .features import FeatureMap, feature_mean
-from .markov import FiniteChain, guarded_solve, poisson_solve_columns
-from .meanflow import b_bar, mean_flow_td_lambda
+from .markov import FiniteChain, poisson_solve_columns
+from .meanflow import mean_flow_relative
 
 VARIANT_TD0 = "td0"
 # baseline applied as the deterministic matrix -delta_r psi_bar psi_bar'
@@ -147,20 +147,6 @@ def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
     return NOISE_VARIANTS[variant], delta_r
 
 
-def _mean_point(chain: FiniteChain, psi: FeatureMap, gamma: float,
-                delta_r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A_bar = A_bar(0; 0) - delta_r psi_bar psi_bar', b_bar and theta_star.
-
-    ``mean_flow_relative(chain, psi, gamma, 0, delta_r)`` gives the same three
-    bit for bit at delta_r >= 0; the central differences in delta_r also
-    need delta_r < 0, which it rejects.
-    """
-    psi_bar = feature_mean(chain, psi)
-    a_bar = mean_flow_td_lambda(chain, psi, gamma, 0.0) - delta_r * np.outer(psi_bar, psi_bar)
-    b = b_bar(chain, psi, gamma, 0.0)
-    return a_bar, b, -guarded_solve(a_bar, b, SingularSystem, "mean-flow matrix")
-
-
 @dataclass(frozen=True)
 class _PairTerm:
     """F(z, z') = psi(z) e(z, z') + kappa with its pair-law sums (module docstring).
@@ -207,10 +193,13 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
         raise ConfigError(f"unknown noise model {variant!r}")
     if variant == VARIANT_TD0 and delta_r != 0.0:
         raise ConfigError(f"noise model td0 requires delta_r = 0, got {delta_r}")
-    a_bar, b, theta_star = _mean_point(chain, psi, gamma, delta_r)
+    flow = mean_flow_relative(chain, psi, gamma, 0.0, delta_r)
+    if flow.singular:
+        raise SingularSystem("mean-flow matrix is numerically singular")
+    a_bar, b, theta_star = flow.a_bar, flow.b_bar, flow.theta_star
     n, d = psi.matrix.shape
     mat = psi.matrix
-    # _mean_point has checked cond(A_bar)
+    # mean_flow_relative has checked cond(A_bar)
     a_inv = np.linalg.solve(a_bar, np.eye(d))
     psi_bar = feature_mean(chain, psi)
     v = mat @ theta_star

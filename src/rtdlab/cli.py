@@ -53,12 +53,12 @@ from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
 from .markov import build_chain, guarded_solve, load_model
-from .meanflow import dirichlet_report, eps_p, mean_flow_relative, spectral_report
+from .meanflow import (EPS_P_BETA_GRID, dirichlet_report, eps_p, mean_flow_relative,
+                       spectral_report)
 from .speedscale import (NOISE_WINDOW, SpeedScalingEnv, SpeedScalingModel,
                          estimate_noise_covariance, estimate_stats, gamma_moment_check)
 
 DEFAULT_GAMMA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999)
-DEFAULT_BETA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 
 
 def _fmt(x) -> str:
@@ -300,6 +300,12 @@ def cmd_bias(args) -> dict:
     }
 
 
+def _rel_err(fd: np.ndarray, closed: np.ndarray) -> float | None:
+    """max|fd - closed| / max|fd|, or None (JSON null) when fd is exactly 0."""
+    scale = np.max(np.abs(fd))
+    return float(np.max(np.abs(fd - closed)) / scale) if scale > 0 else None
+
+
 def cmd_sensitivity(args) -> dict:
     model = resolve_model(args.model, args.basis)
     rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
@@ -318,10 +324,8 @@ def cmd_sensitivity(args) -> dict:
             "fd_d_sigma": fd_sigma,
             "fd_d_bias": fd_bias,
             "fd_step": h,
-            "rel_err_d_sigma": float(np.max(np.abs(fd_sigma - rep.d_sigma))
-                                     / np.max(np.abs(fd_sigma))),
-            "rel_err_d_bias": float(np.max(np.abs(fd_bias - rep.d_bias))
-                                    / np.max(np.abs(fd_bias))),
+            "rel_err_d_sigma": _rel_err(fd_sigma, rep.d_sigma),
+            "rel_err_d_bias": _rel_err(fd_bias, rep.d_bias),
         },
     }
 
@@ -334,7 +338,7 @@ def cmd_dirichlet(args) -> dict:
     rows = []
     warnings = []
     floor = eps_p(model.chain)
-    for beta in (args.beta_grid or DEFAULT_BETA_GRID):
+    for beta in (args.beta_grid or EPS_P_BETA_GRID):
         rep = dirichlet_report(model.chain, model.psi, beta)
         margins = [float(th @ rep.m_beta @ th - rep.gap * (th @ stats.sigma0 @ th))
                    for th in probes]

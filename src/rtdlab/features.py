@@ -2,9 +2,10 @@
 
 Autocorrelation matrices R(k) = E[psi(Z_0) psi(Z_k)'], autocovariances
 Sigma(k) = R(k) - psi_bar psi_bar', baseline means, resolvent-form infinite
-sums, and the search for a normalizing vector xi with xi'psi(z) = 1 on the
-chain support.  All expectations are computed exactly from (P, varpi, Psi);
-Monte-Carlo estimates of the same quantities live in the learner layer.
+sums through ``markov.resolvent_solve``, and the search for a normalizing
+vector xi with xi'psi(z) = 1 on the chain support.  All expectations are
+computed exactly from (P, varpi, Psi); Monte-Carlo estimates of the same
+quantities live in the learner layer.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularResolvent
-from .markov import FiniteChain, guarded_solve
+from .markov import FiniteChain, resolvent_solve
 
 _RANK_RTOL = 1e-10
 _NORMALIZER_TOL = 1e-8
@@ -119,17 +119,11 @@ def autocorrelation(chain: FiniteChain, psi: FeatureMap, k: int) -> np.ndarray:
 def resolvent_sum(chain: FiniteChain, psi: FeatureMap, beta: float) -> np.ndarray:
     """Closed form of sum_{k>=0} beta^k R(k+1) = Psi' D P (I - beta P)^{-1} Psi.
 
-    At beta = 0 the sum is R(1), the same products without a solve on I.
+    One ``markov.resolvent_solve``; at beta = 0 the sum is R(1), the same
+    products on a copy of Psi.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if beta == 0.0:
-        return autocorrelation(chain, psi, 1)
-    n = chain.n_z
-    resolvent_psi = guarded_solve(np.eye(n) - beta * chain.transition, psi.matrix,
-                                  SingularResolvent, f"I - {beta}*P")
     d_psi = chain.stationary[:, None] * psi.matrix
-    return d_psi.T @ (chain.transition @ resolvent_psi)
+    return d_psi.T @ (chain.transition @ resolvent_solve(chain.transition, beta, psi.matrix))
 
 
 @dataclass(frozen=True)

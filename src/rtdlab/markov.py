@@ -2,11 +2,12 @@
 
 State-action chains induced by a randomized stationary policy, their
 stationary distributions, Poisson equations solved as one linear system on
-I - P + 1 varpi', discounted value functions, and the guarded linear solve
-the whole package uses.  The condition number of I - P + 1 varpi' is an SVD
-computed once per chain and kept on it as one float; every Poisson solve of
-the chain checks that number and solves the rebuilt matrix.  Everything here
-is deterministic linear algebra on small dense matrices; simulation lives in
+I - P + 1 varpi', the resolvent (I - beta P)^{-1} of every discounted
+quantity, and ``guarded_solve``, the one place a condition number meets the
+1e12 limit.  cond(I - P + 1 varpi') is an SVD kept on the chain as one
+float; ``resolvent_solve`` passes a norm bound, so an SVD of I - beta P runs
+only near beta = 1, where the limit can be reached.  Everything here is
+deterministic linear algebra on small dense matrices; simulation lives in
 :mod:`rtdlab.learner`.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotUnichain, SingularSystem
+from .errors import NotUnichain, SingularResolvent, SingularSystem
 
 # Rank threshold (relative to the largest singular value) used to decide
 # whether eigenvalue 1 of a stochastic matrix is simple.
@@ -29,23 +30,39 @@ _UNICHAIN_RTOL = 1e-8
 _COND_LIMIT = 1e12
 
 
-def _check_cond(cond: float, error: type[Exception], what: str) -> None:
-    """Raise ``error`` when the condition number ``cond`` exceeds _COND_LIMIT."""
-    if cond > _COND_LIMIT:
-        raise error(f"{what} is numerically singular")
-
-
 def guarded_solve(m: np.ndarray, rhs: np.ndarray, error: type[Exception],
-                  what: str) -> np.ndarray:
+                  what: str, cond: float | None = None) -> np.ndarray:
     """Solve m x = rhs, raising ``error`` when cond(m) exceeds _COND_LIMIT.
 
-    cond(m) is a full SVD and costs several times the solve.  So a matrix
-    that is solved more than once is checked once and then solved with
-    ``np.linalg.solve``: A_bar's second solve in a report, and every Poisson
-    solve of a chain, which compares the cached ``FiniteChain.poisson_cond``.
+    ``cond`` is cond_2(m), or an upper bound on it, when the caller has one;
+    otherwise it is computed here, a full SVD that costs several times the
+    solve.
     """
-    _check_cond(np.linalg.cond(m), error, what)
+    if cond is None:
+        cond = np.linalg.cond(m)
+    if cond > _COND_LIMIT:
+        raise error(f"{what} is numerically singular")
     return np.linalg.solve(m, rhs)
+
+
+def resolvent_solve(p: np.ndarray, beta: float, rhs: np.ndarray) -> np.ndarray:
+    """(I - beta p)^{-1} rhs for 0 <= beta < 1, a copy of rhs at beta = 0.
+
+    Raises SingularResolvent past the condition limit.  With
+    r = beta min(||p||_inf, ||p||_1) < 1 a Neumann series gives cond_1 or
+    cond_inf <= (1 + r)/(1 - r), so cond_2 <= n (1 + r)/(1 - r).  That bound
+    replaces the SVD while it is within the limit: for a stochastic p
+    (r = beta), up to about beta = 1 - 2n/1e12.
+    """
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    if beta == 0.0:
+        return np.array(rhs, dtype=float)
+    n = len(p)
+    r = beta * min(np.linalg.norm(p, np.inf), np.linalg.norm(p, 1))
+    bound = n * (1.0 + r) / (1.0 - r) if r < 1.0 else np.inf
+    return guarded_solve(np.eye(n) - beta * p, rhs, SingularResolvent, f"I - {beta}*P",
+                         cond=bound if bound <= _COND_LIMIT else None)
 
 
 @dataclass(frozen=True)
@@ -217,18 +234,14 @@ def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
     """
     g_cols = np.asarray(g_cols, dtype=float)
     means = chain.stationary @ g_cols
-    _check_cond(chain.poisson_cond, SingularSystem, "I - P + 1 varpi'")
-    return np.linalg.solve(_poisson_matrix(chain), g_cols - means)
+    cond = chain.poisson_cond  # before the solve's matrix exists: one n_z x n_z at a time
+    return guarded_solve(_poisson_matrix(chain), g_cols - means, SingularSystem,
+                         "I - P + 1 varpi'", cond=cond)
 
 
 def discounted_q(chain: FiniteChain, gamma: float) -> np.ndarray:
     """Discounted value Q = (I - gamma*P)^{-1} c for 0 <= gamma < 1; a copy of c at 0."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if gamma == 0.0:
-        return chain.cost_vec.copy()
-    n = chain.n_z
-    return np.linalg.solve(np.eye(n) - gamma * chain.transition, chain.cost_vec)
+    return resolvent_solve(chain.transition, gamma, chain.cost_vec)
 
 
 def load_model(path: str | Path) -> tuple[FiniteMdp, RandomizedPolicy, np.ndarray | None]:

@@ -17,8 +17,9 @@ uniform spectral bound: with beta = lam*gamma and varrho = gamma*(1-lam)/(1-beta
 and the Poincare constant gamma_beta of the additive reversibilization of
 K_beta = (1-beta) P (I - beta P)^{-1} yields
 theta' A_bar theta <= -eps_P * theta' Sigma(0) theta with
-eps_P = min over a beta grid of gamma_beta.  K_beta is one guarded solve of
-(I - beta P)' per beta; a Dirichlet report reads both M_beta and the gap
+eps_P = min over a beta grid of gamma_beta.  K_beta is one
+``markov.resolvent_solve`` on P' per beta, the same route as the resolvent
+sums of A_bar and b_bar; a Dirichlet report reads both M_beta and the gap
 from it.
 """
 
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNormalizer, NotSimple, SingularResolvent, SingularSystem
+from .errors import NoNormalizer, NotSimple, SingularSystem
 from .features import (BaselineMean, FeatureMap, autocorrelation, baseline_mean,
                        feature_mean, find_normalizer, resolvent_sum)
-from .markov import FiniteChain, discounted_q, guarded_solve
+from .markov import FiniteChain, discounted_q, guarded_solve, resolvent_solve
 
 # Grid over which eps_P approximates inf{gamma_beta : 0 <= beta < 1}; the gap
 # is continuous in beta so a coarse grid suffices.
@@ -111,22 +112,19 @@ def mean_flow_relative(chain: FiniteChain, psi: FeatureMap, gamma: float,
                        mu: BaselineMean | np.ndarray | None = None) -> MeanFlow:
     """Full mean flow of the relative update with baseline mu.
 
-    ``mu`` defaults to the stationary pmf.  theta_star is left absent (the
-    singular flag) when A_bar is numerically singular, as happens for
-    gamma near 1, delta_r = 0 in the presence of a normalizing vector.
+    ``mu`` defaults to the stationary pmf (psi_bar_mu = psi_bar) and is read
+    only when delta_r != 0.  delta_r may be negative, as in the central
+    differences of ``asymptotics``.  theta_star is left absent (the singular
+    flag) when A_bar is numerically singular, as happens for gamma near 1,
+    delta_r = 0 in the presence of a normalizing vector.
     """
-    if delta_r < 0:
-        raise ValueError("delta_r must be nonnegative")
-    if mu is None:
-        base = baseline_mean(chain.stationary, psi)
-    elif isinstance(mu, BaselineMean):
-        base = mu
-    else:
-        base = baseline_mean(np.asarray(mu, dtype=float), psi)
     a = mean_flow_td_lambda(chain, psi, gamma, lam)
-    if delta_r > 0:
+    if delta_r != 0.0:
         psi_bar = feature_mean(chain, psi)
-        a = a - (delta_r / (1.0 - lam * gamma)) * np.outer(psi_bar, base.psi_bar_mu)
+        if mu is not None and not isinstance(mu, BaselineMean):
+            mu = baseline_mean(np.asarray(mu, dtype=float), psi)
+        psi_bar_mu = psi_bar if mu is None else mu.psi_bar_mu
+        a = a - (delta_r / (1.0 - lam * gamma)) * np.outer(psi_bar, psi_bar_mu)
     b = b_bar(chain, psi, gamma, lam)
     try:
         theta_star = -guarded_solve(a, b, SingularSystem, "mean-flow matrix")
@@ -148,9 +146,8 @@ def spectral_report(a_bar: np.ndarray) -> SpectralReport:
 
 
 def _k_beta(p: np.ndarray, beta: float) -> np.ndarray:
-    """K_beta = (1 - beta) P (I - beta P)^{-1}, raising SingularResolvent past the cond limit."""
-    return (1.0 - beta) * guarded_solve((np.eye(len(p)) - beta * p).T, p.T,
-                                        SingularResolvent, f"I - {beta}*P").T
+    """K_beta = (1 - beta) P (I - beta P)^{-1}, transposed through ``resolvent_solve``."""
+    return (1.0 - beta) * resolvent_solve(p.T, beta, p.T).T
 
 
 def spectral_gap(k: np.ndarray, chain: FiniteChain) -> float:
@@ -181,8 +178,9 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> Dirich
     The gap is spectral_gap's, on the support of varpi; ``restricted_support``
     records that states of zero stationary mass were left out.  ``degenerate``
     flags a gap at or below numerical zero, as produced by a periodic chain.
-    One guarded solve of I - beta P gives K_beta, which serves both
-    M_beta = R(0) - Psi' D K_beta Psi and the gap.
+    One ``resolvent_solve`` gives K_beta, which serves both
+    M_beta = R(0) - Psi' D K_beta Psi and the gap; at beta = 0 it is P, with
+    no solve.
     """
     k = _k_beta(chain.transition, beta)
     d_psi = chain.stationary[:, None] * psi.matrix

@@ -14,18 +14,18 @@ routes kept here:
 
 ``build_noise_model`` tabulates A(phi) and b(phi) per pair straight from the
 update rule.  Its A_bar, b_bar and theta_star are the reports' own
-(``asymptotics._mean_point``), so the table's pair-law means can be checked
-against them.
+(``meanflow.mean_flow_relative`` at lam = 0), so the table's pair-law means
+can be checked against them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                _mean_point)
+from rtdlab.asymptotics import VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT
 from rtdlab.features import FeatureMap, feature_mean
 from rtdlab.markov import FiniteChain, poisson_solve_columns
+from rtdlab.meanflow import mean_flow_relative
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ def build_noise_model(chain: FiniteChain, psi: FeatureMap, gamma: float,
 
     The table holds n_z^2 d^2 floats; it serves tests and small chains.
     """
-    a_bar, b_bar, theta_star = _mean_point(chain, psi, gamma, delta_r)
+    flow = mean_flow_relative(chain, psi, gamma, 0.0, delta_r)
+    a_bar, b_bar, theta_star = flow.a_bar, flow.b_bar, flow.theta_star
     n = chain.n_z
     mat = psi.matrix
     # A[(z, z')] = psi(z) (-psi(z) + gamma psi(z'))'

@@ -5,15 +5,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rtdlab import asymptotics, models
+from rtdlab import asymptotics, meanflow, models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
                                 VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
                                 noise_variant, sensitivity)
-from rtdlab.errors import ConfigError, NonZeroMean
-from rtdlab.features import FeatureMap, feature_mean, finite_poly_basis, tabular_basis
+from rtdlab.errors import ConfigError, NonZeroMean, SingularResolvent
+from rtdlab.features import (FeatureMap, feature_mean, feature_stats, finite_poly_basis,
+                             tabular_basis)
 from rtdlab.learner import VARIANTS
 from rtdlab.markov import FiniteChain, FiniteMdp, build_chain, stationary_pmf
-from rtdlab.meanflow import b_bar, dirichlet_report, mean_flow_relative, mean_flow_td_lambda
+from rtdlab.meanflow import (b_bar, dirichlet_report, eps_p, mean_flow_relative,
+                             mean_flow_td_lambda)
 
 import pair_oracle
 from pair_oracle import build_noise_model, pair_chain
@@ -103,9 +105,11 @@ class TestMeanPoint:
     def test_negative_delta_r(self, chain, psi):
         # central differences in delta_r evaluate the report at -h
         a_bar = _exact(chain, psi, 0.99, -0.5, VARIANT_FIXED_RELATIVE, 0.65)[1]
+        flow = mean_flow_relative(chain, psi, 0.99, 0.0, -0.5)
         psi_bar = feature_mean(chain, psi)
         want = mean_flow_td_lambda(chain, psi, 0.99, 0.0) + 0.5 * np.outer(psi_bar, psi_bar)
-        assert np.array_equal(a_bar, want)
+        assert np.array_equal(a_bar, flow.a_bar)
+        assert np.array_equal(flow.a_bar, want)
 
 
 class TestNoiseVariant:
@@ -160,13 +164,13 @@ class TestSigmaDelta:
 
     def test_nonzero_mean_rejected(self, chain, psi):
         # a theta_star off by 1 in every component leaves Delta a nonzero mean
-        solve = asymptotics.guarded_solve
+        solve = meanflow.guarded_solve
 
-        def off(m, rhs, error, what):
-            x = solve(m, rhs, error, what)
+        def off(m, rhs, error, what, cond=None):
+            x = solve(m, rhs, error, what, cond)
             return x + 1.0 if what == "mean-flow matrix" else x
 
-        with mock.patch.object(asymptotics, "guarded_solve", off), pytest.raises(NonZeroMean):
+        with mock.patch.object(meanflow, "guarded_solve", off), pytest.raises(NonZeroMean):
             asymptotics_report(chain, psi, 0.99, 0.0, 0.65, VARIANT_TD0)
 
     def test_psd(self, chain, psi):
@@ -494,16 +498,29 @@ def chain_reports(c, psi):
     sensitivity(c, psi, 0.99, 0.65)
 
 
+def exact_large_report(c, psi):
+    """Every exact call the exact_large workload makes on one chain."""
+    feature_stats(c, psi)
+    for gamma in (0.9, 0.99, 0.999):
+        for delta_r in (0.0, 0.5):
+            mean_flow_relative(c, psi, gamma, 0.0, delta_r)
+    dirichlet_report(c, psi, 0.9)
+    chain_reports(c, psi)
+
+
 class TestConditionChecks:
-    """cond(I - P + 1 varpi') is one SVD per chain, and only a float is kept."""
+    """cond(I - P + 1 varpi') is one SVD per chain, and only a float is kept;
+    cond(I - beta P) is a norm bound unless beta is near 1."""
 
     def test_one_poisson_cond_per_chain(self):
+        # the only n_z x n_z cond of a chain; I - 0.9 P is bounded by its norms,
+        # and the other 12 are the d x d mean-flow matrices
         c = random_unichain(28, seed=8)
         psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
         with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
-            chain_reports(c, psi)
+            exact_large_report(c, psi)
         shapes = [call.args[0].shape for call in cond.call_args_list]
-        assert shapes.count((28, 28)) == 1
+        assert (shapes.count((28, 28)), len(shapes)) == (1, 13)
 
     def test_no_chain_solve_in_the_lam_zero_mean_flow(self):
         c = random_unichain(28, seed=8)
@@ -521,15 +538,30 @@ class TestConditionChecks:
             sensitivity(c, psi, 0.99, 0.65)
         assert [call.args[1].shape for call in solve.call_args_list] == [(28, 4 + 4 * 4)]
 
-    @pytest.mark.parametrize("beta", [0.0, 0.35, 0.99])
-    def test_one_resolvent_solve_and_cond_per_dirichlet_report(self, beta):
+    @pytest.mark.parametrize("beta,solves", [(0.0, 0), (0.35, 1), (0.99, 1)])
+    def test_resolvent_solves_and_no_cond_per_dirichlet_report(self, beta, solves):
         c = random_unichain(28, seed=8)
         psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
                 mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
             dirichlet_report(c, psi, beta)
-        for spy in (solve, cond):
-            assert [call.args[0].shape for call in spy.call_args_list] == [(28, 28)]
+        assert [call.args[0].shape for call in solve.call_args_list] == [(28, 28)] * solves
+        assert cond.call_count == 0
+
+    def test_one_cond_before_a_singular_resolvent(self):
+        # past the norm bound the SVD runs, and fires
+        c = random_unichain(28, seed=8)
+        psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond, \
+                pytest.raises(SingularResolvent):
+            dirichlet_report(c, psi, 1 - 1e-13)
+        assert [call.args[0].shape for call in cond.call_args_list] == [(28, 28)]
+
+    def test_no_cond_in_eps_p(self):
+        c = random_unichain(28, seed=8)
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            eps_p(c)
+        assert cond.call_count == 0
 
     def test_chain_caches_scalars_only(self):
         # an n_z^2 cache on the chain would outlive the report and raise peak RSS

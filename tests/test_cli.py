@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 
 from rtdlab import meanflow, models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
-from rtdlab.markov import build_chain, save_model
+from rtdlab.markov import FiniteMdp, RandomizedPolicy, build_chain, save_model
 from rtdlab.meanflow import dirichlet_report, eps_p, mean_flow_relative, spectral_report
 from rtdlab.speedscale import SpeedScalingModel, estimate_noise_covariance, estimate_stats
 
@@ -166,6 +167,27 @@ class TestSensitivityCmd:
         assert rep["rel_err_d_sigma"] < 1e-3
         assert rep["rel_err_d_bias"] < 1e-3
         assert np.asarray(rep["d_a_bar"]).shape == (3, 3)
+
+
+    def test_centred_basis_writes_valid_json(self, tmp_path):
+        # psi_bar = 0 makes both finite differences exactly 0; their rel_err is
+        # null, not the NaN or Infinity that RFC 8259 JSON has no literal for
+        mdp = FiniteMdp(n_states=2, n_actions=1, kernel=[[[0.3, 0.7], [0.7, 0.3]]],
+                        cost=[[1.0], [2.0]])
+        save_model(tmp_path / "m.json", mdp, RandomizedPolicy(probs=[[1.0], [1.0]]),
+                   features=[[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("sensitivity", "--out", str(tmp_path / "out"),
+                           "--model", f"file:{tmp_path}/m.json", "--basis", "file") == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "out" / "sensitivity.json").read_text()
+        rep = json.loads(text, parse_constant=reject)
+        assert (rep["fd_d_sigma"], rep["fd_d_bias"]) == ([[0.0]], [0.0])
+        assert (rep["rel_err_d_sigma"], rep["rel_err_d_bias"]) == (None, None)
 
 
 class TestDirichletCmd:

@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from rtdlab import models
-from rtdlab.errors import NotUnichain, SingularSystem
+from rtdlab.errors import NotUnichain, SingularResolvent, SingularSystem
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
-                           discounted_q, load_model, save_model, poisson_solve_columns,
-                           stationary_pmf)
+                           discounted_q, guarded_solve, load_model, save_model,
+                           poisson_solve_columns, resolvent_solve, stationary_pmf)
 
 from chain_helpers import finite_greedy_policy, solve_poisson, state_marginal
 from pair_oracle import pair_chain
@@ -155,6 +157,48 @@ class TestDiscountedQ:
         errs = [np.max(np.abs(discounted_q(chain, g) - sol.eta / (1 - g) - sol.h))
                 for g in (0.9, 0.99, 0.999)]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_singular_resolvent_raises(self, chain):
+        # returned about 5.8e12 with no error before it went through resolvent_solve
+        with pytest.raises(SingularResolvent):
+            discounted_q(chain, 1 - 1e-13)
+
+
+class TestGuardedSolve:
+    def test_given_cond_within_limit_skips_the_svd(self):
+        m = np.array([[2.0, 1.0], [0.0, 1.0]])
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            got = guarded_solve(m, np.ones(2), SingularSystem, "m", cond=3.0)
+        assert cond.call_count == 0
+        assert np.array_equal(got, np.linalg.solve(m, np.ones(2)))
+
+    def test_given_cond_past_limit_raises(self):
+        with pytest.raises(SingularSystem, match="m is numerically singular"):
+            guarded_solve(np.eye(2), np.ones(2), SingularSystem, "m", cond=2e12)
+
+
+class TestResolventSolve:
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError):
+            resolvent_solve(np.eye(2), beta, np.ones(2))
+
+    @pytest.mark.parametrize("beta", [0.5, 0.99, 0.999999])
+    def test_norm_bound_replaces_the_svd(self, beta):
+        c = random_chain(28, seed=3)
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            got = resolvent_solve(c.transition, beta, c.cost_vec)
+        assert cond.call_count == 0
+        assert np.array_equal(got, np.linalg.solve(np.eye(28) - beta * c.transition,
+                                                   c.cost_vec))
+
+    def test_svd_past_the_norm_bound(self):
+        # 28 (1 + beta)/(1 - beta) > 1e12, yet cond(I - beta P) is below it
+        c = random_chain(28, seed=3)
+        beta = 1 - 2e-11
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            resolvent_solve(c.transition, beta, c.cost_vec)
+        assert cond.call_count == 1
 
 
 class TestPairChain:

@@ -89,6 +89,11 @@ class TestBBar:
         flow = mean_flow_relative(zero_chain, psi, 0.9, 0.3, 0.5)
         assert np.max(np.abs(flow.theta_star)) < 1e-12
 
+    def test_singular_resolvent_raises(self, chain, psi):
+        # returned about 5.8e12 with no error before it went through resolvent_solve
+        with pytest.raises(SingularResolvent):
+            b_bar(chain, psi, 1 - 1e-13, 1.0)
+
 
 class TestMeanFlowRelative:
     def test_delta_zero_reduction(self, chain, psi):
@@ -125,6 +130,15 @@ class TestMeanFlowRelative:
         flow = mean_flow_relative(chain, psi, 0.9, 0.0, 1.0)  # mu defaults to varpi
         diff = flow0 - flow.a_bar
         assert np.max(np.abs(diff - diff.T)) < 1e-12
+
+
+    def test_default_baseline_is_psi_bar(self, chain, psi):
+        # the default mu is varpi, whose psi_bar_mu is psi_bar: no BaselineMean is built
+        with mock.patch.object(meanflow, "baseline_mean", wraps=meanflow.baseline_mean) as base:
+            flow = mean_flow_relative(chain, psi, 0.9, 0.4, 0.7)
+        assert base.call_count == 0
+        explicit = mean_flow_relative(chain, psi, 0.9, 0.4, 0.7, chain.stationary)
+        assert np.array_equal(flow.a_bar, explicit.a_bar)
 
 
 class TestSpectralReport:

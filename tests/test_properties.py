@@ -25,7 +25,8 @@ from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature
                              resolvent_sum)
 from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             run, run_many, substream)
-from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, build_chain, stationary_pmf
+from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
+                           resolvent_solve, stationary_pmf)
 from rtdlab.meanflow import _k_beta, dirichlet_report, spectral_gap
 
 import learner_oracle
@@ -92,6 +93,23 @@ def test_resolvent_matches_truncated_sum(case, beta):
         trunc += beta ** k * (d_psi.T @ pk_psi)
         pk_psi = c.transition @ pk_psi
     assert np.max(np.abs(resolvent_sum(c, psi, beta) - trunc)) < 1e-9 * scale(trunc)
+
+
+@PROPERTY
+@given(chains(), st.floats(0.0, 0.999), st.booleans(), st.booleans())
+def test_resolvent_cond_bound(case, beta, on_support, transpose):
+    # cond_2(I - beta p) <= n (1 + r)/(1 - r), r = beta min(||p||_inf, ||p||_1): the
+    # bound resolvent_solve passes instead of an SVD; the solve keeps its bits
+    c, _, rng = case
+    p = c.transition[np.ix_(c.support, c.support)] if on_support else c.transition
+    p = p.T if transpose else p
+    n = len(p)
+    r = beta * min(np.linalg.norm(p, np.inf), np.linalg.norm(p, 1))
+    m = np.eye(n) - beta * p
+    assert np.linalg.cond(m) <= n * (1 + r) / (1 - r)
+    rhs = rng.standard_normal((n, 2))
+    want = rhs if beta == 0.0 else np.linalg.solve(m, rhs)
+    assert np.array_equal(resolvent_solve(p, beta, rhs), want)
 
 
 @PROPERTY
