@@ -53,8 +53,7 @@ from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
 from .markov import build_chain, guarded_solve, load_model
-from .meanflow import (EPS_P_BETA_GRID, dirichlet_report, eps_p, mean_flow_relative,
-                       spectral_report)
+from .meanflow import EPS_P_BETA_GRID, dirichlet_report, mean_flow_relative, spectral_report
 from .speedscale import (NOISE_WINDOW, SpeedScalingEnv, SpeedScalingModel,
                          estimate_noise_covariance, estimate_stats, gamma_moment_check)
 
@@ -199,12 +198,12 @@ def _spectral_row(gamma: float, lam: float, delta_r: float, rep) -> list:
 
 
 def cmd_eigs(args) -> dict:
+    gammas = args.gamma_grid or DEFAULT_GAMMA_GRID
+    for g in gammas:
+        if args.lam * g >= 1 - 1e-6:
+            raise ConfigError(f"gamma {g} has lam * gamma >= 1 - 1e-6 at --lam {args.lam}")
     model = resolve_model(args.model, args.basis)
-    grid = [(g, dr) for g in args.gamma_grid or DEFAULT_GAMMA_GRID
-            for dr in args.delta_grid or (0.0, args.delta_r)
-            if args.lam * g < 1 - 1e-6]
-    if not grid:
-        raise ConfigError(f"no gamma of the grid has lam * gamma < 1 at --lam {args.lam}")
+    grid = [(g, dr) for g in gammas for dr in args.delta_grid or (0.0, args.delta_r)]
     if isinstance(model, SpeedScalingModel):
         if args.lam != 0.0:
             raise ConfigError("the speed-scaling mean flow is estimated at lam = 0 only, "
@@ -331,22 +330,26 @@ def cmd_sensitivity(args) -> dict:
 
 
 def cmd_dirichlet(args) -> dict:
+    """Rows of ``--beta-grid``, from one report per distinct beta of it and EPS_P_BETA_GRID.
+
+    eps_P is the least gap of the EPS_P_BETA_GRID reports, ``eps_p(chain)`` bit for bit.
+    """
     model = resolve_model(args.model, args.basis)
-    stats = model.stats
-    rng = np.random.default_rng(args.seed)
-    probes = rng.standard_normal((args.probes, model.psi.dim))
+    probes = np.random.default_rng(args.seed).standard_normal((args.probes, model.psi.dim))
+    grid = args.beta_grid or EPS_P_BETA_GRID
+    reports = {beta: dirichlet_report(model.chain, model.psi, beta)
+               for beta in dict.fromkeys((*EPS_P_BETA_GRID, *grid))}
+    floor = min(reports[beta].gap for beta in EPS_P_BETA_GRID)
+    quad_sigma0 = np.einsum("ki,ij,kj->k", probes, model.stats.sigma0, probes)
     rows = []
-    warnings = []
-    floor = eps_p(model.chain)
-    for beta in (args.beta_grid or EPS_P_BETA_GRID):
-        rep = dirichlet_report(model.chain, model.psi, beta)
-        margins = [float(th @ rep.m_beta @ th - rep.gap * (th @ stats.sigma0 @ th))
-                   for th in probes]
+    for beta in grid:
+        rep = reports[beta]
+        margins = np.einsum("ki,ij,kj->k", probes, rep.m_beta, probes) - rep.gap * quad_sigma0
         # the column is the least gap over the eps_P grid and this row's beta,
         # which need not lie on the grid
-        rows.append([beta, rep.gap, min(floor, rep.gap), min(margins), int(rep.degenerate)])
-        if rep.degenerate:
-            warnings.append(f"degenerate spectral gap at beta={beta}")
+        rows.append([beta, rep.gap, min(floor, rep.gap), margins.min(), int(rep.degenerate)])
+    warnings = [f"degenerate spectral gap at beta={beta}"
+                for beta in grid if reports[beta].degenerate]
     return {"dirichlet.csv": (["beta", "gap", "eps_p", "min_probe_margin", "degenerate"], rows),
             "dirichlet_meta.json": {"warnings": warnings}}
 

@@ -74,12 +74,9 @@ def tabular_basis(n_z: int) -> FeatureMap:
 
 
 def finite_poly_basis(n_states: int, n_actions: int) -> FeatureMap:
-    """Basis psi(x, u) = [x, u, x*u] with 1-based state/action labels."""
-    rows = []
-    for x in range(1, n_states + 1):
-        for u in range(1, n_actions + 1):
-            rows.append([float(x), float(u), float(x * u)])
-    return FeatureMap(np.asarray(rows))
+    """Basis psi(x, u) = [x, u, x*u] with 1-based state/action labels, row z = x*|U| + u."""
+    x, u = np.meshgrid(np.arange(1.0, n_states + 1), np.arange(1.0, n_actions + 1), indexing="ij")
+    return FeatureMap(np.column_stack([x.ravel(), u.ravel(), (x * u).ravel()]))
 
 
 def builtin_basis(name: str, n_states: int, n_actions: int) -> FeatureMap:

@@ -209,24 +209,30 @@ class Path:
 class FiniteChainEnv:
     """Sampling environment for a finite state-action chain.
 
-    ``policy`` (per-state action probabilities) enables the natural and
-    split-sampling evaluation modes; without it only on-policy is available.
-    Z_0 is drawn from the stationary pmf.
+    ``policy`` (per-state action probabilities, of the shape ``build_chain``
+    recorded on the chain) enables the natural and split-sampling evaluation
+    modes, whose tables are built once: the policy-averaged features
+    sum_u policy(u|x) psi(x, u) of all states in one product, and the
+    policy's cumulative rows.  Without it only on-policy is available.  Z_0
+    is drawn from the stationary pmf.
     """
 
     def __init__(self, chain: FiniteChain, psi: FeatureMap, policy: np.ndarray | None = None):
         self.chain = chain
         self.psi = psi
         self.policy = None if policy is None else np.asarray(policy, float)
-        # cumulative rows ending in inf: bisect_right lands on the last state
-        # exactly when a uniform is at or above the row's rounded sum
-        self._cum_rows = [row.cumsum()[:-1].tolist() + [np.inf] for row in chain.transition]
-        self._cum_init = chain.stationary.cumsum()[:-1].tolist() + [np.inf]
+        # cumulative rows of P and of the stationary pmf, ending in inf: bisect_right
+        # lands on the last state exactly when a uniform is at or above the rounded sum
+        cum = np.cumsum(np.vstack([chain.transition, chain.stationary]), axis=1)
+        cum[:, -1] = np.inf
+        *self._cum_rows, self._cum_init = cum.tolist()
         if self.policy is not None:
+            if self.policy.shape != chain.state_action_shape:
+                raise ConfigError("natural and split-sampling targets need a chain from "
+                                  f"build_chain with the policy's shape {self.policy.shape}")
             nx, nu = chain.state_action_shape
-            # policy-averaged features per state: sum_u policy(u|x) psi(x, u)
-            self._psi_avg = np.stack([
-                self.policy[x] @ psi.matrix[x * nu:(x + 1) * nu] for x in range(nx)])
+            self._psi_avg = (self.policy[:, None, :] @ psi.matrix.reshape(nx, nu, psi.dim))[:, 0]
+            self._cum_policy = np.cumsum(self.policy, axis=1)
 
     @property
     def dim(self) -> int:
@@ -261,17 +267,18 @@ class FiniteChainEnv:
         traj = self.sample_states(n_steps, rng, start)
         psi_states = self.psi.matrix[traj]
         cost = self.chain.cost_vec[traj[:-1]]
-        nu = self.chain.state_action_shape[1]
         if eval_mode == "on_policy":
             target = psi_states[1:]
-        elif eval_mode == "natural":
-            target = self._psi_avg[traj[1:] // nu]
         else:
+            nu = self.chain.state_action_shape[1]
             x_next = traj[1:] // nu
-            us = rng_split.random(n_steps)
-            cum = np.cumsum(self.policy, axis=1)
-            u_split = np.minimum((us[:, None] > cum[x_next]).sum(axis=1), nu - 1)
-            target = self.psi.matrix[x_next * nu + u_split]
+            if eval_mode == "natural":
+                target = self._psi_avg[x_next]
+            else:
+                us = rng_split.random(n_steps)
+                u_split = np.minimum((us[:, None] > self._cum_policy[x_next]).sum(axis=1),
+                                     nu - 1)
+                target = self.psi.matrix[x_next * nu + u_split]
         return Path(psi_states=psi_states, cost=cost, psi_target=target, z_traj=traj,
                     end=int(traj[-1]))
 

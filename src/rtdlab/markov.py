@@ -200,20 +200,17 @@ def stationary_pmf(p: np.ndarray) -> np.ndarray:
 def build_chain(mdp: FiniteMdp, policy: RandomizedPolicy) -> FiniteChain:
     """State-action chain induced by running ``policy`` in ``mdp``.
 
-    Pairs are flattened as z = x * n_actions + u.  The stationary pmf
-    factorizes as varpi(x, u) = pi(x) * policy(u | x) with pi invariant for
-    the state-level kernel, but it is computed directly on the pair chain.
+    P[(x, u), (x', u')] = P_u(x, x') * policy(u' | x') is one broadcast
+    product over (x, u, x', u'), and its reshape to (n_z, n_z) is the
+    layout z = x * n_actions + u.  The stationary pmf factorizes as
+    varpi(x, u) = pi(x) * policy(u | x) with pi invariant for the
+    state-level kernel, but it is computed directly on the pair chain.
     """
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError("policy dimensions do not match the MDP")
     nx, nu = mdp.n_states, mdp.n_actions
     nz = nx * nu
-    p = np.zeros((nz, nz))
-    for x in range(nx):
-        for u in range(nu):
-            z = x * nu + u
-            # Row: P_u(x, x') * policy(u' | x')
-            p[z, :] = (mdp.kernel[u, x, :][:, None] * policy.probs).reshape(nz)
+    p = (mdp.kernel.transpose(1, 0, 2)[:, :, :, None] * policy.probs).reshape(nz, nz)
     cost = mdp.cost.reshape(nz)
     pi = stationary_pmf(p)
     return FiniteChain(transition=p, cost_vec=cost, stationary=pi,

@@ -88,16 +88,11 @@ def unstable_demo() -> tuple[FiniteMdp, RandomizedPolicy, FeatureMap, BaselineMe
     mdp = finite_mdp()
     policy = RandomizedPolicy(probs=np.array([[1.0, 0.0]] * 3))
     off_scale = 1000.0
-    rows = []
-    for x in range(3):
-        live = np.zeros(3)
-        live[x] = 1.0
-        rows.append(live)  # pair (x, 0): visited
-        # pair (x, 1): never visited; sign mixed so baselines of either
-        # xi'psi_bar_mu sign exist with O(off_scale) magnitude
-        sign = 1.0 if x == 0 else -1.0
-        rows.append(sign * off_scale * live)
-    psi = FeatureMap(np.asarray(rows))
+    # pair (x, 0), visited, carries the indicator of x; pair (x, 1), never
+    # visited, carries it times +-off_scale, signs mixed so that baselines of
+    # either xi'psi_bar_mu sign exist with O(off_scale) magnitude
+    sign = np.array([1.0, -1.0, -1.0])[:, None]
+    psi = FeatureMap(np.stack([np.eye(3), sign * off_scale * np.eye(3)], axis=1).reshape(6, 3))
     mu_neg = np.zeros(6)
     mu_neg[[3, 5]] = 0.5   # on unvisited pairs with negative feature values
     mu_pos = np.zeros(6)

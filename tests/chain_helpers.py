@@ -4,14 +4,18 @@
   solution of one column, through ``markov.poisson_solve_columns``;
 - ``state_marginal``: the stationary pmf summed over actions;
 - ``finite_greedy_policy``: the deterministic policy of the 3x2 model, whose
-  reference values the module docstring of ``rtdlab.models`` lists.
+  reference values the module docstring of ``rtdlab.models`` lists;
+- ``loop_transition`` and ``loop_psi_avg``: the per-state loops that
+  ``markov.build_chain`` and ``learner.FiniteChainEnv`` replace with one
+  broadcast product each, kept as their bit-for-bit oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from rtdlab.markov import FiniteChain, RandomizedPolicy, poisson_solve_columns
+from rtdlab.features import FeatureMap
+from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, poisson_solve_columns
 from rtdlab.models import FINITE_GREEDY_POLICY
 
 
@@ -38,3 +42,19 @@ def state_marginal(chain: FiniteChain) -> np.ndarray:
 
 def finite_greedy_policy() -> RandomizedPolicy:
     return RandomizedPolicy(probs=FINITE_GREEDY_POLICY)
+
+
+def loop_transition(mdp: FiniteMdp, policy: RandomizedPolicy) -> np.ndarray:
+    """P filled one row z = x * n_actions + u at a time: P_u(x, x') * policy(u' | x')."""
+    nx, nu = mdp.n_states, mdp.n_actions
+    p = np.zeros((nx * nu, nx * nu))
+    for x in range(nx):
+        for u in range(nu):
+            p[x * nu + u, :] = (mdp.kernel[u, x, :][:, None] * policy.probs).reshape(nx * nu)
+    return p
+
+
+def loop_psi_avg(policy: np.ndarray, psi: FeatureMap) -> np.ndarray:
+    """sum_u policy(u|x) psi(x, u), one state x at a time."""
+    nx, nu = policy.shape
+    return np.stack([policy[x] @ psi.matrix[x * nu:(x + 1) * nu] for x in range(nx)])

@@ -9,8 +9,10 @@ import pytest
 
 from rtdlab import meanflow, models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
+from rtdlab.features import feature_stats, finite_poly_basis
 from rtdlab.markov import FiniteMdp, RandomizedPolicy, build_chain, save_model
-from rtdlab.meanflow import dirichlet_report, eps_p, mean_flow_relative, spectral_report
+from rtdlab.meanflow import (EPS_P_BETA_GRID, dirichlet_report, eps_p, mean_flow_relative,
+                             spectral_report)
 from rtdlab.speedscale import SpeedScalingModel, estimate_noise_covariance, estimate_stats
 
 
@@ -40,7 +42,6 @@ class TestEigs:
                 "--delta-grid", "0.5")
         header, rows = read_csv(tmp_path / "eigs.csv")
         chain = models.finite_chain()
-        from rtdlab.features import finite_poly_basis
         flow = mean_flow_relative(chain, finite_poly_basis(3, 2), 0.95, 0.0, 0.5)
         rep = spectral_report(flow.a_bar)
         got = dict(zip(header, rows[0]))
@@ -57,6 +58,15 @@ class TestEigs:
         _, rows2 = read_csv(tmp_path / "again" / "eigs.csv")
         assert rows == rows2
         assert all(np.isfinite(v) for v in reread)
+
+    def test_grid_point_past_lam_gamma_limit_is_named(self, tmp_path, capsys):
+        # the point used to be dropped without a note, and gamma 0.9's rows written
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--out", str(out), "--lam", "1",
+                       "--gamma-grid", "0.9", "1.0") == 2
+        reply = json.loads(capsys.readouterr().out.strip())
+        assert reply["error"] == "ConfigError" and "gamma 1.0 " in reply["message"]
+        assert not out.exists()
 
     def test_speed_scaling_estimates(self, tmp_path):
         rc = run_cli("eigs", "--out", str(tmp_path), "--model", "speed_scaling",
@@ -207,11 +217,34 @@ class TestDirichletCmd:
         assert rc == 2
         assert json.loads(capsys.readouterr().out.strip())["error"] == "SingularResolvent"
 
-    def test_eps_p_is_computed_once(self, tmp_path):
-        # eps_P takes one K_beta per grid point, each row's report one more
+    @staticmethod
+    def k_beta_calls(tmp_path, *grid) -> int:
         with mock.patch.object(meanflow, "_k_beta", wraps=meanflow._k_beta) as k_beta:
-            assert run_cli("dirichlet", "--out", str(tmp_path), "--probes", "5") == 0
-        assert k_beta.call_count <= 22
+            assert run_cli("dirichlet", "--out", str(tmp_path), "--probes", "5", *grid) == 0
+        return k_beta.call_count
+
+    def test_eps_p_is_computed_once(self, tmp_path):
+        # the rows are the eps_P grid, and eps_P is read from their reports
+        assert self.k_beta_calls(tmp_path) == len(EPS_P_BETA_GRID) == 11
+
+    def test_one_report_per_distinct_beta(self, tmp_path):
+        # 0.5 is on the eps_P grid, so its row reuses that report
+        assert self.k_beta_calls(tmp_path, "--beta-grid", "0.05", "0.5") == 12
+
+    def test_rows_match_their_reports(self, tmp_path):
+        assert run_cli("dirichlet", "--out", str(tmp_path), "--probes", "7", "--seed", "3",
+                       "--beta-grid", "0.05", "0.5") == 0
+        header, rows = read_csv(tmp_path / "dirichlet.csv")
+        chain, psi = models.finite_chain(), finite_poly_basis(3, 2)
+        sigma0 = feature_stats(chain, psi).sigma0
+        probes = np.random.default_rng(3).standard_normal((7, psi.dim))
+        for beta, row in zip((0.05, 0.5), rows):
+            got = dict(zip(header, map(float, row)))
+            rep = dirichlet_report(chain, psi, beta)
+            want = min(th @ rep.m_beta @ th - rep.gap * (th @ sigma0 @ th) for th in probes)
+            assert (got["beta"], got["gap"]) == (beta, rep.gap)
+            assert got["eps_p"] == min(eps_p(chain), rep.gap)
+            assert abs(got["min_probe_margin"] - want) <= 1e-14
 
     def test_transient_file_model(self, tmp_path):
         mdp, policy, psi, _, _ = models.unstable_demo()

@@ -14,7 +14,7 @@ from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_p
 from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             empirical_bias, empirical_clt_samples, run, run_many,
                             snapshot_indices, substream)
-from rtdlab.markov import build_chain
+from rtdlab.markov import FiniteChain, build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
 from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
@@ -444,6 +444,15 @@ class TestEvalModes:
         env_bare = FiniteChainEnv(chain, psi, policy=None)
         with pytest.raises(ConfigError):
             run(env_bare, config(eval_mode="natural"), 10)
+
+    def test_policy_needs_the_state_action_layout(self, chain, psi):
+        bare = FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
+                           stationary=chain.stationary)
+        for c, policy in ((bare, models.FINITE_EVAL_POLICY), (chain, np.full((4, 2), 0.5))):
+            with pytest.raises(ConfigError, match="build_chain"):
+                FiniteChainEnv(c, psi, policy=policy)
+        path = FiniteChainEnv(bare, psi).sample_path(10, "on_policy", substream(0, 0))
+        assert np.array_equal(path.psi_target, psi.matrix[path.z_traj[1:]])
 
     def test_unservable_mode_rejected_before_sampling(self, chain, psi, monkeypatch):
         env_bare = FiniteChainEnv(chain, psi, policy=None)

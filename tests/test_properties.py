@@ -5,6 +5,10 @@ the recurrent states keeps it irreducible, and a bare cycle is periodic), and
 it may have a transient state that is left at once and never entered again.
 The runs are derandomized, so the suite sees the same examples every time.
 
+The chain table: ``build_chain`` and the policy-averaged features of
+``FiniteChainEnv`` equal their per-state loops bit for bit on random MDPs
+with zero kernel and policy entries.
+
 The learner: a batch of runs, under any tree radix and block length and
 scanned in any grouping of its runs, gives each run the bits of the same
 run alone and of the one-step oracle's fold.
@@ -31,7 +35,7 @@ from rtdlab.meanflow import _k_beta, dirichlet_report, spectral_gap
 
 import learner_oracle
 import pair_oracle
-from chain_helpers import solve_poisson
+from chain_helpers import loop_psi_avg, loop_transition, solve_poisson
 from pair_oracle import build_noise_model
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -199,6 +203,38 @@ def test_dirichlet_m_beta_is_the_resolvent_sum(case, beta):
     want = autocorrelation(c, psi, 0) - (1.0 - beta) * resolvent_sum(c, psi, beta)
     got = dirichlet_report(c, psi, beta).m_beta
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def mdps(draw):
+    """(mdp, policy, psi) with zero kernel and policy entries; a cycle keeps it a unichain."""
+    nx, nu = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.gamma(1.0, 1.0, (nu, nx, nx)) * (rng.random((nu, nx, nx)) < density)
+    kernel[:, np.arange(nx), (np.arange(nx) + 1) % nx] += 0.5
+    probs = rng.gamma(1.0, 1.0, (nx, nu)) * (rng.random((nx, nu)) < density)
+    probs[np.arange(nx), rng.integers(0, nu, nx)] += 0.5
+    mdp = FiniteMdp(nx, nu, kernel / kernel.sum(axis=2, keepdims=True),
+                    rng.standard_normal((nx, nu)))
+    policy = RandomizedPolicy(probs / probs.sum(axis=1, keepdims=True))
+    psi = FeatureMap(rng.standard_normal((nx * nu, draw(st.integers(1, 4)))))
+    return mdp, policy, psi
+
+
+@PROPERTY
+@given(mdps())
+def test_build_chain_is_the_per_state_loop(case):
+    mdp, policy, _ = case
+    assert build_chain(mdp, policy).transition.tobytes() == loop_transition(mdp, policy).tobytes()
+
+
+@PROPERTY
+@given(mdps())
+def test_policy_averaged_features_are_the_per_state_loop(case):
+    mdp, policy, psi = case
+    env = FiniteChainEnv(build_chain(mdp, policy), psi, policy.probs)
+    assert env._psi_avg.tobytes() == loop_psi_avg(policy.probs, psi).tobytes()
 
 
 @st.composite
