@@ -49,10 +49,10 @@ from . import models
 from .asymptotics import (VARIANT_FIXED_RELATIVE, asymptotics_report, noise_variant,
                           sensitivity)
 from .errors import ConfigError, RtdLabError, SingularSystem
-from .features import FeatureMap, baseline_mean, builtin_basis, feature_stats
+from .features import FeatureMap, baseline_mean, builtin_basis, feature_mean, feature_stats
 from .learner import (EVAL_MODES, FiniteChainEnv, LearnerConfig, StepSchedule,
                       empirical_bias, empirical_clt_samples, run_many, snapshot_indices)
-from .markov import build_chain, guarded_solve, load_model
+from .markov import FiniteChain, build_chain, guarded_solve, load_model
 from .meanflow import EPS_P_BETA_GRID, dirichlet_report, mean_flow_relative, spectral_report
 from .speedscale import (NOISE_WINDOW, SpeedScalingEnv, SpeedScalingModel,
                          estimate_noise_covariance, estimate_stats, gamma_moment_check)
@@ -115,18 +115,12 @@ def write_outputs(out: FsPath, files: dict, args: argparse.Namespace) -> None:
             write_json(out / name, {**content, **meta})
 
 
-class ModelBundle:
-    """A finite model resolved to chain + basis + environment."""
+def resolve_model(name: str, basis: str) -> tuple[FiniteChain, FeatureMap] | SpeedScalingModel:
+    """The model a ``--model`` value names: ``(chain, psi)`` for a finite one.
 
-    def __init__(self, chain, psi: FeatureMap, policy):
-        self.chain = chain
-        self.psi = psi
-        self.env = FiniteChainEnv(chain, psi, policy)
-        self.stats = feature_stats(chain, psi)
-
-
-def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
-    """The model a ``--model`` value names; the flag's type has checked its form."""
+    The chain carries the policy it was built with; the flag's type has
+    checked the value's form.
+    """
     if name == "speed_scaling":
         if basis != "finite_poly":
             raise ConfigError(f"the speed-scaling model has its own basis, got --basis {basis}")
@@ -150,31 +144,32 @@ def resolve_model(name: str, basis: str) -> ModelBundle | SpeedScalingModel:
                else builtin_basis(basis, mdp.n_states, mdp.n_actions))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ModelBundle(chain, psi, policy.probs)
+    return chain, psi
 
 
-def _learner_config(args, bundle: ModelBundle | None) -> LearnerConfig:
+def _learner_config(args, chain: FiniteChain | None = None,
+                    psi: FeatureMap | None = None) -> LearnerConfig:
     sched = StepSchedule(alpha0=args.alpha0, rho=args.rho)
     kw = dict(gamma=args.gamma, lam=args.lam, step=sched, variant=args.variant,
               delta_r=args.delta_r, eval_mode=args.eval_mode, seed=args.seed,
               pr_burn_in_fraction=args.burn_in)
-    if args.variant in ("relative_fixed_mu", "varpi_relative_fixed") and bundle is None:
+    if args.variant in ("relative_fixed_mu", "varpi_relative_fixed") and chain is None:
         raise ConfigError(f"{args.variant} needs the exact stationary baseline of a "
                           "finite model")
     if args.variant == "relative_fixed_mu":
         # the stationary baseline, as in mean_flow_relative's default
-        kw["mu"] = baseline_mean(bundle.chain.stationary, bundle.psi)
+        kw["mu"] = baseline_mean(chain.stationary, psi)
     elif args.variant == "varpi_relative_fixed":
-        kw["psi_bar"] = bundle.stats.psi_bar
+        kw["psi_bar"] = feature_mean(chain, psi)
     return LearnerConfig(**kw)
 
 
-def _run_many(args, model: ModelBundle | SpeedScalingModel) -> list:
+def _run_many(args, model: tuple[FiniteChain, FeatureMap] | SpeedScalingModel) -> list:
     """The ``--runs`` runs of the chosen variant, with the ``--snapshots`` plan."""
     if isinstance(model, SpeedScalingModel):
-        env, cfg = SpeedScalingEnv(model), _learner_config(args, None)
+        env, cfg = SpeedScalingEnv(model), _learner_config(args)
     else:
-        env, cfg = model.env, _learner_config(args, model)
+        env, cfg = FiniteChainEnv(*model), _learner_config(args, *model)
     plan = ()
     if args.snapshots >= 2:
         n0 = int(args.burn_in * args.steps)
@@ -215,14 +210,15 @@ def cmd_eigs(args) -> dict:
             rep = spectral_report(np.mean([s.mean_flow(g, dr) for s in stats_list], axis=0))
             per = [np.min(np.abs(spectral_report(s.mean_flow(g, dr)).eigenvalues.real))
                    for s in stats_list]
-            se = float(np.std(per, ddof=1) / np.sqrt(len(per))) if len(per) > 1 else 0.0
+            se = float(np.std(per, ddof=1) / np.sqrt(len(per)))
             rows.append(_spectral_row(g, args.lam, dr, rep) + [args.steps, args.runs, se])
         header = _eigs_header(model.dim, ("traj_steps", "n_traj", "min_abs_re_se"))
     else:
+        chain, psi = model
         rows = [_spectral_row(g, args.lam, dr, spectral_report(
-                    mean_flow_relative(model.chain, model.psi, g, args.lam, dr).a_bar))
+                    mean_flow_relative(chain, psi, g, args.lam, dr).a_bar))
                 for g, dr in grid]
-        header = _eigs_header(model.psi.dim)
+        header = _eigs_header(psi.dim)
     return {"eigs.csv": (header, rows), "eigs_meta.json": {}}
 
 
@@ -245,7 +241,7 @@ def cmd_hist(args) -> dict:
         sig_t = a_inv @ sig_d @ a_inv.T
         overlay_src = "monte_carlo"
     else:
-        exact = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
+        exact = asymptotics_report(*model, args.gamma, delta_r, args.rho, variant)
         theta_star, sig_t = exact.theta_star, exact.sigma_theta_star
         overlay_src = "exact"
     samples = empirical_clt_samples(runs, theta_star,
@@ -268,21 +264,21 @@ def cmd_hist(args) -> dict:
 
 
 def cmd_bias(args) -> dict:
-    model = resolve_model(args.model, args.basis)
+    chain, psi = resolve_model(args.model, args.basis)
     variant, delta_r = noise_variant(args.variant, args.delta_r)
-    exact = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
-    cfg = dataclasses.replace(_learner_config(args, model), theta0=exact.theta_star)
-    runs = run_many(model.env, cfg, args.steps, args.runs)
+    exact = asymptotics_report(chain, psi, args.gamma, delta_r, args.rho, variant)
+    cfg = dataclasses.replace(_learner_config(args, chain, psi), theta0=exact.theta_star)
+    runs = run_many(FiniteChainEnv(chain, psi), cfg, args.steps, args.runs)
     alpha_n = cfg.step.alpha(args.steps)
     emp = empirical_bias([r.theta_final for r in runs], exact.theta_star, alpha_n)
     avg = empirical_bias([r.theta_pr for r in runs], exact.theta_star, alpha_n)
     iterate_pred = (1.0 - args.rho) * exact.bias
     rows = [[i + 1, emp.value[i], emp.stderr[i], iterate_pred[i], avg.value[i],
-             avg.stderr[i], exact.bias[i]] for i in range(model.psi.dim)]
+             avg.stderr[i], exact.bias[i]] for i in range(psi.dim)]
     # ||bias||^2 curve over delta_r with tangent slope at 0
-    sens = sensitivity(model.chain, model.psi, args.gamma, args.rho)
+    sens = sensitivity(chain, psi, args.gamma, args.rho)
     deltas = [0.1 * k for k in range(0, 11)]
-    biases = [asymptotics_report(model.chain, model.psi, args.gamma, dr, args.rho, v).bias
+    biases = [asymptotics_report(chain, psi, args.gamma, dr, args.rho, v).bias
               for v, dr in (noise_variant(args.variant, d) for d in deltas)]
     return {
         "bias_table.csv": (["component", "empirical_iterate", "stderr_iterate",
@@ -306,16 +302,16 @@ def _rel_err(fd: np.ndarray, closed: np.ndarray) -> float | None:
 
 
 def cmd_sensitivity(args) -> dict:
-    model = resolve_model(args.model, args.basis)
-    rep = sensitivity(model.chain, model.psi, args.gamma, args.rho)
+    chain, psi = resolve_model(args.model, args.basis)
+    rep = sensitivity(chain, psi, args.gamma, args.rho)
     h = args.fd_step
-    r_p, r_m = (asymptotics_report(model.chain, model.psi, args.gamma, sign * h, args.rho,
+    r_p, r_m = (asymptotics_report(chain, psi, args.gamma, sign * h, args.rho,
                                    VARIANT_FIXED_RELATIVE) for sign in (1, -1))
     fd_sigma = (r_p.sigma_theta_star - r_m.sigma_theta_star) / (2 * h)
     fd_bias = (r_p.bias - r_m.bias) / (2 * h)
     # the closed-form sensitivity is that of the fixed variant
     variant, delta_r = noise_variant("varpi_relative_fixed", args.delta_r)
-    base = asymptotics_report(model.chain, model.psi, args.gamma, delta_r, args.rho, variant)
+    base = asymptotics_report(chain, psi, args.gamma, delta_r, args.rho, variant)
     return {
         "asymptotics.json": {**dataclasses.asdict(base), "gamma": args.gamma, "lambda": 0.0},
         "sensitivity.json": {
@@ -334,13 +330,13 @@ def cmd_dirichlet(args) -> dict:
 
     eps_P is the least gap of the EPS_P_BETA_GRID reports, ``eps_p(chain)`` bit for bit.
     """
-    model = resolve_model(args.model, args.basis)
-    probes = np.random.default_rng(args.seed).standard_normal((args.probes, model.psi.dim))
+    chain, psi = resolve_model(args.model, args.basis)
+    probes = np.random.default_rng(args.seed).standard_normal((args.probes, psi.dim))
     grid = args.beta_grid or EPS_P_BETA_GRID
-    reports = {beta: dirichlet_report(model.chain, model.psi, beta)
+    reports = {beta: dirichlet_report(chain, psi, beta)
                for beta in dict.fromkeys((*EPS_P_BETA_GRID, *grid))}
     floor = min(reports[beta].gap for beta in EPS_P_BETA_GRID)
-    quad_sigma0 = np.einsum("ki,ij,kj->k", probes, model.stats.sigma0, probes)
+    quad_sigma0 = np.einsum("ki,ij,kj->k", probes, feature_stats(chain, psi).sigma0, probes)
     rows = []
     for beta in grid:
         rep = reports[beta]
@@ -422,10 +418,10 @@ FLAGS = {
     "rho": dict(type=float, default=0.65),
     "burn_in": dict(type=float, default=0.2),
     "snapshots": dict(type=_checked(int, "0 or >= 2", lambda n: n == 0 or n >= 2), default=0),
-    "gamma_grid": dict(type=_checked(float, *_UNIT), nargs="*", default=None),
-    "delta_grid": dict(type=_checked(float, *_DELTA_R), nargs="*", default=None),
+    "gamma_grid": dict(type=_checked(float, *_UNIT), nargs="+", default=None),
+    "delta_grid": dict(type=_checked(float, *_DELTA_R), nargs="+", default=None),
     "beta_grid": dict(type=_checked(float, "in [0, 1)", lambda x: 0 <= x < 1),
-                      nargs="*", default=None),
+                      nargs="+", default=None),
     "probes": dict(type=_checked(int, *_POSITIVE), default=100),
     "fd_step": dict(type=_checked(float, "finite and > 0", lambda x: 0 < x < math.inf),
                     default=1e-5),
@@ -449,10 +445,11 @@ COMMANDS = {
     "moments": ("seed steps", {}),
 }
 
-# (subcommand, flag) -> keywords that replace the flag's own; bias reports
-# standard errors over its runs, and bias, sensitivity and dirichlet need the
-# exact chain of a finite model
-OVERRIDES = {("bias", "runs"): dict(type=_checked(int, ">= 2", lambda n: n >= 2)),
+# (subcommand, flag) -> keywords that replace the flag's own; bias, and eigs
+# of the speed-scaling model, report standard errors over their runs, and
+# bias, sensitivity and dirichlet need the exact chain of a finite model
+_AT_LEAST_TWO = dict(type=_checked(int, ">= 2", lambda n: n >= 2))
+OVERRIDES = {("bias", "runs"): _AT_LEAST_TWO, ("eigs", "runs"): _AT_LEAST_TWO,
              **{(name, "model"): _model_flag("finite3x2")
                 for name in ("bias", "sensitivity", "dirichlet")}}
 

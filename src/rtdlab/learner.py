@@ -209,30 +209,28 @@ class Path:
 class FiniteChainEnv:
     """Sampling environment for a finite state-action chain.
 
-    ``policy`` (per-state action probabilities, of the shape ``build_chain``
-    recorded on the chain) enables the natural and split-sampling evaluation
-    modes, whose tables are built once: the policy-averaged features
+    ``chain.policy`` enables the natural and split-sampling evaluation modes,
+    whose tables are built once: the policy-averaged features
     sum_u policy(u|x) psi(x, u) of all states in one product, and the
-    policy's cumulative rows.  Without it only on-policy is available.  Z_0
-    is drawn from the stationary pmf.
+    policy's cumulative rows.  Without it only on-policy is available.  A
+    ``policy`` passed here adds nothing and must equal it.  Z_0 is drawn from
+    the stationary pmf.
     """
 
     def __init__(self, chain: FiniteChain, psi: FeatureMap, policy: np.ndarray | None = None):
         self.chain = chain
         self.psi = psi
-        self.policy = None if policy is None else np.asarray(policy, float)
+        if policy is not None and not np.array_equal(policy, chain.policy):
+            raise ConfigError("policy differs from the one build_chain recorded on the chain")
         # cumulative rows of P and of the stationary pmf, ending in inf: bisect_right
         # lands on the last state exactly when a uniform is at or above the rounded sum
         cum = np.cumsum(np.vstack([chain.transition, chain.stationary]), axis=1)
         cum[:, -1] = np.inf
         *self._cum_rows, self._cum_init = cum.tolist()
-        if self.policy is not None:
-            if self.policy.shape != chain.state_action_shape:
-                raise ConfigError("natural and split-sampling targets need a chain from "
-                                  f"build_chain with the policy's shape {self.policy.shape}")
-            nx, nu = chain.state_action_shape
-            self._psi_avg = (self.policy[:, None, :] @ psi.matrix.reshape(nx, nu, psi.dim))[:, 0]
-            self._cum_policy = np.cumsum(self.policy, axis=1)
+        if chain.policy is not None:
+            nx, nu = chain.policy.shape
+            self._psi_avg = (chain.policy[:, None, :] @ psi.matrix.reshape(nx, nu, psi.dim))[:, 0]
+            self._cum_policy = np.cumsum(chain.policy, axis=1)
 
     @property
     def dim(self) -> int:
@@ -260,7 +258,7 @@ class FiniteChainEnv:
                     start: int | None = None) -> Path:
         if eval_mode not in EVAL_MODES:
             raise ConfigError(f"unknown eval mode {eval_mode!r}")
-        if eval_mode != "on_policy" and self.policy is None:
+        if eval_mode != "on_policy" and self.chain.policy is None:
             raise ConfigError(f"{eval_mode} mode requires policy knowledge")
         if eval_mode == "split_sampling" and rng_split is None:
             raise MissingSplitSample("split sampling requires its own stream")
@@ -270,7 +268,7 @@ class FiniteChainEnv:
         if eval_mode == "on_policy":
             target = psi_states[1:]
         else:
-            nu = self.chain.state_action_shape[1]
+            nu = self.chain.policy.shape[1]
             x_next = traj[1:] // nu
             if eval_mode == "natural":
                 target = self._psi_avg[x_next]

@@ -121,7 +121,8 @@ class FiniteChain:
 
     ``transition[z, z'] = P_u(x, x') * policy(u' | x')`` for z = (x, u) and
     z' = (x', u').  ``stationary`` is the unique invariant pmf (assumption of a
-    unichain).
+    unichain).  ``policy[x, u]`` is the (n_x, n_u) table ``build_chain`` ran, which
+    the natural and split-sampling targets average over at X', or None.
 
     ``poisson_cond`` is computed from the arrays on first use and then kept,
     so a chain's arrays must not be changed in place once it exists: build a
@@ -132,7 +133,7 @@ class FiniteChain:
     transition: np.ndarray
     cost_vec: np.ndarray
     stationary: np.ndarray
-    state_action_shape: tuple[int, int] | None = None
+    policy: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -148,6 +149,11 @@ class FiniteChain:
             raise ValueError("transition rows must sum to 1 within 1e-12")
         if np.max(np.abs(pi @ p - pi)) > 1e-10 or abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError("stationary vector is not invariant within 1e-10")
+        if self.policy is not None:
+            object.__setattr__(self, "policy", np.asarray(self.policy, dtype=float))
+            if self.policy.ndim != 2 or self.policy.size != n:
+                raise ValueError(f"policy shape {self.policy.shape} is not (n_x, n_u) "
+                                 f"with n_x * n_u = {n}")
 
     @property
     def n_z(self) -> int:
@@ -204,17 +210,16 @@ def build_chain(mdp: FiniteMdp, policy: RandomizedPolicy) -> FiniteChain:
     product over (x, u, x', u'), and its reshape to (n_z, n_z) is the
     layout z = x * n_actions + u.  The stationary pmf factorizes as
     varpi(x, u) = pi(x) * policy(u | x) with pi invariant for the
-    state-level kernel, but it is computed directly on the pair chain.
+    state-level kernel, but it is computed directly on the pair chain.  The
+    chain keeps ``policy.probs`` itself, not a copy, as its ``policy``.
     """
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError("policy dimensions do not match the MDP")
-    nx, nu = mdp.n_states, mdp.n_actions
-    nz = nx * nu
+    nz = mdp.n_states * mdp.n_actions
     p = (mdp.kernel.transpose(1, 0, 2)[:, :, :, None] * policy.probs).reshape(nz, nz)
     cost = mdp.cost.reshape(nz)
     pi = stationary_pmf(p)
-    return FiniteChain(transition=p, cost_vec=cost, stationary=pi,
-                       state_action_shape=(nx, nu))
+    return FiniteChain(transition=p, cost_vec=cost, stationary=pi, policy=policy.probs)
 
 
 def _poisson_matrix(chain: FiniteChain) -> np.ndarray:

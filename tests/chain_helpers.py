@@ -36,7 +36,7 @@ def solve_poisson(chain: FiniteChain, g: np.ndarray) -> PoissonSolution:
 
 def state_marginal(chain: FiniteChain) -> np.ndarray:
     """Marginal of the stationary pmf over states."""
-    nx, nu = chain.state_action_shape
+    nx, nu = chain.policy.shape
     return chain.stationary.reshape(nx, nu).sum(axis=1)
 
 

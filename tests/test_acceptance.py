@@ -43,7 +43,7 @@ def psi():
 
 @pytest.fixture(scope="module")
 def env(chain, psi):
-    return FiniteChainEnv(chain, psi, policy=models.FINITE_EVAL_POLICY)
+    return FiniteChainEnv(chain, psi)
 
 
 def test_criterion_01_stationary_anchors(chain):
@@ -170,7 +170,7 @@ def test_criterion_05_uniform_stability(chain, psi):
 def test_criterion_06_instability_dichotomy():
     mdp, policy, psi_d, mu_neg, mu_pos = models.unstable_demo()
     chain_d = build_chain(mdp, policy)
-    env_d = FiniteChainEnv(chain_d, psi_d, policy=policy.probs)
+    env_d = FiniteChainEnv(chain_d, psi_d)
     gamma, delta = 0.999, 1e-3
     flow_neg = mean_flow_relative(chain_d, psi_d, gamma, 0.0, delta, mu_neg)
     rep_neg = spectral_report(flow_neg.a_bar)

@@ -7,9 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rtdlab import meanflow, models
+from rtdlab import cli, meanflow, models
 from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
 from rtdlab.features import feature_stats, finite_poly_basis
+from rtdlab.learner import FiniteChainEnv, LearnerConfig, StepSchedule, run_many
 from rtdlab.markov import FiniteMdp, RandomizedPolicy, build_chain, save_model
 from rtdlab.meanflow import (EPS_P_BETA_GRID, dirichlet_report, eps_p, mean_flow_relative,
                              spectral_report)
@@ -265,6 +266,19 @@ class TestDirichletCmd:
             assert got["degenerate"] == 0
 
 
+@pytest.mark.parametrize("argv, stats_calls", [
+    (["eigs", "--gamma-grid", "0.9"], 0), (["sensitivity"], 0),
+    (["dirichlet", "--probes", "5", "--beta-grid", "0.5"], 1),
+], ids=["eigs", "sensitivity", "dirichlet"])
+def test_exact_commands_build_no_environment(tmp_path, monkeypatch, argv, stats_calls):
+    # they sample nothing, and only dirichlet reads the feature covariance
+    calls, stats = [], cli.feature_stats
+    monkeypatch.setattr(cli, "FiniteChainEnv", lambda *args: calls.append("env"))
+    monkeypatch.setattr(cli, "feature_stats", lambda *args: calls.append("stats") or stats(*args))
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert calls == ["stats"] * stats_calls
+
+
 class TestRunCmd:
     def test_relative_fixed_mu(self, tmp_path):
         rc = run_cli("run", "--out", str(tmp_path), "--variant", "relative_fixed_mu",
@@ -328,6 +342,12 @@ REJECTED = [
      "ConfigError"),
     (["hist", "--model", "speed_scaling", "--alpha0", "1e-6", "--runs", "2", "--steps", "1"],
      "ConfigError"),
+    # an empty grid flag names no grid; it used to run the default one
+    (["eigs", "--gamma-grid"], "ConfigError"),
+    (["eigs", "--delta-grid"], "ConfigError"),
+    (["dirichlet", "--beta-grid"], "ConfigError"),
+    # the speed-scaling eigs reports a standard error over its runs
+    (["eigs", "--model", "speed_scaling", "--runs", "1"], "ConfigError"),
 ]
 
 
@@ -426,6 +446,23 @@ class TestModelFileInput:
         assert rc == 0
         header, rows = read_csv(out / "eigs.csv")
         assert len([h for h in header if h.startswith("eig_re_")]) == 6
+
+    def test_natural_run_averages_over_the_file_policy(self, tmp_path):
+        policy = RandomizedPolicy(np.array([[0.3, 0.7], [0.9, 0.1], [0.6, 0.4]]))
+        path = tmp_path / "m.json"
+        save_model(path, models.finite_mdp(), policy)
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--model", f"file:{path}", "--lam", "0.5",
+                       "--eval-mode", "natural", "--runs", "2", "--steps", "3000",
+                       "--seed", "4") == 0
+        _, rows = read_csv(out / "runs.csv")
+        env = FiniteChainEnv(build_chain(models.finite_mdp(), policy), finite_poly_basis(3, 2))
+        cfg = LearnerConfig(gamma=0.99, lam=0.5, step=StepSchedule(0.02, 0.65),
+                            variant="varpi_relative", delta_r=0.5, eval_mode="natural",
+                            seed=4, pr_burn_in_fraction=0.2)
+        want = [[r.theta_pr[i], r.theta_final[i]] for r in run_many(env, cfg, 3000, 2)
+                for i in range(3)]
+        assert np.array_equal(np.array(rows, dtype=float)[:, 2:], want)
 
     def test_unknown_model_errors_with_json(self, tmp_path, capsys):
         rc = run_cli("eigs", "--out", str(tmp_path), "--model", "nope")
@@ -539,6 +576,9 @@ class TestConfigFile:
         ("run", "out", "x"),       # not a flag of the subcommand's own
         ("run", "help", 1),
         ("run", "config", "other.json"),
+        ("eigs", "gamma_grid", []),  # an empty grid
+        ("eigs", "delta_grid", []),
+        ("dirichlet", "beta_grid", []),
     ])
     def test_key_the_command_cannot_take_rejected(self, tmp_path, capsys, command, key, value):
         cfg_path = tmp_path / "cfg.json"

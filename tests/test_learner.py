@@ -10,13 +10,15 @@ import pytest
 from rtdlab import learner, models
 from rtdlab.asymptotics import noise_variant
 from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
-from rtdlab.features import baseline_mean, feature_mean, feature_stats, finite_poly_basis
+from rtdlab.features import (FeatureMap, baseline_mean, feature_mean, feature_stats,
+                             finite_poly_basis)
 from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             empirical_bias, empirical_clt_samples, run, run_many,
                             snapshot_indices, substream)
-from rtdlab.markov import FiniteChain, build_chain
+from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
+from chain_helpers import loop_psi_avg
 from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
                             td_step, textbook_step, transitions, tree_step)
 from pair_oracle import build_noise_model
@@ -34,7 +36,13 @@ def psi():
 
 @pytest.fixture(scope="module")
 def env(chain, psi):
-    return FiniteChainEnv(chain, psi, policy=models.FINITE_EVAL_POLICY)
+    return FiniteChainEnv(chain, psi)
+
+
+def bare_chain(chain):
+    """The chain's matrices without the policy ``build_chain`` recorded."""
+    return FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
+                       stationary=chain.stationary)
 
 
 SCHED = StepSchedule(0.02, 0.65)
@@ -289,7 +297,7 @@ class TestRun:
     def test_divergence_raised(self):
         mdp, policy, psi_d, mu_neg, _ = models.unstable_demo()
         chain_d = build_chain(mdp, policy)
-        env_d = FiniteChainEnv(chain_d, psi_d, policy=policy.probs)
+        env_d = FiniteChainEnv(chain_d, psi_d)
         cfg = LearnerConfig(gamma=0.999, lam=0.0, step=StepSchedule(2.0, 0.65),
                             variant="relative_fixed_mu", delta_r=1e-3, mu=mu_neg, seed=0)
         # a numpy RuntimeWarning from the overflow past the threshold fails the test
@@ -323,7 +331,7 @@ class TestRun:
         # 3 runs scanned as two groups, (0, 1) and (2,): at this seed run 2
         # crosses the threshold first and run 1 later in the same block
         mdp, policy, psi_d, mu_neg, _ = models.unstable_demo()
-        env_d = FiniteChainEnv(build_chain(mdp, policy), psi_d, policy=policy.probs)
+        env_d = FiniteChainEnv(build_chain(mdp, policy), psi_d)
         cfg = LearnerConfig(gamma=0.999, lam=0.0, step=StepSchedule(2.0, 0.65),
                             variant="relative_fixed_mu", delta_r=1e-3, mu=mu_neg, seed=13)
         entries = 2 * learner._BLOCK_STEPS * env_d.dim ** 2
@@ -415,7 +423,7 @@ class TestEvalModes:
     def test_natural_uses_policy_average(self, env, chain, psi):
         cfg = config(eval_mode="natural", seed=21)
         path = env.sample_path(50, "natural", substream(21, 0))
-        nu = chain.state_action_shape[1]
+        nu = chain.policy.shape[1]
         for t in range(50):
             x_next = path.z_traj[t + 1] // nu
             expect = models.FINITE_EVAL_POLICY[x_next] @ psi.matrix[x_next * nu:(x_next + 1) * nu]
@@ -431,7 +439,7 @@ class TestEvalModes:
         # empirical split-action frequencies approach the policy
         n = 200_000
         path = env.sample_path(n, "split_sampling", substream(77, 0), substream(77, 1))
-        nu = chain.state_action_shape[1]
+        nu = chain.policy.shape[1]
         x_next = path.z_traj[1:] // nu
         # recover the drawn action from the target feature row (u component)
         u_split = path.psi_target[:, 1].astype(int) - 1
@@ -441,21 +449,49 @@ class TestEvalModes:
             assert frac == pytest.approx(models.FINITE_EVAL_POLICY[x, 0], abs=0.01)
 
     def test_natural_requires_policy(self, chain, psi):
-        env_bare = FiniteChainEnv(chain, psi, policy=None)
+        env_bare = FiniteChainEnv(bare_chain(chain), psi)
         with pytest.raises(ConfigError):
             run(env_bare, config(eval_mode="natural"), 10)
 
     def test_policy_needs_the_state_action_layout(self, chain, psi):
-        bare = FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
-                           stationary=chain.stationary)
-        for c, policy in ((bare, models.FINITE_EVAL_POLICY), (chain, np.full((4, 2), 0.5))):
+        bare = bare_chain(chain)
+        # a policy passed must be the chain's: the always-action-0 policy on
+        # the 3x2 chain would average the natural targets over the wrong actions
+        always_0 = np.tile([1.0, 0.0], (3, 1))
+        for c, policy in ((bare, models.FINITE_EVAL_POLICY), (chain, np.full((4, 2), 0.5)),
+                          (chain, always_0)):
             with pytest.raises(ConfigError, match="build_chain"):
                 FiniteChainEnv(c, psi, policy=policy)
+        FiniteChainEnv(chain, psi, policy=models.FINITE_EVAL_POLICY.copy())
         path = FiniteChainEnv(bare, psi).sample_path(10, "on_policy", substream(0, 0))
         assert np.array_equal(path.psi_target, psi.matrix[path.z_traj[1:]])
 
+    def test_targets_average_over_the_chains_policy(self):
+        # a 4 x 3 chain under a policy with zero entries: the natural targets are
+        # the per-state loop's averages, and each split action the first u whose
+        # cumulative policy reaches the split uniform
+        rng = np.random.default_rng(25)
+        kernel = rng.gamma(1.0, 1.0, (3, 4, 4))
+        probs = rng.gamma(1.0, 1.0, (4, 3)) * (rng.random((4, 3)) < 0.6)
+        probs[np.arange(4), [0, 2, 1, 2]] += 0.5
+        policy = RandomizedPolicy(probs / probs.sum(axis=1, keepdims=True))
+        mdp = FiniteMdp(4, 3, kernel / kernel.sum(axis=2, keepdims=True),
+                        rng.standard_normal((4, 3)))
+        psi = FeatureMap(rng.standard_normal((12, 3)))
+        env = FiniteChainEnv(build_chain(mdp, policy), psi)
+        natural = env.sample_path(500, "natural", substream(3, 0))
+        x_next = natural.z_traj[1:] // 3
+        assert natural.psi_target.tobytes() == loop_psi_avg(policy.probs, psi)[x_next].tobytes()
+        split = env.sample_path(500, "split_sampling", substream(3, 0), substream(3, 1))
+        assert np.array_equal(split.z_traj, natural.z_traj)
+        want = []
+        for x, us in zip(x_next, substream(3, 1).random(500)):
+            cum = np.cumsum(policy.probs[x])
+            want.append(next((u for u in range(3) if us <= cum[u]), 2))
+        assert np.array_equal(split.psi_target, psi.matrix[x_next * 3 + np.array(want)])
+
     def test_unservable_mode_rejected_before_sampling(self, chain, psi, monkeypatch):
-        env_bare = FiniteChainEnv(chain, psi, policy=None)
+        env_bare = FiniteChainEnv(bare_chain(chain), psi)
 
         def fail(*args):
             raise AssertionError("path sampled before the eval mode was checked")
@@ -464,7 +500,7 @@ class TestEvalModes:
         for mode in ("natural", "split_sampling", "no_such_mode"):
             with pytest.raises(ConfigError):
                 env_bare.sample_path(10, mode, substream(0, 0), substream(0, 1))
-        env_full = FiniteChainEnv(chain, psi, policy=models.FINITE_EVAL_POLICY)
+        env_full = FiniteChainEnv(chain, psi)
         monkeypatch.setattr(env_full, "sample_states", fail)
         with pytest.raises(MissingSplitSample):
             env_full.sample_path(10, "split_sampling", substream(0, 0))

@@ -88,6 +88,17 @@ class TestBuildChain:
         assert np.max(np.abs(chain.transition.sum(axis=1) - 1)) < 1e-12
         assert np.max(np.abs(chain.stationary @ chain.transition - chain.stationary)) < 1e-10
 
+    def test_chain_keeps_the_policy_table(self):
+        policy = models.finite_eval_policy()
+        assert build_chain(models.finite_mdp(), policy).policy is policy.probs
+
+    @pytest.mark.parametrize("table", [np.full(6, 1 / 2), np.full((2, 2), 1 / 2),
+                                       np.full((3, 2, 1), 1 / 2)])
+    def test_policy_of_the_wrong_shape_rejected(self, chain, table):
+        with pytest.raises(ValueError, match="policy shape"):
+            FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
+                        stationary=chain.stationary, policy=table)
+
 
 class TestPoisson:
     def test_plugback_residual(self, chain):

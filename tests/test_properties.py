@@ -233,7 +233,7 @@ def test_build_chain_is_the_per_state_loop(case):
 @given(mdps())
 def test_policy_averaged_features_are_the_per_state_loop(case):
     mdp, policy, psi = case
-    env = FiniteChainEnv(build_chain(mdp, policy), psi, policy.probs)
+    env = FiniteChainEnv(build_chain(mdp, policy), psi)
     assert env._psi_avg.tobytes() == loop_psi_avg(policy.probs, psi).tobytes()
 
 
@@ -259,7 +259,7 @@ def learner_cases(draw, variant):
         pr_burn_in_fraction=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 99)),
         theta0=draw(st.sampled_from([None, rng.standard_normal(psi.dim)])))
     plan = tuple(draw(st.sets(st.integers(0, n_steps), max_size=4)))
-    return FiniteChainEnv(chain, psi, policy.probs), config, n_steps, plan
+    return FiniteChainEnv(chain, psi), config, n_steps, plan
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
