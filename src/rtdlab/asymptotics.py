@@ -32,28 +32,28 @@ D = diag(varpi):
 Poisson route (Glynn & Meyn, 1996).  The pair kernel
 P_hat[(z, z'), (y, y')] = 1{y = z'} P(z', y') maps any pair function to a
 function of z' alone, so the centered pair Poisson solution of a zero-mean F
-is F(z, z') + g(z'), where (I - P) g = sum_y P(., y) F(., y) and varpi'g = 0:
-one base-chain solve.  Likewise A_hat(z, z') = A(z, z') - A_bar + G(z') with
-G the base solution for R_A(x) = sum_y P(x, y) (A(x, y) - A_bar), so
-A - A_hat = A_bar - G(z') and
+is F(z, z') + g(z'), g = Pi col_F, col_F = sum_y P(., y) F(., y), with
+Pi = (I - P + 1 varpi')^{-1}(I - 1 varpi') the centered base Poisson
+operator.  Likewise A_hat(z, z') = A(z, z') - A_bar + G(z') with G = Pi R_A,
+where R_A = psi trail' up to a constant for A(x, y) = psi(x) a(x, y)' + K
+and trail(x) = sum_y P(x, y) a(x, y).  So Sigma_Delta = E[Delta Delta']
++ w_Delta' g + g' w_Delta and Upsilon_bar = A_bar E[Delta] - sum_z' G(z')
+w_Delta(z'): Pi meets w_Delta alone.  As w'Pi f = (Pi'w)'f, one adjoint solve
+h = Pi'w_Delta (``markov.poisson_solve_adjoint``) gives
 
-    Sigma_Delta = E[Delta Delta'] + w_Delta' g + g' w_Delta,
-    Upsilon_bar = A_bar E[Delta] - sum_z' G(z') w_Delta(z').
+    Sigma_Delta = E[Delta Delta'] + h' col_Delta + col_Delta' h,
+    Upsilon_bar = A_bar E[Delta] - Psi' rowsum(h o trail),
 
-The solve centers its input, so R_A is formed without its constant part,
-and varpi'g = 0, varpi'G = 0 drop the varpi kappa' part of w from both sums.
-
-The pair residual of (I - P_hat) A_hat = A - A_bar at (z, z') is the base
-residual (I - P) G - R_A at z', and that is what the plug-back check reads.
+and the n_z x d^2 array G is never formed.  Pi'varpi = 0 and 1'h = 0 drop
+the varpi kappa' part of w and the constant part of col.
 
 A_bar, b_bar and theta_star are ``meanflow.mean_flow_relative`` at lam = 0,
 A_bar(0; 0) - delta_r psi_bar psi_bar' with b_bar = Psi' D c, for every
-noise model and either sign of delta_r.  A report (``asymptotics_report``,
-``sensitivity``) makes one base-chain solve over the columns [Delta | R_A],
-which reads the chain's cached condition number, and checks cond(A_bar) once
-for its two solves on A_bar (theta_star and the inverse).  Besides P it holds
-n_z x n_z scalar matrices and n_z x d^2 arrays, never a per-pair vector or
-matrix.
+noise model and either sign of delta_r.  ``asymptotics_report`` makes one
+adjoint solve of d columns and ``sensitivity`` one of 2d.  cond(A_bar) is
+checked once for the two solves on A_bar (theta_star and the inverse).  A
+report holds O(n_z^2 + n_z d) floats, so a tabular basis (d = n_z) runs at
+hundreds of states.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, NonZeroMean, SingularSystem
 from .features import FeatureMap, feature_mean
-from .markov import FiniteChain, poisson_solve_columns
+from .markov import FiniteChain, poisson_solve_adjoint
 from .meanflow import mean_flow_relative
 
 VARIANT_TD0 = "td0"
@@ -151,10 +151,10 @@ def noise_variant(variant: str, delta_r: float) -> tuple[str, float]:
 class _PairTerm:
     """F(z, z') = psi(z) e(z, z') + kappa with its pair-law sums (module docstring).
 
-    ``mean`` is E[F], ``col`` = sum_y P(., y) F(., y) (the base Poisson
-    input) and ``w`` = (D P o e)' Psi, the psi(z) e part of
-    sum_z varpi(z) P(z, .) F(z, .); its kappa part varpi kappa' only ever
-    meets base solutions, which varpi' annihilates.
+    ``mean`` is E[F], ``col`` = Psi o (P o e) 1, the psi(z) e part of
+    sum_y P(., y) F(., y), and ``w`` = (D P o e)' Psi, the psi(z) e part of
+    sum_z varpi(z) P(z, .) F(z, .).  The kappa parts, a constant in col and
+    varpi kappa' in w, vanish against Pi (module docstring).
     """
 
     e: np.ndarray
@@ -169,7 +169,7 @@ def _pair_term(chain: FiniteChain, mat: np.ndarray, e: np.ndarray,
     weighted = chain.stationary[:, None] * chain.transition * e   # D P o e
     rows = np.einsum("zy,zy->z", chain.transition, e)
     return _PairTerm(e=e, kappa=kappa, mean=mat.T @ weighted.sum(axis=1) + kappa,
-                     col=mat * rows[:, None] + kappa, w=weighted.T @ mat)
+                     col=mat * rows[:, None], w=weighted.T @ mat)
 
 
 def _second_moment(chain: FiniteChain, mat: np.ndarray, f: _PairTerm,
@@ -181,12 +181,9 @@ def _second_moment(chain: FiniteChain, mat: np.ndarray, f: _PairTerm,
             + np.outer(f.kappa, m_h) + np.outer(f.kappa, h.kappa))
 
 
-def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
-           variant: str, rho: float) -> tuple:
-    """The report of noise model ``variant``, with the pieces ``sensitivity`` reads.
-
-    Returns (report, A_bar, A_bar^{-1}, G shaped (n_z, d, d), Delta, g).
-    """
+def _pre_solve(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
+               variant: str, rho: float) -> tuple:
+    """(A_bar, A_bar^{-1}, theta_star, trail, Delta): ``variant``'s report before its solve."""
     if not 0.5 < rho < 1.0:
         raise ConfigError("rho must lie in (1/2, 1)")
     if variant not in (VARIANT_TD0, VARIANT_FIXED_RELATIVE, VARIANT_VARPI_LIMIT):
@@ -197,18 +194,16 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
     if flow.singular:
         raise SingularSystem("mean-flow matrix is numerically singular")
     a_bar, b, theta_star = flow.a_bar, flow.b_bar, flow.theta_star
-    n, d = psi.matrix.shape
     mat = psi.matrix
     # mean_flow_relative has checked cond(A_bar)
-    a_inv = np.linalg.solve(a_bar, np.eye(d))
+    a_inv = np.linalg.solve(a_bar, np.eye(psi.dim))
     psi_bar = feature_mean(chain, psi)
     v = mat @ theta_star
     s = float(psi_bar @ theta_star)
     u = chain.cost_vec - v
-    # A(x, y) = psi(x) a(x, y)' + K with K constant and trail = sum_y P(., y) a(., y),
-    # so R_A = psi trail' up to a constant, which the Poisson solve centers away
+    # trail = sum_y P(., y) a(., y) for A(x, y) = psi(x) a(x, y)' + K (module docstring)
     trail = gamma * (chain.transition @ mat) - mat
-    kappa = np.zeros(d)
+    kappa = np.zeros(psi.dim)
     if variant == VARIANT_FIXED_RELATIVE:
         kappa = -delta_r * s * psi_bar
     elif variant == VARIANT_VARPI_LIMIT:
@@ -218,28 +213,29 @@ def _exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
     mean = float(np.max(np.abs(delta.mean)))
     if mean > 1e-8 * _scale(b):
         raise NonZeroMean(f"Delta has stationary mean {mean:.3e}")
-    r_a = (mat[:, :, None] * trail[:, None, :]).reshape(n, d * d)
-    sol = poisson_solve_columns(chain, np.hstack([delta.col, r_a]))
-    g, big_g = sol[:, :d], sol[:, d:]
-    resid = r_a - chain.stationary @ r_a - (big_g - chain.transition @ big_g)
-    if np.max(np.abs(resid)) > 1e-9:
-        raise SingularSystem("matrix Poisson plug-back residual too large")
-    big_g = big_g.reshape(n, d, d)
-    half = 0.5 * _second_moment(chain, mat, delta, delta) + delta.w.T @ g
+    return a_bar, a_inv, theta_star, trail, delta
+
+
+def _report(chain: FiniteChain, mat: np.ndarray, pre: tuple, h: np.ndarray,
+            variant: str, delta_r: float, rho: float) -> AsymptoticsReport:
+    """The report from ``_pre_solve``'s pieces and h = Pi' w_Delta."""
+    a_bar, a_inv, theta_star, trail, delta = pre
+    half = 0.5 * _second_moment(chain, mat, delta, delta) + h.T @ delta.col
     sig_d = half + half.T
-    ups = a_bar @ delta.mean - np.einsum("zij,zj->i", big_g, delta.w)
-    report = AsymptoticsReport(
+    ups = a_bar @ delta.mean - mat.T @ np.einsum("zj,zj->z", h, trail)
+    return AsymptoticsReport(
         sigma_delta=sig_d, sigma_theta_star=a_inv @ sig_d @ a_inv.T,
         bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=theta_star,
         rho=rho, variant=variant, delta_r=delta_r)
-    return report, a_bar, a_inv, big_g, delta, g
 
 
 def asymptotics_report(chain: FiniteChain, psi: FeatureMap, gamma: float,
                        delta_r: float, rho: float,
                        variant: str = VARIANT_FIXED_RELATIVE) -> AsymptoticsReport:
     """One-stop exact report of noise model ``variant`` at ``delta_r``."""
-    return _exact(chain, psi, gamma, delta_r, variant, rho)[0]
+    pre = _pre_solve(chain, psi, gamma, delta_r, variant, rho)
+    h = poisson_solve_adjoint(chain, pre[4].w)
+    return _report(chain, psi.matrix, pre, h, variant, delta_r, rho)
 
 
 def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
@@ -257,16 +253,13 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
 
     Sigma_Delta' follows by differentiating the Poisson representation of the
     two-sided sum (the derivative H_hat' solves the same Poisson system with
-    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' is
-    s (A - A_bar) applied to the fixed vector phi_bar, so its pair Poisson
-    solution is s A_hat phi_bar and its base solution is g' = s G phi_bar,
-    read off the base report's G with no solve of its own; A_bar^{-1} is the
-    report's inverse:
+    input Delta'), and Upsilon_bar' = E[(A - A_hat) Delta'].  Delta' needs
+    only phi_bar and theta_star, so one solve gives h = Pi'w_Delta and
+    h_F = Pi'w_F, F = Delta'.  Delta' = s (A - A_bar) phi_bar has the base
+    Poisson solution g' = s G phi_bar, so w_Delta'g' = s h'(Psi o (trail phi_bar)):
 
-        Sigma_Delta' = M + M',  M = E[F Delta'] + w_F' g + w_Delta' g',
-        Upsilon_bar' = A_bar E[F] - sum_z' G(z') w_F(z'),
-
-    with F = Delta'.
+        Sigma_Delta' = M + M',  M = E[F Delta'] + h_F' col_Delta + w_Delta' g',
+        Upsilon_bar' = A_bar E[F] - Psi' rowsum(h_F o trail).
 
     The covariance and bias derivatives are then
 
@@ -276,22 +269,24 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
     """
     mat = psi.matrix
     psi_bar = feature_mean(chain, psi)
-    base, a_bar, a_inv, big_g, delta, g = _exact(chain, psi, gamma, 0.0, VARIANT_TD0, rho)
+    a_bar, a_inv, theta_star, trail, delta = pre = _pre_solve(chain, psi, gamma, 0.0,
+                                                              VARIANT_TD0, rho)
     d_a_bar = -np.outer(psi_bar, psi_bar)
     d_a_inv = -a_inv @ d_a_bar @ a_inv
-    d_theta = -a_inv @ d_a_bar @ base.theta_star
+    d_theta = -a_inv @ d_a_bar @ theta_star
     phi_bar = a_inv @ psi_bar
     outer_residual = float(np.max(np.abs(d_a_inv - np.outer(phi_bar, phi_bar))))
 
-    s = float(psi_bar @ base.theta_star)
+    s = float(psi_bar @ theta_star)
     q = mat @ phi_bar
     delta_prime = _pair_term(chain, mat, s * (gamma * q[None, :] - q[:, None]),
                              -s * (a_bar @ phi_bar))
-    g_prime = s * (big_g @ phi_bar)
+    h, h_prime = np.hsplit(poisson_solve_adjoint(chain, np.hstack([delta.w, delta_prime.w])), 2)
+    base = _report(chain, mat, pre, h, VARIANT_TD0, 0.0, rho)
     half = (_second_moment(chain, mat, delta_prime, delta)
-            + delta_prime.w.T @ g + delta.w.T @ g_prime)
+            + h_prime.T @ delta.col + s * h.T @ (mat * (trail @ phi_bar)[:, None]))
     sig_d_prime = half + half.T
-    ups_prime = a_bar @ delta_prime.mean - np.einsum("zij,zj->i", big_g, delta_prime.w)
+    ups_prime = a_bar @ delta_prime.mean - mat.T @ np.einsum("zj,zj->z", h_prime, trail)
 
     correction = a_inv @ d_a_bar @ base.sigma_theta_star
     d_sigma = a_inv @ sig_d_prime @ a_inv.T - correction - correction.T
@@ -300,9 +295,7 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
     d_bias_frozen = a_inv @ (-d_a_bar @ base.bias)
 
     return SensitivityReport(
-        d_theta_star=d_theta, d_a_bar=d_a_bar, d_a_inv=d_a_inv,
-        d_sigma=d_sigma, d_bias=d_bias,
+        d_theta_star=d_theta, d_a_bar=d_a_bar, d_a_inv=d_a_inv, d_sigma=d_sigma, d_bias=d_bias,
         sigma_delta_prime=sig_d_prime, upsilon_bar_prime=ups_prime,
         d_sigma_frozen_noise=d_sigma_frozen, d_bias_frozen_noise=d_bias_frozen,
-        a_inv_prime_outer_residual=outer_residual,
-    )
+        a_inv_prime_outer_residual=outer_residual)

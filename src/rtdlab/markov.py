@@ -1,8 +1,8 @@
 """Exact finite-chain machinery.
 
 State-action chains induced by a randomized stationary policy, their
-stationary distributions, Poisson equations solved as one linear system on
-I - P + 1 varpi', the resolvent (I - beta P)^{-1} of every discounted
+stationary distributions, Poisson pairings read off one adjoint solve on
+(I - P + 1 varpi')', the resolvent (I - beta P)^{-1} of every discounted
 quantity, and ``guarded_solve``, the one place a condition number meets the
 1e12 limit.  cond(I - P + 1 varpi') is an SVD kept on the chain as one
 float; ``resolvent_solve`` passes a norm bound, so an SVD of I - beta P runs
@@ -121,8 +121,8 @@ class FiniteChain:
 
     ``transition[z, z'] = P_u(x, x') * policy(u' | x')`` for z = (x, u) and
     z' = (x', u').  ``stationary`` is the unique invariant pmf (assumption of a
-    unichain).  ``policy[x, u]`` is the (n_x, n_u) table ``build_chain`` ran, which
-    the natural and split-sampling targets average over at X', or None.
+    unichain).  ``policy[x, u]``, or None, is the (n_x, n_u) table ``transition``
+    comes from, which the natural and split-sampling targets average over at X'.
 
     ``poisson_cond`` is computed from the arrays on first use and then kept,
     so a chain's arrays must not be changed in place once it exists: build a
@@ -154,6 +154,9 @@ class FiniteChain:
             if self.policy.ndim != 2 or self.policy.size != n:
                 raise ValueError(f"policy shape {self.policy.shape} is not (n_x, n_u) "
                                  f"with n_x * n_u = {n}")
+            p3 = p.reshape(n, *self.policy.shape)
+            if np.max(np.abs(p3 - p3.sum(axis=2, keepdims=True) * self.policy)) > 1e-10:
+                raise ValueError("transition is not P_u(x, x') policy(u' | x') within 1e-10")
 
     @property
     def n_z(self) -> int:
@@ -227,18 +230,22 @@ def _poisson_matrix(chain: FiniteChain) -> np.ndarray:
     return np.eye(chain.n_z) - chain.transition + chain.stationary[None, :]
 
 
-def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
-    """Column-wise Poisson solves: each column of ``g_cols`` is centered and solved.
+def poisson_solve_adjoint(chain: FiniteChain, w: np.ndarray) -> np.ndarray:
+    """h = Pi'w, Pi = (I - P + 1 varpi')^{-1}(I - 1 varpi') the centered Poisson operator.
 
-    Returns H with (I - P) H[:, j] = g_cols[:, j] - mean_j and varpi'H = 0,
-    from one solve of (I - P + 1 varpi') H = g_cols - means: applying varpi'
-    to that system annihilates the (I - P) part and leaves varpi'H = 0.
+    w'Pi f = h'f for every f.  h is one solve of (I - P + 1 varpi')'h = w - varpi (1'w),
+    guarded by the chain's ``poisson_cond`` (a transpose keeps the singular
+    values), and 1'h = 0.  SingularSystem past the limit, or when (I - P)'h
+    misses w - varpi (1'w) by more than 1e-9 max(1, max|w|).
     """
-    g_cols = np.asarray(g_cols, dtype=float)
-    means = chain.stationary @ g_cols
+    w = np.asarray(w, dtype=float)
+    rhs = w - np.multiply.outer(chain.stationary, w.sum(axis=0))
     cond = chain.poisson_cond  # before the solve's matrix exists: one n_z x n_z at a time
-    return guarded_solve(_poisson_matrix(chain), g_cols - means, SingularSystem,
-                         "I - P + 1 varpi'", cond=cond)
+    h = guarded_solve(_poisson_matrix(chain).T, rhs, SingularSystem,
+                      "I - P + 1 varpi'", cond=cond)
+    if np.max(np.abs(h - chain.transition.T @ h - rhs)) > 1e-9 * max(1.0, np.max(np.abs(w))):
+        raise SingularSystem("Poisson plug-back residual too large")
+    return h
 
 
 def discounted_q(chain: FiniteChain, gamma: float) -> np.ndarray:

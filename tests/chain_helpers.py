@@ -1,7 +1,11 @@
 """Chain helpers the tests share, kept out of ``rtdlab`` because no code there reads them.
 
+- ``poisson_solve_columns``: the forward centered Poisson solve, one column
+  per input f, that ``markov.poisson_solve_adjoint`` replaces in ``rtdlab``;
+  it is the oracle of the adjoint route, and of the pair routes in
+  ``pair_oracle``;
 - ``solve_poisson``: the average cost eta = varpi'g and the centered Poisson
-  solution of one column, through ``markov.poisson_solve_columns``;
+  solution of one column, through ``poisson_solve_columns``;
 - ``state_marginal``: the stationary pmf summed over actions;
 - ``finite_greedy_policy``: the deterministic policy of the 3x2 model, whose
   reference values the module docstring of ``rtdlab.models`` lists;
@@ -15,8 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from rtdlab.features import FeatureMap
-from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, poisson_solve_columns
+from rtdlab.errors import SingularSystem
+from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, guarded_solve
 from rtdlab.models import FINITE_GREEDY_POLICY
+
+
+def poisson_solve_columns(chain: FiniteChain, g_cols: np.ndarray) -> np.ndarray:
+    """Column-wise Poisson solves: each column of ``g_cols`` is centered and solved.
+
+    Returns H with (I - P) H[:, j] = g_cols[:, j] - mean_j and varpi'H = 0,
+    from one solve of (I - P + 1 varpi') H = g_cols - means: applying varpi'
+    to that system annihilates the (I - P) part and leaves varpi'H = 0.
+    """
+    g_cols = np.asarray(g_cols, dtype=float)
+    means = chain.stationary @ g_cols
+    m = np.eye(chain.n_z) - chain.transition + chain.stationary[None, :]
+    return guarded_solve(m, g_cols - means, SingularSystem, "I - P + 1 varpi'",
+                         cond=chain.poisson_cond)
 
 
 @dataclass(frozen=True)

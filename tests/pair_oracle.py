@@ -1,8 +1,8 @@
 """Pair-chain oracles for the noise and bias analysis.
 
 rtdlab evaluates every pair expectation of the process (Z_n, Z_{n+1}) in
-per-state form on the base chain.  The tests check it against two direct
-routes kept here:
+per-state form on the base chain, pairing Poisson solutions through one
+adjoint solve h = Pi'w.  The tests check it against three routes kept here:
 
 - the n_z^2-state pair chain with its dense kernel and fundamental matrix,
   which costs n_z^4 memory and so serves small chains only;
@@ -10,7 +10,11 @@ routes kept here:
   coefficient table of ``build_noise_model``, averaged under the pair law,
   with each pair Poisson equation split into the centered input plus one
   base-chain solve in z'.  It costs n_z^2 d^2 memory, so it also checks
-  chains of a few hundred states.
+  chains of a few hundred states;
+- the forward base-chain route (``forward_exact``): one forward solve over
+  [col_Delta | R_A] gives g and the (n_z, d, d) matrix Poisson solution G,
+  so A_hat(z, z') = A(z, z') - A_bar + G(z') (``a_hat_from``).  It costs
+  n_z d^2 memory, and it checks the adjoint route's pairings term by term.
 
 ``build_noise_model`` tabulates A(phi) and b(phi) per pair straight from the
 update rule.  Its A_bar, b_bar and theta_star are the reports' own
@@ -22,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rtdlab.asymptotics import VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT
+from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
+                                AsymptoticsReport, _pre_solve, _second_moment)
 from rtdlab.features import FeatureMap, feature_mean
-from rtdlab.markov import FiniteChain, poisson_solve_columns
+from rtdlab.markov import FiniteChain
 from rtdlab.meanflow import mean_flow_relative
+
+from chain_helpers import poisson_solve_columns
 
 
 @dataclass(frozen=True)
@@ -237,3 +244,36 @@ def a_hat_from(noise, big_g: np.ndarray) -> np.ndarray:
     n, d, _ = big_g.shape
     a_dev = (noise.a_of_phi - noise.a_bar).reshape(n, n, d, d)
     return (a_dev + big_g[None, :, :, :]).reshape(n * n, d, d)
+
+
+def forward_exact(chain: FiniteChain, psi: FeatureMap, gamma: float, delta_r: float,
+                  variant: str, rho: float) -> tuple:
+    """The report by the forward base-chain route, with G shaped (n_z, d, d).
+
+    g = Pi col_Delta and G = Pi R_A come from one forward solve, with
+    R_A = psi trail' the per-state form of sum_y P(., y) (A(., y) - A_bar) up
+    to a constant, which the solve centers away.  Then
+
+        Sigma_Delta = E[Delta Delta'] + w_Delta' g + g' w_Delta,
+        Upsilon_bar = A_bar E[Delta] - sum_z' G(z') w_Delta(z'),
+
+    and the plug-back of (I - P) G = R_A - varpi'R_A is checked absolutely.
+    """
+    a_bar, a_inv, theta_star, trail, delta = _pre_solve(chain, psi, gamma, delta_r,
+                                                         variant, rho)
+    n, d = psi.matrix.shape
+    mat = psi.matrix
+    r_a = (mat[:, :, None] * trail[:, None, :]).reshape(n, d * d)
+    sol = poisson_solve_columns(chain, np.hstack([delta.col, r_a]))
+    g, big_g = sol[:, :d], sol[:, d:]
+    resid = r_a - chain.stationary @ r_a - (big_g - chain.transition @ big_g)
+    assert np.max(np.abs(resid)) < 1e-9
+    big_g = big_g.reshape(n, d, d)
+    half = 0.5 * _second_moment(chain, mat, delta, delta) + delta.w.T @ g
+    sig_d = half + half.T
+    ups = a_bar @ delta.mean - np.einsum("zij,zj->i", big_g, delta.w)
+    report = AsymptoticsReport(
+        sigma_delta=sig_d, sigma_theta_star=a_inv @ sig_d @ a_inv.T,
+        bias=a_inv @ ups / (1.0 - rho), upsilon_bar=ups, theta_star=theta_star,
+        rho=rho, variant=variant, delta_r=delta_r)
+    return report, big_g

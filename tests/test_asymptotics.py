@@ -7,7 +7,7 @@ import pytest
 
 from rtdlab import asymptotics, meanflow, models
 from rtdlab.asymptotics import (NOISE_VARIANTS, VARIANT_FIXED_RELATIVE, VARIANT_TD0,
-                                VARIANT_VARPI_LIMIT, _exact, asymptotics_report,
+                                VARIANT_VARPI_LIMIT, _pre_solve, asymptotics_report,
                                 noise_variant, sensitivity)
 from rtdlab.errors import ConfigError, NonZeroMean, SingularResolvent
 from rtdlab.features import (FeatureMap, feature_mean, feature_stats, finite_poly_basis,
@@ -52,9 +52,9 @@ def constant_feature(chain):
 
 
 def route_a_hat(chain, psi, gamma, delta_r, variant):
-    """The pair table of the model and A_hat of the base-chain route as a pair array."""
+    """The pair table of the model and A_hat of the forward base-chain route as a pair array."""
     noise = build_noise_model(chain, psi, gamma, delta_r, variant)
-    big_g = _exact(chain, psi, gamma, delta_r, variant, 0.65)[3]
+    big_g = pair_oracle.forward_exact(chain, psi, gamma, delta_r, variant, 0.65)[1]
     return noise, pair_oracle.a_hat_from(noise, big_g)
 
 
@@ -104,7 +104,7 @@ class TestMeanPoint:
 
     def test_negative_delta_r(self, chain, psi):
         # central differences in delta_r evaluate the report at -h
-        a_bar = _exact(chain, psi, 0.99, -0.5, VARIANT_FIXED_RELATIVE, 0.65)[1]
+        a_bar = _pre_solve(chain, psi, 0.99, -0.5, VARIANT_FIXED_RELATIVE, 0.65)[0]
         flow = mean_flow_relative(chain, psi, 0.99, 0.0, -0.5)
         psi_bar = feature_mean(chain, psi)
         want = mean_flow_td_lambda(chain, psi, 0.99, 0.0) + 0.5 * np.outer(psi_bar, psi_bar)
@@ -485,6 +485,26 @@ class TestBaseChainRoute:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize("variant,delta_r", MODELS)
+    def test_tabular_report_matches_the_forward_route(self, variant, delta_r):
+        # d = n_z: the forward route's G holds 40 x 40 x 40 floats
+        c = random_unichain(40, seed=12)
+        rep = asymptotics_report(c, tabular_basis(40), 0.9, delta_r, 0.65, variant)
+        want = pair_oracle.forward_exact(c, tabular_basis(40), 0.9, delta_r, variant, 0.65)[0]
+        for key in ("theta_star", "sigma_delta", "sigma_theta_star", "upsilon_bar", "bias"):
+            assert rel_err(getattr(rep, key), getattr(want, key)) < 1e-10, key
+
+    def test_tabular_sensitivity_memory_at_300_states(self):
+        # a matrix Poisson solution G of this basis would hold 300^3 floats (216 MB)
+        c = random_unichain(300, seed=13)
+        tracemalloc.start()
+        try:
+            sensitivity(c, tabular_basis(300), 0.9, 0.65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
 
 # the five reports of one chain in the exact_large benchmark workload
 CHAIN_REPORTS = ((VARIANT_TD0, 0.99, 0.0), (VARIANT_TD0, 0.999, 0.0),
@@ -529,14 +549,19 @@ class TestConditionChecks:
             mean_flow_relative(c, psi, 0.99, 0.0, 0.5)
         assert all(call.args[0].shape != (28, 28) for call in solve.call_args_list)
 
-    def test_sensitivity_solves_the_report_columns_only(self):
-        # Delta' reads the report's G, so the one solve has [Delta | R_A] only
+    @pytest.mark.parametrize("what,columns", [("report", 4), ("sensitivity", 8)])
+    def test_one_adjoint_solve(self, what, columns):
+        # a report pairs its solutions with w_Delta alone: d columns; sensitivity
+        # adds w_Delta' to the same solve, since phi_bar is known before it
         c = random_unichain(28, seed=8)
         psi = FeatureMap(np.random.default_rng(9).standard_normal((28, 4)))
-        with mock.patch.object(asymptotics, "poisson_solve_columns",
-                               wraps=asymptotics.poisson_solve_columns) as solve:
-            sensitivity(c, psi, 0.99, 0.65)
-        assert [call.args[1].shape for call in solve.call_args_list] == [(28, 4 + 4 * 4)]
+        with mock.patch.object(asymptotics, "poisson_solve_adjoint",
+                               wraps=asymptotics.poisson_solve_adjoint) as solve:
+            if what == "report":
+                asymptotics_report(c, psi, 0.99, 0.5, 0.65, VARIANT_FIXED_RELATIVE)
+            else:
+                sensitivity(c, psi, 0.99, 0.65)
+        assert [call.args[1].shape for call in solve.call_args_list] == [(28, columns)]
 
     @pytest.mark.parametrize("beta,solves", [(0.0, 0), (0.35, 1), (0.99, 1)])
     def test_resolvent_solves_and_no_cond_per_dirichlet_report(self, beta, solves):

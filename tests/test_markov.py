@@ -3,13 +3,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rtdlab import models
+from rtdlab import markov, models
 from rtdlab.errors import NotUnichain, SingularResolvent, SingularSystem
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
-                           discounted_q, guarded_solve, load_model, save_model,
-                           poisson_solve_columns, resolvent_solve, stationary_pmf)
+                           discounted_q, guarded_solve, load_model, poisson_solve_adjoint,
+                           resolvent_solve, save_model, stationary_pmf)
 
-from chain_helpers import finite_greedy_policy, solve_poisson, state_marginal
+from chain_helpers import (finite_greedy_policy, poisson_solve_columns, solve_poisson,
+                           state_marginal)
 from pair_oracle import pair_chain
 
 
@@ -92,6 +93,13 @@ class TestBuildChain:
         policy = models.finite_eval_policy()
         assert build_chain(models.finite_mdp(), policy).policy is policy.probs
 
+    def test_policy_the_transition_does_not_come_from_rejected(self, chain):
+        # the 3x2 chain's matrices with the always-action-0 table
+        table = np.column_stack([np.ones(3), np.zeros(3)])
+        with pytest.raises(ValueError, match="policy"):
+            FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
+                        stationary=chain.stationary, policy=table)
+
     @pytest.mark.parametrize("table", [np.full(6, 1 / 2), np.full((2, 2), 1 / 2),
                                        np.full((3, 2, 1), 1 / 2)])
     def test_policy_of_the_wrong_shape_rejected(self, chain, table):
@@ -119,7 +127,8 @@ class TestPoisson:
         resid = (np.eye(6) - c.transition) @ sol.h - (g - sol.eta)
         assert np.max(np.abs(resid)) < 1e-9
 
-    @pytest.mark.parametrize("solve", [poisson_solve_columns, solve_poisson])
+    @pytest.mark.parametrize("solve", [poisson_solve_columns, solve_poisson,
+                                       poisson_solve_adjoint])
     def test_singular_matrix_raises_on_every_call(self, solve):
         # varpi is invariant for P = I, but I - P + 1 varpi' = 1 varpi' has rank 1;
         # the cached condition number must keep rejecting it
@@ -127,6 +136,19 @@ class TestPoisson:
         for _ in range(2):
             with pytest.raises(SingularSystem):
                 solve(c, c.cost_vec)
+
+    def test_perturbed_solve_trips_the_plugback(self, chain, monkeypatch):
+        # a solve 1e-6 off in h(0) misses (I - P)'h = w - varpi (1'w) by (I - P)'e_0 1e-6
+        solve = markov.guarded_solve
+
+        def off(m, rhs, error, what, cond=None):
+            x = solve(m, rhs, error, what, cond)
+            x[0] += 1e-6
+            return x
+
+        monkeypatch.setattr(markov, "guarded_solve", off)
+        with pytest.raises(SingularSystem, match="plug-back"):
+            poisson_solve_adjoint(chain, chain.cost_vec)
 
     def test_repeated_solves_match_the_direct_solve(self, chain):
         g = np.column_stack([chain.cost_vec, np.arange(6.0)])

@@ -23,19 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtdlab.asymptotics import (VARIANT_FIXED_RELATIVE, VARIANT_TD0, VARIANT_VARPI_LIMIT,
-                                _exact, asymptotics_report, sensitivity)
+                                asymptotics_report, sensitivity)
 from rtdlab import learner
 from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature_mean,
                              resolvent_sum)
 from rtdlab.learner import (EVAL_MODES, VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             run, run_many, substream)
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
-                           resolvent_solve, stationary_pmf)
+                           poisson_solve_adjoint, resolvent_solve, stationary_pmf)
 from rtdlab.meanflow import _k_beta, dirichlet_report, spectral_gap
 
 import learner_oracle
 import pair_oracle
-from chain_helpers import loop_psi_avg, loop_transition, solve_poisson
+from chain_helpers import loop_psi_avg, loop_transition, poisson_solve_columns, solve_poisson
 from pair_oracle import build_noise_model
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -83,6 +83,39 @@ def test_stationary_invariance_and_poisson_plugback(case):
         assert abs(sol.eta - pi @ col) < 1e-12 * scale(col)
         assert np.max(np.abs(sol.h - p @ sol.h - (col - sol.eta))) < 1e-9 * scale(col)
         assert abs(pi @ sol.h) < 1e-10 * scale(sol.h)
+
+
+def lazy_lag_sum(c: FiniteChain, g: np.ndarray) -> np.ndarray:
+    """sum_{k<K} L^k g of the lazy chain L = (I + P)/2 at K = 2^30, for a centered g.
+
+    (I - L) = (I - P)/2, so the sum tends to 2 Pi g, and it converges on a
+    periodic chain too, since L's other eigenvalues lie inside the unit disc.
+    Partial sums are doubled, S_2K = S_K + L^K S_K, and re-centered, since
+    round-off in varpi'g would otherwise grow with K.
+    """
+    q, s = 0.5 * (np.eye(c.n_z) + c.transition), g   # L^K and S_K at K = 1
+    for _ in range(30):
+        s, q = s + q @ s, q @ q
+        s = s - c.stationary @ s
+    return s
+
+
+@PROPERTY
+@given(chains())
+def test_adjoint_poisson_pairings(case):
+    # h = Pi'w pairs with every f as w'Pi f does through the forward solve, 1'h = 0,
+    # and the asymptotic variance of f(Z_n) is 2<f, Pi f> - <f, f> in L2(varpi)
+    c, _, rng = case
+    w, f = rng.standard_normal((c.n_z, 2)), rng.standard_normal((c.n_z, 3))
+    h = poisson_solve_adjoint(c, w)
+    want = w.T @ poisson_solve_columns(c, f)
+    assert np.max(np.abs(h.T @ f - want)) < 1e-10 * scale(want)
+    assert np.max(np.abs(h.sum(axis=0))) < 1e-10 * scale(h)
+    g = f[:, 0] - c.stationary @ f[:, 0]
+    var0 = c.stationary @ g**2
+    sigma2 = 2.0 * float(poisson_solve_adjoint(c, c.stationary * g) @ g) - var0
+    trunc = (c.stationary * g) @ lazy_lag_sum(c, g) - var0
+    assert abs(sigma2 - trunc) < 1e-9 * scale(var0)
 
 
 @PROPERTY
@@ -140,8 +173,9 @@ def test_base_chain_route_matches_pair_oracle(case, gamma, variant):
     # relative to the lag-zero term E[Delta Delta'], which is 0 when the
     # features fit the values exactly
     r0 = (pair.stationary[:, None] * delta).T @ delta
-    rep, _, _, big_g, *_ = _exact(c, psi, gamma, delta_r, name, 0.65)
-    a_hat = pair_oracle.a_hat_from(noise, big_g)
+    rep = asymptotics_report(c, psi, gamma, delta_r, 0.65, name)
+    a_hat = pair_oracle.a_hat_from(
+        noise, pair_oracle.forward_exact(c, psi, gamma, delta_r, name, 0.65)[1])
     want = pair_oracle.sigma_delta(noise, pair)
     assert np.max(np.abs(rep.sigma_delta - want)) < 1e-9 * scale(r0)
     want = pair_oracle.matrix_poisson(noise, pair)
