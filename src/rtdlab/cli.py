@@ -24,9 +24,11 @@ for ``--delta-r``); ``main`` parses them as flags put before the command
 line's, so the same rules check them and the command line wins.  A list is
 a grid of numbers, a scalar for a grid flag is a one-value grid, and the
 last ``--config`` given is used.  The model name, the counts and the ranges
-of gamma, lam, delta_r, beta and the finite-difference step are checked as
-the flags are parsed, before any work.  Every rejection, argparse's own
-included (unknown flag, bad value, missing ``--out``), is an
+of gamma, lam, delta_r, beta, alpha0 and the finite-difference step are
+checked as the flags are parsed, before any work, and so are the flags a
+command reads for the speed-scaling model only (``SAMPLED_ONLY``), which a
+finite model rejects and ``config`` then leaves out.  Every rejection,
+argparse's own included (unknown flag, bad value, missing ``--out``), is an
 :class:`~rtdlab.errors.RtdLabError`: the command writes nothing, leaves no
 ``--out`` directory, prints a one-line JSON object with ``error`` and
 ``message`` fields and exits 2.
@@ -390,6 +392,7 @@ def _checked(kind, rule: str, ok):
 _POSITIVE = (">= 1", lambda n: n >= 1)
 _UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
 _DELTA_R = ("finite and >= 0", lambda x: 0 <= x < math.inf)
+_FINITE_POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
 
 
 def _model_flag(*names: str) -> dict:
@@ -414,7 +417,7 @@ FLAGS = {
     "variant": dict(default="varpi_relative",
                     help="td | relative_fixed_mu | varpi_relative | varpi_relative_fixed"),
     "eval_mode": dict(default="on_policy", choices=EVAL_MODES),
-    "alpha0": dict(type=float, default=0.02),
+    "alpha0": dict(type=_checked(float, *_FINITE_POSITIVE), default=0.02),
     "rho": dict(type=float, default=0.65),
     "burn_in": dict(type=float, default=0.2),
     "snapshots": dict(type=_checked(int, "0 or >= 2", lambda n: n == 0 or n >= 2), default=0),
@@ -423,8 +426,7 @@ FLAGS = {
     "beta_grid": dict(type=_checked(float, "in [0, 1)", lambda x: 0 <= x < 1),
                       nargs="+", default=None),
     "probes": dict(type=_checked(int, *_POSITIVE), default=100),
-    "fd_step": dict(type=_checked(float, "finite and > 0", lambda x: 0 < x < math.inf),
-                    default=1e-5),
+    "fd_step": dict(type=_checked(float, *_FINITE_POSITIVE), default=1e-5),
 }
 
 # subcommand -> (the flags it reads, the values it fixes).  A fixed value is
@@ -453,6 +455,11 @@ OVERRIDES = {("bias", "runs"): _AT_LEAST_TWO, ("eigs", "runs"): _AT_LEAST_TWO,
              **{(name, "model"): _model_flag("finite3x2")
                 for name in ("bias", "sensitivity", "dirichlet")}}
 
+# subcommand -> the flags it reads for the speed-scaling model only, which
+# it samples: they take their defaults there when not given, and a finite
+# model, whose eigenvalues are exact, takes none of them
+SAMPLED_ONLY = {"eigs": ("steps", "runs")}
+
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose rejections (unknown flag, bad value, missing --out) are ConfigErrors."""
@@ -472,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, required=True, help="output directory")
         for dest in flags.split():
             spec = {**FLAGS[dest], **OVERRIDES.get((name, dest), {})}
+            if dest in SAMPLED_ONLY.get(name, ()):
+                spec["default"] = argparse.SUPPRESS
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **spec)
         p.set_defaults(**fixed)
     return parser
@@ -500,6 +509,16 @@ def _config_flags(command: str, path: str) -> list[str]:
     return flags
 
 
+def _sampled_flags(args: argparse.Namespace) -> None:
+    """Fill in the command's SAMPLED_ONLY flags for the speed-scaling model, or reject them."""
+    for dest in SAMPLED_ONLY.get(args.command, ()):
+        if args.model == "speed_scaling":
+            vars(args).setdefault(dest, FLAGS[dest]["default"])
+        elif dest in vars(args):
+            raise ConfigError(f"{args.command} of a finite model is exact and takes no "
+                              f"--{dest.replace('_', '-')}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -510,6 +529,7 @@ def main(argv: list[str] | None = None) -> int:
             # the command line's, so the command line wins
             flags = _config_flags(args.command, args.config)
             args = parser.parse_args(argv[:1] + flags + argv[1:])
+        _sampled_flags(args)
         # looked up at each call, so a cmd_* replaced on the module is the one run
         command = globals()[f"cmd_{args.command}"]
         write_outputs(FsPath(args.out), command(args), args)

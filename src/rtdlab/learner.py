@@ -40,19 +40,24 @@ baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
 ``run_many`` steps its runs a group at a time, one group after the other,
 and ``run`` is a group of one.  Time is cut into blocks of _BLOCK_STEPS =
 _RADIX**4 steps (8**4 = 4096) starting at multiples of _BLOCK_STEPS.  For
-each block, each run of the group has its stretch of path sampled; the
-step sizes, costs, traces, adaptive baseline estimates, A_n and b_n of
-every step of the block are computed at once and the iterates come from
-one tree rule.  The divergence check, the Polyak-Ruppert sums and the
-snapshots follow per block.
+each block, one call to the environment samples every run's stretch and
+returns psi(Z_n), the TD-target features and c(Z_n) already in the tree
+layout below: a finite chain draws each stretch as state indices and
+gathers each per-step array from its table once, at the layout's step
+indices.  The step sizes, traces, adaptive baseline estimates, A_n and
+b_n of every step of the block are computed at once and the iterates come
+from one tree rule.  The divergence check, the Polyak-Ruppert sums and
+the snapshots follow per block.
 
 The tree rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n of
 the learner: theta (y_n = theta_{n+1} with the d x d maps above), the trace
 (A_n = lam*gamma, b_n = psi(Z_n)) and the baseline estimate
 (y_n = psi_bar_est_n, A_n = 1 - beta_n, b_n = beta_n psi(Z_n), with
 beta_0 = 1 so that psi_bar_est_0 = psi(Z_0)), the last two with 1 x 1 maps
-acting on each feature.  Over a block it is a prefix scan on a tree of
-radix W = _RADIX (Blelloch, "Prefix sums and their applications", 1990).
+acting on each feature.  The features share the gains, so the products
+of the gains are formed once for all of them.  Over a block it is a
+prefix scan on a tree of radix W = _RADIX (Blelloch, "Prefix sums and
+their applications", 1990).
 A level-1 group is W consecutive steps and a level-(l+1) group is W
 consecutive level-l groups; the block is the top group.
 
@@ -82,11 +87,16 @@ Randomness is threaded through counter-based Philox streams keyed by
 (master seed, stream id), so every run is a reproducible, isolated
 substream regardless of execution order; stream 2*i drives run i's
 trajectory and stream 2*i+1 its split-sampling draws.  A run's results do
-not depend on the batch it ran in.
+not depend on the batch it ran in.  A finite chain's step takes one
+uniform and bisects the current state's cumulative row with it; chains
+with n_z <= 40 look the result up in a per-bin next-state table instead,
+with the same states (``FiniteChainEnv``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -118,8 +128,8 @@ class StepSchedule:
     rho: float
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ConfigError("alpha0 must be positive")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ConfigError(f"alpha0 must be finite and positive, got {self.alpha0}")
         if not 0.5 < self.rho < 1.0:
             raise ConfigError("rho must lie in (1/2, 1)")
 
@@ -206,6 +216,11 @@ class Path:
     end: object = None
 
 
+# the per-bin next-state table of FiniteChainEnv holds (n_z^2 - n_z + 1) n_z
+# entries, at most this many (n_z <= 40); a larger chain bisects its rows
+_TABLE_ENTRIES = 1 << 16
+
+
 class FiniteChainEnv:
     """Sampling environment for a finite state-action chain.
 
@@ -215,6 +230,13 @@ class FiniteChainEnv:
     policy's cumulative rows.  Without it only on-policy is available.  A
     ``policy`` passed here adds nothing and must equal it.  Z_0 is drawn from
     the stationary pmf.
+
+    A step from Z_n draws one uniform u and moves to bisect_right(row, u) of
+    Z_n's cumulative row.  Every finite sum of every row is a breakpoint,
+    so that count is the same for all u between two consecutive
+    breakpoints: the table holds it per bin of the sorted breakpoints and
+    per state, and a stretch costs one search of its uniforms and one
+    lookup per step.
     """
 
     def __init__(self, chain: FiniteChain, psi: FeatureMap, policy: np.ndarray | None = None):
@@ -227,6 +249,15 @@ class FiniteChainEnv:
         cum = np.cumsum(np.vstack([chain.transition, chain.stationary]), axis=1)
         cum[:, -1] = np.inf
         *self._cum_rows, self._cum_init = cum.tolist()
+        n = chain.n_z
+        self._next = None
+        if (n * n - n + 1) * n <= _TABLE_ENTRIES:
+            # bin b holds the u with b breakpoints at or below them; duplicate
+            # breakpoints leave empty bins
+            self._breaks = np.sort(cum[:n, :-1], axis=None)
+            lower = np.concatenate([[-np.inf], self._breaks])
+            self._next = np.stack([np.searchsorted(row, lower, side="right")
+                                   for row in cum[:n, :-1]], axis=1).tolist()
         if chain.policy is not None:
             nx, nu = chain.policy.shape
             self._psi_avg = (chain.policy[:, None, :] @ psi.matrix.reshape(nx, nu, psi.dim))[:, 0]
@@ -236,6 +267,29 @@ class FiniteChainEnv:
     def dim(self) -> int:
         return self.psi.dim
 
+    def _check_mode(self, eval_mode: str, rng_split) -> None:
+        if eval_mode not in EVAL_MODES:
+            raise ConfigError(f"unknown eval mode {eval_mode!r}")
+        if eval_mode != "on_policy" and self.chain.policy is None:
+            raise ConfigError(f"{eval_mode} mode requires policy knowledge")
+        if eval_mode == "split_sampling" and rng_split is None:
+            raise MissingSplitSample("split sampling requires its own stream")
+
+    def _targets(self, eval_mode: str, z_next: np.ndarray,
+                 us: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The table and its rows that hold the TD-target features after states ``z_next``.
+
+        ``us`` holds the split-sampling uniforms, one per entry of ``z_next``.
+        """
+        if eval_mode == "on_policy":
+            return self.psi.matrix, z_next
+        nu = self.chain.policy.shape[1]
+        x_next = z_next // nu
+        if eval_mode == "natural":
+            return self._psi_avg, x_next
+        u_split = np.minimum((us[..., None] > self._cum_policy[x_next]).sum(axis=-1), nu - 1)
+        return self.psi.matrix, x_next * nu + u_split
+
     def sample_states(self, n_steps: int, rng: np.random.Generator,
                       start: int | None = None) -> np.ndarray:
         """Z_0 .. Z_{n_steps}, one uniform per draw; Z_0 is ``start`` if given.
@@ -243,42 +297,50 @@ class FiniteChainEnv:
         Drawing Z_0 and then the steps in stretches consumes the same uniforms
         as one call, so a trajectory does not depend on how it is cut.
         """
-        cum_rows = self._cum_rows
         z = bisect_right(self._cum_init, rng.random()) if start is None else start
-        traj = [z]
-        append = traj.append
-        for u in rng.random(n_steps).tolist():
-            z = bisect_right(cum_rows[z], u)
-            append(z)
-        return np.array(traj, dtype=np.int64)
+        us = rng.random(n_steps)
+        if self._next is None:
+            rows = self._cum_rows
+            return np.array([z] + [z := bisect_right(rows[z], u) for u in us.tolist()],
+                            dtype=np.int64)
+        table = self._next
+        bins = np.searchsorted(self._breaks, us, side="right").tolist()
+        # a chain with a table has n_z <= 40 states, and bytes() is the
+        # fastest way from a list of small ints to an array
+        traj = bytes([z] + [z := table[b][z] for b in bins])
+        return np.frombuffer(traj, dtype=np.uint8).astype(np.int64)
 
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
                     rng_split: np.random.Generator | None = None,
                     start: int | None = None) -> Path:
-        if eval_mode not in EVAL_MODES:
-            raise ConfigError(f"unknown eval mode {eval_mode!r}")
-        if eval_mode != "on_policy" and self.chain.policy is None:
-            raise ConfigError(f"{eval_mode} mode requires policy knowledge")
-        if eval_mode == "split_sampling" and rng_split is None:
-            raise MissingSplitSample("split sampling requires its own stream")
+        self._check_mode(eval_mode, rng_split)
         traj = self.sample_states(n_steps, rng, start)
-        psi_states = self.psi.matrix[traj]
-        cost = self.chain.cost_vec[traj[:-1]]
-        if eval_mode == "on_policy":
-            target = psi_states[1:]
-        else:
-            nu = self.chain.policy.shape[1]
-            x_next = traj[1:] // nu
-            if eval_mode == "natural":
-                target = self._psi_avg[x_next]
-            else:
-                us = rng_split.random(n_steps)
-                u_split = np.minimum((us[:, None] > self._cum_policy[x_next]).sum(axis=1),
-                                     nu - 1)
-                target = self.psi.matrix[x_next * nu + u_split]
-        return Path(psi_states=psi_states, cost=cost, psi_target=target, z_traj=traj,
-                    end=int(traj[-1]))
+        us = rng_split.random(n_steps) if eval_mode == "split_sampling" else None
+        table, rows = self._targets(eval_mode, traj[1:], us)
+        return Path(psi_states=self.psi.matrix[traj], cost=self.chain.cost_vec[traj[:-1]],
+                    psi_target=table[rows], z_traj=traj, end=int(traj[-1]))
+
+    def sample_block(self, k: int, eval_mode: str, rngs: list, splits: list,
+                     starts: list, order: np.ndarray) -> tuple:
+        """The next k steps of each run, gathered at the step indices ``order``.
+
+        Run r continues from ``starts[r]`` (None draws Z_0) on ``rngs[r]``,
+        with its split-sampling uniforms from ``splits[r]``, as
+        :meth:`sample_path` draws them.  Returns psi(Z_n) and the TD-target
+        features (W, d, G, runs), c(Z_n) (W, G, runs) for the n of ``order``
+        (W, G), and each run's last state, which continues its trajectory.
+        """
+        self._check_mode(eval_mode, splits[0])
+        traj = np.stack([self.sample_states(k, rng, start)
+                         for rng, start in zip(rngs, starts)], axis=1)
+        z, z_next = np.take(traj, order, axis=0), np.take(traj, order + 1, axis=0)
+        us = None
+        if eval_mode == "split_sampling":
+            us = np.take(np.stack([s.random(k) for s in splits], axis=1), order, axis=0)
+        table, rows = self._targets(eval_mode, z_next, us)
+        return (_tree_rows(self.psi.matrix, z), _tree_rows(table, rows),
+                np.take(self.chain.cost_vec, z), traj[-1].tolist())
 
 
 # Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps aligned to
@@ -290,6 +352,24 @@ _BLOCK_STEPS = _RADIX ** 4
 _BLOCK_ENTRIES = 1 << 20
 
 
+@functools.cache
+def _moved(ndim: int, source: tuple, destination: tuple) -> tuple:
+    """The axes of ``np.moveaxis(x, source, destination)`` for an ndim-array x, for transpose."""
+    source = [i % ndim for i in source]
+    order = [i for i in range(ndim) if i not in source]
+    for dest, src in sorted(zip((i % ndim for i in destination), source)):
+        order.insert(dest, src)
+    return tuple(order)
+
+
+def _tree_size(k: int) -> tuple[int, int]:
+    """(L, W) for a block of k steps: L the least power of _RADIX >= k, W = min(_RADIX, L)."""
+    size = 1
+    while size < k:
+        size *= _RADIX
+    return size, min(_RADIX, size)
+
+
 def _tree_layout(x: np.ndarray) -> np.ndarray:
     """Per-step values (k, runs, ...) of a block in tree layout (W, ..., G, runs).
 
@@ -298,22 +378,34 @@ def _tree_layout(x: np.ndarray) -> np.ndarray:
     with W = min(_RADIX, L) and G = L / W groups.
     """
     k, n_runs = x.shape[:2]
-    size = 1
-    while size < k:
-        size *= _RADIX
-    width = min(_RADIX, size)
+    size, width = _tree_size(k)
     full, rest = divmod(k, width)
     out = np.zeros((width,) + x.shape[2:] + (size // width, n_runs))
-    steps = np.moveaxis(out, (0, -2, -1), (1, 0, 2))    # (G, W, runs, ...)
+    steps = out.transpose(_moved(out.ndim, (0, -2, -1), (1, 0, 2)))    # (G, W, runs, ...)
     steps[:full] = x[:full * width].reshape((full, width) + x.shape[1:])
     if rest:
         steps[full, :rest] = x[full * width:]
     return out
 
 
+def _tree_order(k: int) -> np.ndarray:
+    """The step index at each position (W, G) of the tree layout of a k-step block.
+
+    Positions past step k - 1 hold k - 1: they pad the block, and the maps
+    there reach no step of it.
+    """
+    size, width = _tree_size(k)
+    return np.minimum(np.arange(size).reshape(size // width, width).T, k - 1)
+
+
+def _tree_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows ``table[index]`` of an (n, d) table for indices (W, G, runs), as (W, d, G, runs)."""
+    return np.take(table.T, index, axis=1).transpose(1, 0, 2, 3).copy()
+
+
 def _step_layout(y: np.ndarray, k: int) -> np.ndarray:
     """The inverse of :func:`_tree_layout`: (W, ..., G, runs) back to (k, runs, ...)."""
-    y = np.moveaxis(y, (0, -2, -1), (1, 0, 2))
+    y = y.transpose(_moved(y.ndim, (0, -2, -1), (1, 0, 2)))
     return y.reshape((-1,) + y.shape[2:])[:k]
 
 
@@ -335,9 +427,37 @@ def _product(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _apply(m: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = P y + u for the maps [P | u] of ``m`` (W, p, p+1, ...) and values ``y`` (p, ...)."""
     p = m.shape[1]
-    _product(np.moveaxis(m[:, :, :p], 2, 0), y, out)
+    _product(m[:, :, :p].transpose(_moved(m.ndim, (2,), (0,))), y, out)
     out += m[:, :, p]
     return out
+
+
+def _group_ends(maps: np.ndarray, width: int) -> np.ndarray:
+    """The end maps of level-l groups (W, ..., G, runs), W to a group one level up.
+
+    They come back as (W, ..., G/W, runs): a copy, not a view, which would
+    alias the level below when G = W.
+    """
+    ends = maps[-1].reshape(maps.shape[1:-2] + (maps.shape[-2] // width, width, maps.shape[-1]))
+    return ends.transpose(_moved(ends.ndim, (-2,), (0,))).copy()
+
+
+def _down_sweep(levels: list, before: np.ndarray, width: int, apply) -> np.ndarray:
+    """The values before every level-1 group, from ``before`` the top group.
+
+    ``levels`` holds the prefix maps of levels 2 and up, and ``apply(maps,
+    s, out)`` sets out = P s + u for the prefix maps [P | u] through
+    subgroups 0 .. W-2 of a level: subgroup 0 of a group takes the group's
+    value before, and subgroup j > 0 the group's prefix map through
+    subgroup j - 1 applied to it.
+    """
+    for maps in reversed(levels):
+        sub = np.empty((width,) + before.shape)
+        sub[0] = before
+        apply(maps, before, sub[1:])
+        sub = sub.transpose(_moved(sub.ndim, (0,), (-2,)))
+        before = sub.reshape(sub.shape[:-3] + (-1, sub.shape[-1]))
+    return before
 
 
 def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -358,21 +478,12 @@ def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
             _product(new[:, :p, None].swapaxes(0, 1), prev, acc)
             acc[:, p] += new[:, p]
             np.copyto(new, acc)
-        groups = maps.shape[-2]
-        if groups == 1:
+        if maps.shape[-2] == 1:
             break
         # the groups' end maps, W to a group, are the maps of the next level
-        ends = maps[-1].reshape(maps.shape[1:-2] + (groups // width, width, maps.shape[-1]))
-        levels.append(np.moveaxis(ends, -2, 0).copy())
-    # down-sweep: subgroup 0 takes its group's value before, subgroup j > 0
-    # the group's prefix map through subgroup j - 1 applied to it
-    before = carry[..., None, :]
-    for maps in reversed(levels[1:]):
-        sub = np.empty((width,) + before.shape)
-        sub[0] = before
-        _apply(maps[:-1], before, sub[1:])
-        sub = np.moveaxis(sub, 0, -2)
-        before = sub.reshape(sub.shape[:-3] + (-1, sub.shape[-1]))
+        levels.append(_group_ends(maps, width))
+    before = _down_sweep(levels[1:], carry[..., None, :], width,
+                         lambda maps, y, out: _apply(maps[:-1], y, out))
     return _apply(m, before, np.empty(m[:, :, p].shape))
 
 
@@ -381,12 +492,39 @@ def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarra
 
     In tree layout, the gains ``a`` (W, G, runs) act on every component
     of ``x`` (W, ..., G, runs), and ``carry`` (..., runs) is y before the
-    block.
+    block.  Every component shares the gains, so the products P_j =
+    a_j P_{j-1} of the prefix maps [P_j | u_j] are formed once, on (W, G,
+    runs) arrays; each value takes the multiplies and adds of the 1 x 1
+    affine scan.
     """
-    m = np.empty((len(x), 1, 2) + x.shape[1:])
-    m[:, 0, 0] = a.reshape(a.shape[:1] + (1,) * (x.ndim - 3) + a.shape[1:])
-    m[:, 0, 1] = x
-    return _affine_scan(m, carry[None])[:, 0]
+    width, spread = len(x), (1,) * (x.ndim - 3)
+
+    def widen(p):
+        # gains (..., G, runs) against values (..., components, G, runs)
+        return p.reshape(p.shape[:-2] + spread + p.shape[-2:])
+
+    def apply(prod, pre, y, out):
+        # out = P y + u for the prefix maps [P | u] held in prod and pre
+        np.multiply(widen(prod), y, out)
+        out += pre
+        return out
+
+    levels, gains, values = [], a, x
+    while True:
+        # up-sweep: P_j = a_j P_{j-1} and u_j = a_j u_{j-1} + x_j in each group
+        prod, pre = np.empty_like(gains), np.empty_like(values)
+        prod[0], pre[0] = gains[0], values[0]
+        for j in range(1, width):
+            np.multiply(gains[j], prod[j - 1], out=prod[j])
+            np.multiply(widen(gains[j]), pre[j - 1], out=pre[j])
+            pre[j] += values[j]
+        levels.append((prod, pre))
+        if prod.shape[-2] == 1:
+            break
+        gains, values = _group_ends(prod, width), _group_ends(pre, width)
+    before = _down_sweep(levels[1:], carry[..., None, :], width,
+                         lambda maps, y, out: apply(maps[0][:-1], maps[1][:-1], y, out))
+    return apply(*levels[0], before, np.empty(x.shape))
 
 
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
@@ -462,13 +600,11 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, _BLOCK_STEPS):
             k = min(_BLOCK_STEPS, n_steps - first)
-            paths = [env.sample_path(k, config.eval_mode, rng, split, carry[r])
-                     for r, (rng, split) in enumerate(zip(rngs, splits))]
-            carry = [p.end for p in paths]
-            alpha = config.step.alphas(k, first)
-            # per-step values in tree layout (W, ..., G, runs), the gains
+            # per-step values in tree layout (W, ..., G, runs); the gains are
             # copied to every run: numpy is slow to broadcast a short last axis
-            psi_n = _tree_layout(np.stack([p.psi_states[:-1] for p in paths], axis=1))
+            psi_n, target, cost, carry = env.sample_block(
+                k, config.eval_mode, rngs, splits, carry, _tree_order(k))
+            alpha = config.step.alphas(k, first)
             shape = (k, n_runs)
             al = _tree_layout(np.broadcast_to(alpha[:, None], shape))
             # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
@@ -478,7 +614,7 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
                 zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
                 zeta = _last(zs, k).copy()
             # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
-            h = g * _tree_layout(np.stack([p.psi_target for p in paths], axis=1))
+            h = g * target
             h -= psi_n
             if adaptive:
                 # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
@@ -493,7 +629,8 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
                 h -= dr * base_vec[:, None, None]
             # [A_n | b_n] in tree layout (W, d, d+1, G, runs):
             # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
-            # b_n = alpha_{n+1} c(Z_n) zeta_n
+            # b_n = alpha_{n+1} c(Z_n) zeta_n; alpha is 0 past the block's
+            # end, so the maps there are the identity
             maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
             a = maps[:, :, :dim]
             np.multiply(zs[:, :, None], h[:, None], out=a)
@@ -501,7 +638,6 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
                 a -= fixed_term[:, :, None, None]
             a *= al[:, None, None]
             a += eye
-            cost = _tree_layout(np.stack([p.cost for p in paths], axis=1))
             np.multiply((al * cost)[:, None], zs, out=maps[:, :, dim])
             iterates = np.empty((k + 1, n_runs, dim))
             iterates[0] = theta

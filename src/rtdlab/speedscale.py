@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, SingularSystem
-from .learner import Path, substream
+from .learner import Path, _tree_rows, substream
 from .markov import guarded_solve
 
 NOISE_WINDOW = 200  # largest lag of estimate_noise_covariance, which needs more steps
@@ -98,16 +98,33 @@ class SpeedScalingEnv:
     def dim(self) -> int:
         return self.model.dim
 
+    def _stretch(self, n_steps: int, eval_mode: str, rng: np.random.Generator,
+                 start: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+        """Features of X_0 .. X_{n_steps}, the costs of the steps and the last workload."""
+        if eval_mode == "natural":
+            raise ConfigError("speed-scaling environment provides samples only")
+        x, u, cost = simulate_speed_scaling(self.model, n_steps, rng, start)
+        return self.model.features(x, u), cost, x[-1]
+
     def sample_path(self, n_steps: int, eval_mode: str,
                     rng: np.random.Generator,
                     rng_split: np.random.Generator | None = None,
                     start: float | None = None) -> Path:
-        if eval_mode == "natural":
-            raise ConfigError("speed-scaling environment provides samples only")
-        x, u, cost = simulate_speed_scaling(self.model, n_steps, rng, start)
-        psi_states = self.model.features(x, u)
+        psi_states, cost, end = self._stretch(n_steps, eval_mode, rng, start)
         return Path(psi_states=psi_states, cost=cost,
-                    psi_target=psi_states[1:], z_traj=None, end=x[-1])
+                    psi_target=psi_states[1:], z_traj=None, end=end)
+
+    def sample_block(self, k: int, eval_mode: str, rngs: list, splits: list,
+                     starts: list, order: np.ndarray) -> tuple:
+        """Each run's next k steps at the step indices ``order``, as
+        :meth:`rtdlab.learner.FiniteChainEnv.sample_block` returns them."""
+        stretches = [self._stretch(k, eval_mode, rng, start) for rng, start in zip(rngs, starts)]
+        # run r's features of step n are row r (k + 1) + n of the runs' rows
+        rows = np.concatenate([psi for psi, _, _ in stretches])
+        index = order[..., None] + (k + 1) * np.arange(len(stretches))
+        cost = np.stack([c for _, c, _ in stretches], axis=1)
+        return (_tree_rows(rows, index), _tree_rows(rows, index + 1),
+                np.take(cost, order, axis=0), [end for _, _, end in stretches])
 
 
 @dataclass(frozen=True)

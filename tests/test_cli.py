@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from rtdlab import cli, meanflow, models
-from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, config_hash, main
+from rtdlab.cli import COMMANDS, FLAGS, OVERRIDES, SAMPLED_ONLY, config_hash, main
 from rtdlab.features import feature_stats, finite_poly_basis
 from rtdlab.learner import FiniteChainEnv, LearnerConfig, StepSchedule, run_many
 from rtdlab.markov import FiniteMdp, RandomizedPolicy, build_chain, save_model
@@ -348,6 +351,12 @@ REJECTED = [
     (["dirichlet", "--beta-grid"], "ConfigError"),
     # the speed-scaling eigs reports a standard error over its runs
     (["eigs", "--model", "speed_scaling", "--runs", "1"], "ConfigError"),
+    # a finite eigs is exact and samples nothing
+    (["eigs", "--steps", "1"], "ConfigError"),
+    (["eigs", "--runs", "2"], "ConfigError"),
+    # alpha0 is finite and positive, checked before any path is sampled
+    *[([command, f"--alpha0={alpha0}", "--runs", "2", "--steps", "100"], "ConfigError")
+      for command in ("run", "hist", "bias") for alpha0 in ("nan", "inf", "0", "-1")],
 ]
 
 
@@ -389,12 +398,43 @@ class TestOutputWriter:
 
     @pytest.mark.parametrize("argv", TINY, ids=[a[0] for a in TINY])
     def test_config_holds_the_flags_and_fixed_values(self, tmp_path, argv):
+        # every TINY command runs a finite model, which takes no SAMPLED_ONLY flag
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
         meta = json.loads(next(tmp_path.glob("*.json")).read_text())
         flags, fixed = COMMAND_FLAGS[argv[0]]
-        assert set(meta["config"]) == set(flags.split()) | set(fixed) | {"command"}
+        read = set(flags.split()) - set(SAMPLED_ONLY.get(argv[0], ()))
+        assert set(meta["config"]) == read | set(fixed) | {"command"}
         for key, value in fixed.items():
             assert meta["config"][key] == value
+
+    def test_speed_scaling_eigs_records_its_sample_sizes(self, tmp_path):
+        # --runs not given takes its default, and both are in the config
+        assert run_cli("eigs", "--out", str(tmp_path), "--model", "speed_scaling",
+                       "--steps", "300", "--gamma-grid", "0.9", "--delta-grid", "0") == 0
+        config = json.loads((tmp_path / "eigs_meta.json").read_text())["config"]
+        assert set(COMMAND_FLAGS["eigs"][0].split()) | {"command"} == set(config)
+        assert (config["steps"], config["runs"]) == (300, FLAGS["runs"]["default"])
+        _, rows = read_csv(tmp_path / "eigs.csv")
+        assert [int(float(v)) for v in rows[0][-3:-1]] == [300, FLAGS["runs"]["default"]]
+
+
+def test_subcommands_import_neither_numpy_ma_nor_scipy(tmp_path):
+    # numpy is the only runtime dependency, and numpy.ma, which np.unique
+    # imports on its first call, costs set-up time and memory
+    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(TINY + [
+        ["eigs", "--model", "speed_scaling", "--steps", "300", "--runs", "2",
+         "--gamma-grid", "0.9", "--delta-grid", "0"],
+        ["run", "--model", "speed_scaling", "--alpha0", "1e-6", "--runs", "2", "--steps", "300"],
+    ])]
+    code = ("import json, sys\n"
+            "from rtdlab.cli import main\n"
+            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 # subcommand -> (flags it reads, values it fixes)
@@ -579,6 +619,9 @@ class TestConfigFile:
         ("eigs", "gamma_grid", []),  # an empty grid
         ("eigs", "delta_grid", []),
         ("dirichlet", "beta_grid", []),
+        ("eigs", "steps", 1000),   # a finite eigs samples nothing
+        ("eigs", "runs", 3),
+        ("run", "alpha0", "nan"),  # finite and positive
     ])
     def test_key_the_command_cannot_take_rejected(self, tmp_path, capsys, command, key, value):
         cfg_path = tmp_path / "cfg.json"

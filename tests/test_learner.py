@@ -19,8 +19,9 @@ from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
 from chain_helpers import loop_psi_avg
-from learner_oracle import (Transition, beta, filter_step, initial_state, run_path,
-                            td_step, textbook_step, transitions, tree_step)
+from learner_oracle import (Transition, beta, filter_step, initial_state, iterates,
+                            pr_average, run_path, td_step, textbook_step, transitions,
+                            tree_step)
 from pair_oracle import build_noise_model
 
 
@@ -65,6 +66,11 @@ class TestStepSchedule:
     def test_invalid_rho(self):
         with pytest.raises(ConfigError):
             StepSchedule(0.5, 0.4)
+
+    @pytest.mark.parametrize("alpha0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_alpha0(self, alpha0):
+        with pytest.raises(ConfigError):
+            StepSchedule(alpha0, 0.65)
 
 
 class TestConfigValidation:
@@ -417,6 +423,130 @@ class TestRun:
         for key in ("cost", "psi_target"):
             assert np.array_equal(np.concatenate([getattr(p, key) for p in parts]),
                                   getattr(whole, key))
+
+
+def sparse_chain(n_x, n_u, seed):
+    """A random chain with zero-probability transitions and actions, built with its policy.
+
+    Each state moves to the next with positive probability, so the chain is
+    irreducible on states; the state-actions its policy never takes have
+    zero columns in P, whose cumulative rows then repeat a sum.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = rng.gamma(1.0, 1.0, (n_u, n_x, n_x)) * (rng.random((n_u, n_x, n_x)) < 0.4)
+    kernel[:, np.arange(n_x), (np.arange(n_x) + 1) % n_x] += 0.5
+    probs = rng.gamma(1.0, 1.0, (n_x, n_u)) * (rng.random((n_x, n_u)) < 0.6)
+    probs[:, 0] += 0.1
+    mdp = FiniteMdp(n_x, n_u, kernel / kernel.sum(axis=2, keepdims=True),
+                    rng.standard_normal((n_x, n_u)))
+    return build_chain(mdp, RandomizedPolicy(probs / probs.sum(axis=1, keepdims=True)))
+
+
+class Uniforms:
+    """A generator stand-in that hands out the given uniforms in order."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def random(self, size=None):
+        if size is None:
+            return self.us.pop(0)
+        out, self.us = np.array(self.us[:size]), self.us[size:]
+        return out
+
+
+def edge_uniforms(chain):
+    """Every finite cumulative sum of P and the doubles one ulp either side, in [0, 1)."""
+    sums = np.cumsum(chain.transition, axis=1)[:, :-1].ravel()
+    us = np.concatenate([[0.0], sums, np.nextafter(sums, -np.inf), np.nextafter(sums, np.inf)])
+    return us[(us >= 0.0) & (us < 1.0)]
+
+
+class TestTableSampler:
+    """The per-bin next-state table against the bisect loop over the cumulative rows."""
+
+    @staticmethod
+    def envs(chain, psi):
+        """The chain's environment by table and by bisection."""
+        with mock.patch.object(learner, "_TABLE_ENTRIES", 1 << 20):
+            table = FiniteChainEnv(chain, psi)
+        with mock.patch.object(learner, "_TABLE_ENTRIES", 0):
+            bisect = FiniteChainEnv(chain, psi)
+        assert table._next is not None and bisect._next is None
+        return table, bisect
+
+    def test_one_step_from_every_state(self):
+        # every state, every uniform at or next to a breakpoint
+        chain = sparse_chain(4, 3, 1)
+        assert np.any(chain.transition == 0.0)
+        table, bisect = self.envs(chain, FeatureMap(np.eye(12)))
+        us = edge_uniforms(chain)
+        for z in range(chain.n_z):
+            for u in us:
+                assert table.sample_states(1, Uniforms([u]), z)[1] == \
+                    bisect.sample_states(1, Uniforms([u]), z)[1], (z, u)
+
+    @pytest.mark.parametrize("n_x, n_u", [(4, 3), (10, 4), (41, 1)])
+    def test_walks_match_on_both_sides_of_the_bound(self, n_x, n_u):
+        chain = sparse_chain(n_x, n_u, n_x)
+        n = chain.n_z
+        psi = FeatureMap(np.ones((n, 1)))
+        # n_z = 40 is the largest chain with a table by default, 41 the least without
+        assert (FiniteChainEnv(chain, psi)._next is not None) == \
+            ((n * n - n + 1) * n <= learner._TABLE_ENTRIES)
+        table, bisect = self.envs(chain, psi)
+        rng = np.random.default_rng(n)
+        us = edge_uniforms(chain)
+        for start in rng.integers(0, n, 4):
+            order = rng.permutation(len(us))
+            want = bisect.sample_states(len(us), Uniforms(us[order]), int(start))
+            assert np.array_equal(table.sample_states(len(us), Uniforms(us[order]), int(start)),
+                                  want)
+        for seed, k in itertools.product(range(5), (1, 7, 500, 4096)):
+            want = bisect.sample_states(k, substream(seed, 0))
+            assert want.dtype == np.int64
+            for env in (table, bisect):
+                # a stretch cut in pieces is the stretch one call draws
+                rng, parts = substream(seed, 0), []
+                for piece in (k // 3, 0, k - k // 3):
+                    parts.append(env.sample_states(piece, rng, parts[-1][-1] if parts else None))
+                got = np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
+                assert np.array_equal(got, want), (seed, k)
+
+
+class TestBlockRoute:
+    """run_many's blocks of state indices against the per-run oracle on sample_path."""
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
+    def test_finite_chain_matches_oracle(self, env, eval_mode, n_runs):
+        cfg = config(variant="varpi_relative", delta_r=0.5, lam=0.4, eval_mode=eval_mode,
+                     seed=29, step=StepSchedule(0.05, 0.65))
+        self.check(env, cfg, 100, n_runs, lambda i: env.sample_path(
+            100, eval_mode, substream(cfg.seed, 2 * i), substream(cfg.seed, 2 * i + 1)))
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    @pytest.mark.parametrize("eval_mode", ["on_policy", "split_sampling"])
+    def test_speed_scaling_matches_oracle(self, eval_mode, n_runs):
+        env = SpeedScalingEnv(SpeedScalingModel())
+        cfg = config(variant="varpi_relative", delta_r=1.0, lam=0.5, eval_mode=eval_mode,
+                     seed=8, step=StepSchedule(1e-6, 0.6), baseline_step_rho=0.51)
+        self.check(env, cfg, 100, n_runs,
+                   lambda i: env.sample_path(100, eval_mode, substream(cfg.seed, 2 * i)))
+
+    @staticmethod
+    def check(env, cfg, n, n_runs, path):
+        # trees of radix 3 and blocks of 27 steps: three whole blocks and a
+        # short last one, and with three runs, groups of two runs and one
+        entries = 2 * 27 * env.dim ** 2
+        with mock.patch.multiple(learner, _RADIX=3, _BLOCK_STEPS=27, _BLOCK_ENTRIES=entries):
+            results = run_many(env, cfg, n, n_runs, snapshot_plan=(40, n))
+            for i, res in enumerate(results):
+                thetas = iterates(cfg, path(i))
+                theta_pr = pr_average(thetas, int(cfg.pr_burn_in_fraction * n))
+                assert np.array_equal(res.theta_final, thetas[-1]), i
+                assert np.array_equal(res.theta_pr, theta_pr), i
+                assert np.array_equal(res.snapshots[0].theta, thetas[40]), i
 
 
 class TestEvalModes:
