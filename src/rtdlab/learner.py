@@ -47,7 +47,10 @@ gathers each per-step array from its table once, at the layout's step
 indices.  The step sizes, traces, adaptive baseline estimates, A_n and
 b_n of every step of the block are computed at once and the iterates come
 from one tree rule.  The divergence check, the Polyak-Ruppert sums and
-the snapshots follow per block.
+the snapshots follow per block.  Each of a block's arrays lives only while
+the block needs it, and the scans overwrite their inputs, so a group of
+runs holds at most the maps [A_n | b_n] of one block and the inputs they
+are built from: (d + 1)(d + 2) floats per run and step.
 
 The tree rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n of
 the learner: theta (y_n = theta_{n+1} with the d x d maps above), the trace
@@ -219,6 +222,29 @@ class Path:
 # the per-bin next-state table of FiniteChainEnv holds (n_z^2 - n_z + 1) n_z
 # entries, at most this many (n_z <= 40); a larger chain bisects its rows
 _TABLE_ENTRIES = 1 << 16
+# the first guess of a uniform's bin reads one of at most this many cells
+_MAX_CELLS = 1 << 16
+
+
+def _cells(breaks: np.ndarray) -> tuple[np.ndarray, int]:
+    """A first guess of searchsorted(breaks, u, side="right") for u in [0, 1), and its passes.
+
+    [0, 1) is cut into 2^m cells, and cell c holds the count of sorted
+    ``breaks`` at or below its left edge c / 2^m.  u 2^m is exact, so the u
+    of cell c, floor(u 2^m) = c, lie at or above that edge, and the guess
+    falls short by the breakpoints inside the cell below u: one pass of
+    ``bins += u >= breaks[bins]`` per breakpoint that the fullest cell holds
+    corrects it.  2^m starts at the least power of two above 4 len(breaks)
+    and doubles while a cell holds more than 4 breakpoints, up to _MAX_CELLS.
+    """
+    size = 1 << (4 * len(breaks)).bit_length()
+    while True:
+        edges = np.arange(size + 1) / size
+        first = np.searchsorted(breaks, edges, side="right")
+        passes = int(np.max(np.searchsorted(breaks, edges[1:], side="left") - first[:-1]))
+        if passes <= 4 or size >= _MAX_CELLS:
+            return first[:-1], passes
+        size *= 2
 
 
 class FiniteChainEnv:
@@ -233,10 +259,10 @@ class FiniteChainEnv:
 
     A step from Z_n draws one uniform u and moves to bisect_right(row, u) of
     Z_n's cumulative row.  Every finite sum of every row is a breakpoint,
-    so that count is the same for all u between two consecutive
-    breakpoints: the table holds it per bin of the sorted breakpoints and
-    per state, and a stretch costs one search of its uniforms and one
-    lookup per step.
+    so that count is the same for all u between two consecutive distinct
+    breakpoints: the table holds it per bin of the sorted distinct
+    breakpoints and per state, and a stretch costs one search of its
+    uniforms (:func:`_cells`) and one lookup per step.
     """
 
     def __init__(self, chain: FiniteChain, psi: FeatureMap, policy: np.ndarray | None = None):
@@ -252,10 +278,13 @@ class FiniteChainEnv:
         n = chain.n_z
         self._next = None
         if (n * n - n + 1) * n <= _TABLE_ENTRIES:
-            # bin b holds the u with b breakpoints at or below them; duplicate
-            # breakpoints leave empty bins
-            self._breaks = np.sort(cum[:n, :-1], axis=None)
-            lower = np.concatenate([[-np.inf], self._breaks])
+            # bin b holds the u with b distinct breakpoints at or below them
+            breaks = np.sort(cum[:n, :-1], axis=None)
+            breaks = breaks[np.diff(breaks, prepend=-np.inf) > 0]
+            self._cells, self._passes = _cells(breaks)
+            # ending in inf, so that a bin's next breakpoint always exists
+            self._breaks = np.append(breaks, np.inf)
+            lower = np.concatenate([[-np.inf], breaks])
             self._next = np.stack([np.searchsorted(row, lower, side="right")
                                    for row in cum[:n, :-1]], axis=1).tolist()
         if chain.policy is not None:
@@ -290,6 +319,13 @@ class FiniteChainEnv:
         u_split = np.minimum((us[..., None] > self._cum_policy[x_next]).sum(axis=-1), nu - 1)
         return self.psi.matrix, x_next * nu + u_split
 
+    def _bins(self, us: np.ndarray) -> np.ndarray:
+        """The bin of each uniform: searchsorted(distinct breakpoints, us, side="right")."""
+        bins = self._cells[(us * len(self._cells)).astype(np.intp)]
+        for _ in range(self._passes):
+            bins += us >= self._breaks[bins]
+        return bins
+
     def sample_states(self, n_steps: int, rng: np.random.Generator,
                       start: int | None = None) -> np.ndarray:
         """Z_0 .. Z_{n_steps}, one uniform per draw; Z_0 is ``start`` if given.
@@ -304,7 +340,7 @@ class FiniteChainEnv:
             return np.array([z] + [z := bisect_right(rows[z], u) for u in us.tolist()],
                             dtype=np.int64)
         table = self._next
-        bins = np.searchsorted(self._breaks, us, side="right").tolist()
+        bins = self._bins(us).tolist()
         # a chain with a table has n_z <= 40 states, and bytes() is the
         # fastest way from a list of small ints to an array
         traj = bytes([z] + [z := table[b][z] for b in bins])
@@ -399,8 +435,14 @@ def _tree_order(k: int) -> np.ndarray:
 
 
 def _tree_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows ``table[index]`` of an (n, d) table for indices (W, G, runs), as (W, d, G, runs)."""
-    return np.take(table.T, index, axis=1).transpose(1, 0, 2, 3).copy()
+    """Rows ``table[index]`` of an (n, d) table for indices (W, G, runs), as (W, d, G, runs).
+
+    One feature at a time, so the only temporary holds one feature's values.
+    """
+    out = np.empty(index.shape[:1] + table.shape[1:] + index.shape[1:])
+    for j, column in enumerate(table.T):
+        out[:, j] = np.take(column, index)
+    return out
 
 
 def _step_layout(y: np.ndarray, k: int) -> np.ndarray:
@@ -424,10 +466,20 @@ def _product(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(m: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = P y + u for the maps [P | u] of ``m`` (W, p, p+1, ...) and values ``y`` (p, ...)."""
+def _apply(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P y + u for the maps [P | u] of ``m`` (W, p, p+1, ...) and values ``y`` (p, ...).
+
+    It is formed in m's storage, which it overwrites, and comes back as the
+    view m[:, :, 0]: the products and sums of :func:`_product`, then + u,
+    with no temporary.
+    """
     p = m.shape[1]
-    _product(m[:, :, :p].transpose(_moved(m.ndim, (2,), (0,))), y, out)
+    out = m[:, :, 0]
+    out *= y[0]
+    for k in range(1, p):
+        part = m[:, :, k]
+        part *= y[k]
+        out += part
     out += m[:, :, p]
     return out
 
@@ -446,15 +498,15 @@ def _down_sweep(levels: list, before: np.ndarray, width: int, apply) -> np.ndarr
     """The values before every level-1 group, from ``before`` the top group.
 
     ``levels`` holds the prefix maps of levels 2 and up, and ``apply(maps,
-    s, out)`` sets out = P s + u for the prefix maps [P | u] through
-    subgroups 0 .. W-2 of a level: subgroup 0 of a group takes the group's
-    value before, and subgroup j > 0 the group's prefix map through
-    subgroup j - 1 applied to it.
+    s)`` gives P s + u for the prefix maps [P | u] through subgroups
+    0 .. W-2 of a level, which it may overwrite: subgroup 0 of a group
+    takes the group's value before, and subgroup j > 0 the group's prefix
+    map through subgroup j - 1 applied to it.
     """
     for maps in reversed(levels):
         sub = np.empty((width,) + before.shape)
         sub[0] = before
-        apply(maps, before, sub[1:])
+        sub[1:] = apply(maps, before)
         sub = sub.transpose(_moved(sub.ndim, (0,), (-2,)))
         before = sub.reshape(sub.shape[:-3] + (-1, sub.shape[-1]))
     return before
@@ -464,9 +516,9 @@ def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
     """y_n = A_n y_{n-1} + b_n over one block, y before the block = ``carry``.
 
     ``m`` holds the maps [A_n | b_n] in tree layout (W, p, p+1, ..., G,
-    runs) and is overwritten by the level-1 prefix maps; ``carry`` is
-    (p, ..., runs) and y comes back as (W, p, ..., G, runs).  The module
-    docstring gives the tree rule.
+    runs) and is overwritten; ``carry`` is (p, ..., runs) and y comes back
+    as (W, p, ..., G, runs), a view of m.  The module docstring gives the
+    tree rule.
     """
     p, width = m.shape[1], len(m)
     levels = [m]
@@ -483,8 +535,8 @@ def _affine_scan(m: np.ndarray, carry: np.ndarray) -> np.ndarray:
         # the groups' end maps, W to a group, are the maps of the next level
         levels.append(_group_ends(maps, width))
     before = _down_sweep(levels[1:], carry[..., None, :], width,
-                         lambda maps, y, out: _apply(maps[:-1], y, out))
-    return _apply(m, before, np.empty(m[:, :, p].shape))
+                         lambda maps, y: _apply(maps[:-1], y))
+    return _apply(m, before)
 
 
 def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -495,7 +547,8 @@ def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarra
     block.  Every component shares the gains, so the products P_j =
     a_j P_{j-1} of the prefix maps [P_j | u_j] are formed once, on (W, G,
     runs) arrays; each value takes the multiplies and adds of the 1 x 1
-    affine scan.
+    affine scan.  ``a`` and ``x`` are overwritten by the level-1 prefix
+    maps, and y comes back in x's storage.
     """
     width, spread = len(x), (1,) * (x.ndim - 3)
 
@@ -503,28 +556,26 @@ def _linear_filter(a: np.ndarray, x: np.ndarray, carry: np.ndarray) -> np.ndarra
         # gains (..., G, runs) against values (..., components, G, runs)
         return p.reshape(p.shape[:-2] + spread + p.shape[-2:])
 
-    def apply(prod, pre, y, out):
-        # out = P y + u for the prefix maps [P | u] held in prod and pre
-        np.multiply(widen(prod), y, out)
-        out += pre
-        return out
+    def apply(prod, pre, y):
+        # P y + u for the prefix maps [P | u] held in prod and pre, formed in
+        # pre one position at a time
+        for p, u in zip(prod, pre):
+            u += widen(p) * y
+        return pre
 
-    levels, gains, values = [], a, x
+    levels, prod, pre = [], a, x
     while True:
-        # up-sweep: P_j = a_j P_{j-1} and u_j = a_j u_{j-1} + x_j in each group
-        prod, pre = np.empty_like(gains), np.empty_like(values)
-        prod[0], pre[0] = gains[0], values[0]
+        # up-sweep in place: P_j = a_j P_{j-1} and u_j = a_j u_{j-1} + x_j in each group
         for j in range(1, width):
-            np.multiply(gains[j], prod[j - 1], out=prod[j])
-            np.multiply(widen(gains[j]), pre[j - 1], out=pre[j])
-            pre[j] += values[j]
+            pre[j] += widen(prod[j]) * pre[j - 1]
+            prod[j] *= prod[j - 1]
         levels.append((prod, pre))
         if prod.shape[-2] == 1:
             break
-        gains, values = _group_ends(prod, width), _group_ends(pre, width)
+        prod, pre = _group_ends(prod, width), _group_ends(pre, width)
     before = _down_sweep(levels[1:], carry[..., None, :], width,
-                         lambda maps, y, out: apply(maps[0][:-1], maps[1][:-1], y, out))
-    return apply(*levels[0], before, np.empty(x.shape))
+                         lambda maps, y: apply(maps[0][:-1], maps[1][:-1], y))
+    return apply(*levels[0], before)
 
 
 def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...],
@@ -565,6 +616,15 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
     crosses the divergence threshold, naming the lowest-indexed run that
     crosses there.  The results are those of whole runs only when
     ``horizon`` is ``n_steps``.
+
+    A block's arrays live only while the block needs them: its per-step
+    inputs until its maps are built, its maps until its iterates are laid
+    out, its iterates until its sums and snapshots are taken.  So the peak
+    is the maps and the inputs they are built from, (d + 1)(d + 2) floats
+    per run and step.  The maps are allocated afresh each block: once a block
+    has freed them, glibc's malloc keeps a heap of their size for the next
+    block, where a buffer held for the whole group would leave it trimming
+    the heap and faulting the inputs' pages in again every block.
     """
     n_runs, dim = len(run_indices), env.dim
     rngs = [substream(config.seed, 2 * i) for i in run_indices]
@@ -587,79 +647,100 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
         pr_sum += theta
     plan = sorted({int(s) for s in snapshot_plan if 0 <= s <= n_steps})
     snaps: list[list[Snapshot]] = [[] for _ in run_indices]
+    carry: list = [None] * n_runs
 
-    def snap(n: int, theta_n: np.ndarray, sum_n: np.ndarray):
+    def snap(n: int, theta_n: np.ndarray, sum_n: np.ndarray | None):
         count = n - n0 + 1 if n >= n0 else 0
         for r, out in enumerate(snaps):
             pr = sum_n[r] / count if count else None
             out.append(Snapshot(n=n, theta=theta_n[r].copy(), theta_pr=pr, pr_count=count))
 
+    def scaled_estimates(first: int, k: int, psi_n: np.ndarray) -> np.ndarray:
+        """delta_r psi_bar_est_n of the k steps from ``first`` in tree layout (W, d, G, runs).
+
+        psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
+        beta_n = n^-baseline_step_rho and beta_0 = 1.
+        """
+        nonlocal est
+        betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
+            ** (-config.baseline_step_rho)
+        bs = _tree_layout(np.broadcast_to(betas[:, None], (k, n_runs)))
+        values = bs[:, None] * psi_n
+        ests = _linear_filter(np.subtract(1.0, bs, out=bs), values, est)
+        est = _last(ests, k).copy()
+        ests *= dr
+        return ests
+
+    def block_maps(first: int, k: int) -> np.ndarray:
+        """The maps [A_n | b_n] of the k steps from ``first`` in tree layout (W, d, d+1, G, runs).
+
+        Each per-step input lives only in this call.
+        """
+        nonlocal carry, zeta, est
+        # per-step values in tree layout (W, ..., G, runs); the gains are
+        # copied to every run: numpy is slow to broadcast a short last axis
+        psi_n, h, cost, carry = env.sample_block(
+            k, config.eval_mode, rngs, splits, carry, _tree_order(k))
+        al = _tree_layout(np.broadcast_to(config.step.alphas(k, first)[:, None], (k, n_runs)))
+        # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n, in the targets' array
+        h *= g
+        h -= psi_n
+        if adaptive:
+            h -= scaled_estimates(first, k, psi_n)
+        elif base_vec is not None:
+            h -= dr * base_vec[:, None, None]
+        # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n), in psi_n's array
+        if lg == 0.0:
+            zs = psi_n
+        else:
+            zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
+            zeta = _last(zs, k).copy()
+        # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
+        # b_n = alpha_{n+1} c(Z_n) zeta_n; alpha is 0 past the block's end,
+        # so the maps there are the identity
+        maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
+        a = maps[:, :, :dim]
+        np.multiply(zs[:, :, None], h[:, None], out=a)
+        if fixed_term is not None:
+            a -= fixed_term[:, :, None, None]
+        a *= al[:, None, None]
+        a += eye
+        cost *= al
+        np.multiply(cost[:, None], zs, out=maps[:, :, dim])
+        return maps
+
     if plan and plan[0] == 0:
         snap(0, theta, pr_sum)
-    carry: list = [None] * n_runs
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, _BLOCK_STEPS):
             k = min(_BLOCK_STEPS, n_steps - first)
-            # per-step values in tree layout (W, ..., G, runs); the gains are
-            # copied to every run: numpy is slow to broadcast a short last axis
-            psi_n, target, cost, carry = env.sample_block(
-                k, config.eval_mode, rngs, splits, carry, _tree_order(k))
-            alpha = config.step.alphas(k, first)
-            shape = (k, n_runs)
-            al = _tree_layout(np.broadcast_to(alpha[:, None], shape))
-            # the trace: zeta_n = lam*gamma*zeta_{n-1} + psi(Z_n)
-            if lg == 0.0:
-                zs = psi_n
-            else:
-                zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
-                zeta = _last(zs, k).copy()
-            # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n
-            h = g * target
-            h -= psi_n
-            if adaptive:
-                # psi_bar_est_n = (1 - beta_n) psi_bar_est_{n-1} + beta_n psi(Z_n),
-                # beta_n = n^-baseline_step_rho and beta_0 = 1
-                betas = np.maximum(np.arange(first, first + k, dtype=float), 1.0) \
-                    ** (-config.baseline_step_rho)
-                bs = _tree_layout(np.broadcast_to(betas[:, None], shape))
-                ests = _linear_filter(1.0 - bs, bs[:, None] * psi_n, est)
-                est = _last(ests, k).copy()
-                h -= dr * ests
-            elif base_vec is not None:
-                h -= dr * base_vec[:, None, None]
-            # [A_n | b_n] in tree layout (W, d, d+1, G, runs):
-            # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
-            # b_n = alpha_{n+1} c(Z_n) zeta_n; alpha is 0 past the block's
-            # end, so the maps there are the identity
-            maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
-            a = maps[:, :, :dim]
-            np.multiply(zs[:, :, None], h[:, None], out=a)
-            if fixed_term is not None:
-                a -= fixed_term[:, :, None, None]
-            a *= al[:, None, None]
-            a += eye
-            np.multiply((al * cost)[:, None], zs, out=maps[:, :, dim])
-            iterates = np.empty((k + 1, n_runs, dim))
-            iterates[0] = theta
-            iterates[1:] = _step_layout(_affine_scan(maps, theta.T), k)
-            theta = iterates[k]
-
-            if not np.abs(iterates[1:]).max() <= DIVERGENCE_THRESHOLD:
-                bad = ~(np.abs(iterates[1:]) <= DIVERGENCE_THRESHOLD)
+            # iterates[i] is theta_{first+1+i}; the scan overwrites the maps,
+            # which die here
+            iterates = _step_layout(_affine_scan(block_maps(first, k), theta.T), k)
+            # max |theta| <= threshold, NaN failing it, without an |iterates| array
+            if not (iterates.max() <= DIVERGENCE_THRESHOLD
+                    and -iterates.min() <= DIVERGENCE_THRESHOLD):
+                bad = ~(np.abs(iterates) <= DIVERGENCE_THRESHOLD)
                 t = int(np.argmax(bad.any(axis=(1, 2))))
                 r = int(np.argmax(bad[t].any(axis=1)))
                 return [], (first + t + 1, run_indices[r],
-                            float(np.max(np.abs(iterates[t + 1, r]))))
-
-            # Polyak-Ruppert running sums, in step order: sums[i] is the sum
-            # through iterate n = lo - 1 + i
-            lo = max(n0, first + 1)
-            sums = np.cumsum(np.concatenate([pr_sum[None], iterates[lo - first:]]), axis=0)
-            pr_sum = sums[-1]
+                            float(np.max(np.abs(iterates[t, r]))))
+            theta = iterates[-1].copy()
+            due = []
             while plan and plan[0] <= first + k:
                 n = plan.pop(0)
                 if n > first:
-                    snap(n, iterates[n - first], sums[max(n - lo + 1, 0)])
+                    due.append((n, iterates[n - first - 1].copy()))
+            # Polyak-Ruppert running sums, in step order and in place: from
+            # iterate lo on, row n - first - 1 becomes the sum through iterate n
+            lo = max(n0, first + 1)
+            if lo <= first + k:
+                iterates[lo - first - 1] += pr_sum
+                np.cumsum(iterates[lo - first - 1:], axis=0, out=iterates[lo - first - 1:])
+                pr_sum = iterates[-1].copy()
+            for n, theta_n in due:
+                snap(n, theta_n, iterates[n - first - 1] if n >= lo else None)
+            del iterates
 
     pr_count = n_steps - n0 + 1
     return [RunResult(theta_final=theta[r].copy(), theta_pr=pr_sum[r] / pr_count,
@@ -684,9 +765,10 @@ def run_many(env, config: LearnerConfig, n_steps: int, n_runs: int,
     """Runs 0 .. n_runs-1, run i equal to ``run(..., run_index=i)``.
 
     Consecutive groups of at most max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS
-    d^2)) runs are stepped together, one group after the other, which
-    bounds the memory by one group's; a group shares only the vectorised
-    products, not any value.  Raises
+    d^2)) runs are stepped together, one group after the other; a group
+    shares only the vectorised products, not any value.  The memory is one
+    block of one group's: (d + 1)(d + 2) floats per run of the group and
+    step of the block, whatever the run count and run length.  Raises
     :class:`NumericalDivergence` when any run diverges, naming the first
     step past the threshold over all runs and the lowest-indexed run that
     passes it there.

@@ -217,8 +217,11 @@ def gamma_moment_check(model: SpeedScalingModel, n_draws: int, seed: int) -> Mom
     a = rng.gamma(model.arrival_shape, model.arrival_scale, size=n_draws)
     mean = float(a.mean())
     var = float(a.var(ddof=1))
-    centered = a - mean
-    m4 = float(np.mean(centered ** 4))
+    # the centered 4th power in a's array, as a square of a square: ** 4
+    # takes numpy's scalar pow for negative bases
+    a -= mean
+    np.square(a, out=a)
+    m4 = float(np.mean(np.square(a, out=a)))
     return MomentCheck(
         sample_mean=mean,
         sample_var=var,

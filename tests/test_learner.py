@@ -375,6 +375,29 @@ class TestRun:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    @pytest.mark.parametrize("n_runs", [4, "group"])
+    @pytest.mark.parametrize("variant, lam, eval_mode", [
+        ("varpi_relative_fixed", 0.0, "on_policy"), ("varpi_relative", 0.4, "split_sampling")])
+    def test_peak_memory_is_one_block(self, env, chain, psi, n_runs, variant, lam, eval_mode):
+        # a block's maps [A_n | b_n] and the inputs they are built from, psi(Z_n),
+        # h_n, c(Z_n) and alpha_{n+1}, hold (d + 1)(d + 2) floats per run and
+        # step, and nothing else of a block's size may be alive with them: the
+        # bound leaves a quarter more for temporaries and the results (about
+        # two blocks' arrays alive at once take 329-407 B here)
+        if n_runs == "group":
+            n_runs = learner._BLOCK_ENTRIES // (learner._BLOCK_STEPS * env.dim ** 2)
+        cfg = config(variant=variant, lam=lam, eval_mode=eval_mode, delta_r=0.5,
+                     psi_bar=feature_stats(chain, psi).psi_bar)
+        run_many(env, cfg, 100, 1)
+        tracemalloc.start()
+        try:
+            run_many(env, cfg, 20_000, n_runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_run_step = peak / (n_runs * learner._BLOCK_STEPS)
+        assert per_run_step <= 1.25 * 8 * (env.dim + 1) * (env.dim + 2), per_run_step
+
     @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
     @pytest.mark.parametrize("variant", ["td", "relative_fixed_mu", "varpi_relative",
                                          "varpi_relative_fixed"])
@@ -512,6 +535,34 @@ class TestTableSampler:
                     parts.append(env.sample_states(piece, rng, parts[-1][-1] if parts else None))
                 got = np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
                 assert np.array_equal(got, want), (seed, k)
+
+
+class TestBinSearch:
+    """The table sampler's bins from its cells against np.searchsorted."""
+
+    @pytest.mark.parametrize("n_x, n_u", [(3, 2), (4, 3), (10, 4), (41, 1)])
+    def test_bins_match_searchsorted(self, n_x, n_u):
+        # chains with zero-probability transitions, n_z = 40 with a table by
+        # default and n_z = 41 with one forced
+        chain = models.finite_chain() if (n_x, n_u) == (3, 2) else sparse_chain(n_x, n_u, n_x)
+        with mock.patch.object(learner, "_TABLE_ENTRIES", 1 << 20):
+            env = FiniteChainEnv(chain, FeatureMap(np.ones((chain.n_z, 1))))
+        sums = np.cumsum(chain.transition, axis=1)[:, :-1].ravel()
+        breaks = np.array(sorted(set(sums.tolist())))
+        assert np.array_equal(env._breaks, np.append(breaks, np.inf))
+        assert len(env._cells) & (len(env._cells) - 1) == 0
+        us = np.concatenate([edge_uniforms(chain), np.random.default_rng(n_x).random(4096)])
+        assert np.array_equal(env._bins(us), np.searchsorted(breaks, us, side="right"))
+
+    def test_crowded_cells_take_more_passes(self):
+        # breakpoints closer than any cell of at most _MAX_CELLS
+        gap = 1e-7
+        p = np.array([[0.5, gap, gap, gap, gap, gap, gap, 0.5 - 6 * gap]] * 8)
+        chain = FiniteChain(transition=p, cost_vec=np.zeros(8), stationary=p[0])
+        env = FiniteChainEnv(chain, FeatureMap(np.ones((8, 1))))
+        assert len(env._cells) == learner._MAX_CELLS and env._passes == 6
+        us = np.concatenate([edge_uniforms(chain), 0.5 + gap * np.linspace(0, 7, 99)])
+        assert np.array_equal(env._bins(us), np.searchsorted(env._breaks[:-1], us, side="right"))
 
 
 class TestBlockRoute:
