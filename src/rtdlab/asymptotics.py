@@ -105,12 +105,7 @@ class SensitivityReport:
     ``d_sigma`` and ``d_bias`` carry the full derivatives, with the noise
     terms ``sigma_delta_prime`` and ``upsilon_bar_prime`` evaluated exactly
     (they do not vanish: the stationary point moves with delta_r, dragging
-    the stationary noise law along).  ``d_sigma_frozen_noise`` and
-    ``d_bias_frozen_noise`` are the values obtained by forcing those noise
-    derivatives to zero, kept for comparison.  ``a_inv_prime_outer_residual``
-    is the max-norm gap between (A_bar^{-1})' and the outer product
-    phi_bar phi_bar' with phi_bar = A_bar^{-1} psi_bar, which coincide only
-    for symmetric A_bar.
+    the stationary noise law along).
     """
 
     d_theta_star: np.ndarray
@@ -120,9 +115,6 @@ class SensitivityReport:
     d_bias: np.ndarray
     sigma_delta_prime: np.ndarray
     upsilon_bar_prime: np.ndarray
-    d_sigma_frozen_noise: np.ndarray
-    d_bias_frozen_noise: np.ndarray
-    a_inv_prime_outer_residual: float
 
 
 def _scale(x: np.ndarray) -> float:
@@ -275,7 +267,6 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
     d_a_inv = -a_inv @ d_a_bar @ a_inv
     d_theta = -a_inv @ d_a_bar @ theta_star
     phi_bar = a_inv @ psi_bar
-    outer_residual = float(np.max(np.abs(d_a_inv - np.outer(phi_bar, phi_bar))))
 
     s = float(psi_bar @ theta_star)
     q = mat @ phi_bar
@@ -290,12 +281,8 @@ def sensitivity(chain: FiniteChain, psi: FeatureMap, gamma: float,
 
     correction = a_inv @ d_a_bar @ base.sigma_theta_star
     d_sigma = a_inv @ sig_d_prime @ a_inv.T - correction - correction.T
-    d_sigma_frozen = -correction - correction.T
     d_bias = a_inv @ (-d_a_bar @ base.bias + ups_prime / (1.0 - rho))
-    d_bias_frozen = a_inv @ (-d_a_bar @ base.bias)
 
     return SensitivityReport(
         d_theta_star=d_theta, d_a_bar=d_a_bar, d_a_inv=d_a_inv, d_sigma=d_sigma, d_bias=d_bias,
-        sigma_delta_prime=sig_d_prime, upsilon_bar_prime=ups_prime,
-        d_sigma_frozen_noise=d_sigma_frozen, d_bias_frozen_noise=d_bias_frozen,
-        a_inv_prime_outer_residual=outer_residual)
+        sigma_delta_prime=sig_d_prime, upsilon_bar_prime=ups_prime)

@@ -40,17 +40,21 @@ baseline_n = psi_bar_mu, psi_bar_est_n or 0 as the correction above says.
 ``run_many`` steps its runs a group at a time, one group after the other,
 and ``run`` is a group of one.  Time is cut into blocks of _BLOCK_STEPS =
 _RADIX**4 steps (8**4 = 4096) starting at multiples of _BLOCK_STEPS.  For
-each block, one call to the environment samples every run's stretch and
-returns psi(Z_n), the TD-target features and c(Z_n) already in the tree
-layout below: a finite chain draws each stretch as state indices and
-gathers each per-step array from its table once, at the layout's step
-indices.  The step sizes, traces, adaptive baseline estimates, A_n and
-b_n of every step of the block are computed at once and the iterates come
-from one tree rule.  The divergence check, the Polyak-Ruppert sums and
-the snapshots follow per block.  Each of a block's arrays lives only while
-the block needs it, and the scans overwrite their inputs, so a group of
-runs holds at most the maps [A_n | b_n] of one block and the inputs they
-are built from: (d + 1)(d + 2) floats per run and step.
+each block of k steps, one call to the environment's ``sample_block``
+samples every run's stretch and returns three (table, rows) pairs in step
+order, whose gathers table[rows] are psi(Z_0) .. psi(Z_k), the TD-target
+features of steps 0 .. k-1 and their costs c(Z_n), with rows (k + 1, runs)
+or (k, runs); a finite chain returns its feature and cost tables and the
+sampled state indices.  The learner alone knows the tree layout below: it
+gathers each pair once, straight into that layout, and the tables die
+with the gather.  The step sizes, traces, adaptive baseline estimates,
+A_n and b_n of every step of the block are computed at once and the
+iterates come from one tree rule.  The divergence check, the
+Polyak-Ruppert sums and the snapshots follow per block.  Each of a
+block's arrays lives only while the block needs it, and the scans
+overwrite their inputs, so a group of runs holds at most the maps
+[A_n | b_n] of one block and the inputs they are built from: (d + 1)(d + 2)
+floats per run and step.
 
 The tree rule evaluates every affine recursion y_n = A_n y_{n-1} + b_n of
 the learner: theta (y_n = theta_{n+1} with the d x d maps above), the trace
@@ -81,8 +85,9 @@ separate multiplies and adds.  Each level composes every group of the
 block at once, so a block costs a number of vectorised products that
 grows with W log_W _BLOCK_STEPS, and the only sequential step from block
 to block is the carry of y.  The last block of a run, if short, is padded
-to the least power of W that holds it.  Maps past its end reach no value
-before them, so its steps get the same values as in a whole tree.  So a
+to the least power of W that holds it with copies of its last step.  Maps
+past its end reach no value before them, so its steps get the same values
+as in a whole tree, whatever finite values the padding holds.  So a
 run's bits depend only on _RADIX and _BLOCK_STEPS: not on its batch, its
 group of runs or its position in either, nor on its length.
 
@@ -350,33 +355,32 @@ class FiniteChainEnv:
                     rng: np.random.Generator,
                     rng_split: np.random.Generator | None = None,
                     start: int | None = None) -> Path:
-        self._check_mode(eval_mode, rng_split)
-        traj = self.sample_states(n_steps, rng, start)
-        us = rng_split.random(n_steps) if eval_mode == "split_sampling" else None
-        table, rows = self._targets(eval_mode, traj[1:], us)
-        return Path(psi_states=self.psi.matrix[traj], cost=self.chain.cost_vec[traj[:-1]],
-                    psi_target=table[rows], z_traj=traj, end=int(traj[-1]))
+        """One run's :meth:`sample_block`, gathered in step order."""
+        (psi, traj), (table, rows), (cost, _), (end,) = self.sample_block(
+            n_steps, eval_mode, [rng], [rng_split], [start])
+        traj = traj[:, 0]
+        return Path(psi_states=psi[traj], cost=cost[traj[:-1]], psi_target=table[rows[:, 0]],
+                    z_traj=traj, end=end)
 
     def sample_block(self, k: int, eval_mode: str, rngs: list, splits: list,
-                     starts: list, order: np.ndarray) -> tuple:
-        """The next k steps of each run, gathered at the step indices ``order``.
+                     starts: list) -> tuple:
+        """The next k steps of each run, as (table, rows) pairs in step order.
 
         Run r continues from ``starts[r]`` (None draws Z_0) on ``rngs[r]``,
-        with its split-sampling uniforms from ``splits[r]``, as
-        :meth:`sample_path` draws them.  Returns psi(Z_n) and the TD-target
-        features (W, d, G, runs), c(Z_n) (W, G, runs) for the n of ``order``
-        (W, G), and each run's last state, which continues its trajectory.
+        with its split-sampling uniforms from ``splits[r]``.  The pairs
+        gather psi(Z_0) .. psi(Z_k) (rows (k + 1, runs): the states), the
+        TD-target features of steps 0 .. k-1 and c(Z_0) .. c(Z_{k-1}) (rows
+        (k, runs)); last comes each run's last state, which continues its
+        trajectory.
         """
         self._check_mode(eval_mode, splits[0])
         traj = np.stack([self.sample_states(k, rng, start)
                          for rng, start in zip(rngs, starts)], axis=1)
-        z, z_next = np.take(traj, order, axis=0), np.take(traj, order + 1, axis=0)
         us = None
         if eval_mode == "split_sampling":
-            us = np.take(np.stack([s.random(k) for s in splits], axis=1), order, axis=0)
-        table, rows = self._targets(eval_mode, z_next, us)
-        return (_tree_rows(self.psi.matrix, z), _tree_rows(table, rows),
-                np.take(self.chain.cost_vec, z), traj[-1].tolist())
+            us = np.stack([s.random(k) for s in splits], axis=1)
+        return ((self.psi.matrix, traj), self._targets(eval_mode, traj[1:], us),
+                (self.chain.cost_vec, traj[:-1]), traj[-1].tolist())
 
 
 # Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps aligned to
@@ -398,51 +402,54 @@ def _moved(ndim: int, source: tuple, destination: tuple) -> tuple:
     return tuple(order)
 
 
-def _tree_size(k: int) -> tuple[int, int]:
-    """(L, W) for a block of k steps: L the least power of _RADIX >= k, W = min(_RADIX, L)."""
+def _tree_order(k: int) -> np.ndarray:
+    """The step index at each position (W, G) of the tree layout of a k-step block.
+
+    The block is padded to L steps, the least power of _RADIX that holds
+    k, and step g*W + j sits at position j of level-1 group g, with W =
+    min(_RADIX, L) and G = L / W groups.  Positions past step k - 1 hold
+    k - 1: they pad the block, and the maps there reach no step of it.
+    """
     size = 1
     while size < k:
         size *= _RADIX
-    return size, min(_RADIX, size)
+    width = min(_RADIX, size)
+    return np.minimum(np.arange(size).reshape(size // width, width).T, k - 1)
 
 
 def _tree_layout(x: np.ndarray) -> np.ndarray:
     """Per-step values (k, runs, ...) of a block in tree layout (W, ..., G, runs).
 
-    The block is padded with zeros to L steps, the least power of _RADIX
-    that holds k, and step g*W + j sits at position j of level-1 group g,
-    with W = min(_RADIX, L) and G = L / W groups.
+    It is x at the step indices of :func:`_tree_order`.
     """
-    k, n_runs = x.shape[:2]
-    size, width = _tree_size(k)
-    full, rest = divmod(k, width)
-    out = np.zeros((width,) + x.shape[2:] + (size // width, n_runs))
-    steps = out.transpose(_moved(out.ndim, (0, -2, -1), (1, 0, 2)))    # (G, W, runs, ...)
-    steps[:full] = x[:full * width].reshape((full, width) + x.shape[1:])
-    if rest:
-        steps[full, :rest] = x[full * width:]
-    return out
-
-
-def _tree_order(k: int) -> np.ndarray:
-    """The step index at each position (W, G) of the tree layout of a k-step block.
-
-    Positions past step k - 1 hold k - 1: they pad the block, and the maps
-    there reach no step of it.
-    """
-    size, width = _tree_size(k)
-    return np.minimum(np.arange(size).reshape(size // width, width).T, k - 1)
+    y = np.take(x, _tree_order(len(x)), axis=0)     # (W, G, runs, ...)
+    return y.transpose(_moved(y.ndim, (1, 2), (-2, -1)))
 
 
 def _tree_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows ``table[index]`` of an (n, d) table for indices (W, G, runs), as (W, d, G, runs).
+    """``table[index]`` for indices (W, G, runs): (W, G, runs) for a vector,
+    (W, d, G, runs) for an (n, d) table.
 
     One feature at a time, so the only temporary holds one feature's values.
     """
+    if table.ndim == 1:
+        return np.take(table, index)
     out = np.empty(index.shape[:1] + table.shape[1:] + index.shape[1:])
     for j, column in enumerate(table.T):
         out[:, j] = np.take(column, index)
     return out
+
+
+def _tree_inputs(block: tuple, k: int) -> list:
+    """The (table, rows) pairs of a ``sample_block`` result gathered in tree
+    layout, then its last states.
+
+    The sampled rows, and a table sampled with them, are freed when this
+    call returns, before the block's maps are allocated.
+    """
+    *pairs, ends = block
+    order = _tree_order(k)
+    return [_tree_rows(table, np.take(rows, order, axis=0)) for table, rows in pairs] + [ends]
 
 
 def _step_layout(y: np.ndarray, k: int) -> np.ndarray:
@@ -679,8 +686,8 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
         nonlocal carry, zeta, est
         # per-step values in tree layout (W, ..., G, runs); the gains are
         # copied to every run: numpy is slow to broadcast a short last axis
-        psi_n, h, cost, carry = env.sample_block(
-            k, config.eval_mode, rngs, splits, carry, _tree_order(k))
+        psi_n, h, cost, carry = _tree_inputs(
+            env.sample_block(k, config.eval_mode, rngs, splits, carry), k)
         al = _tree_layout(np.broadcast_to(config.step.alphas(k, first)[:, None], (k, n_runs)))
         # h_n = gamma psi_target - psi(Z_n) - delta_r baseline_n, in the targets' array
         h *= g
@@ -696,8 +703,7 @@ def _group(env, config: LearnerConfig, n_steps: int, horizon: int,
             zs = _linear_filter(np.full(al.shape, lg), psi_n, zeta)
             zeta = _last(zs, k).copy()
         # A_n = I + alpha_{n+1} (zeta_n h_n' - delta_r psi_bar psi_bar'),
-        # b_n = alpha_{n+1} c(Z_n) zeta_n; alpha is 0 past the block's end,
-        # so the maps there are the identity
+        # b_n = alpha_{n+1} c(Z_n) zeta_n
         maps = np.empty(zs.shape[:2] + (dim + 1,) + zs.shape[2:])
         a = maps[:, :, :dim]
         np.multiply(zs[:, :, None], h[:, None], out=a)

@@ -76,13 +76,10 @@ class PerturbationReport:
     """First-order motion of the near-zero eigenvalue under Xi + t v w'.
 
     ``derivative`` uses the general biorthogonal formula
-    (eta_L'v)(w'eta_R)/(eta_L'eta_R); ``symmetric_formula`` evaluates
-    (eta_R'v)(w'eta_R) with ||eta_R|| = 1, which agrees with the general one
-    when the same unit vector is both left and right null vector.
+    (eta_L'v)(w'eta_R)/(eta_L'eta_R).
     """
 
     derivative: float
-    symmetric_formula: float
     eigenvalue: complex
 
 
@@ -90,8 +87,8 @@ def mean_flow_td_lambda(chain: FiniteChain, psi: FeatureMap,
                         gamma: float, lam: float) -> np.ndarray:
     """A_bar(lam; 0) = -R(0) + (1-lam)*gamma * sum_k (lam*gamma)^k R(k+1).
 
-    Valid for lam*gamma < 1; gamma = 1 is permitted when lam < 1 (used by the
-    instability probe).
+    Valid for lam*gamma < 1; gamma = 1 is permitted when lam < 1 (used by
+    the acceptance suite's eigen-perturbation check, criterion 10).
     """
     beta = lam * gamma
     if not 0.0 <= beta < 1.0:
@@ -213,11 +210,7 @@ def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> Pe
     if abs(denom) < 1e-14:
         raise NotSimple("left/right eigenvectors are numerically orthogonal")
     general = (eta_l @ v) * (w @ eta_r) / denom
-    eta_unit = eta_r / np.linalg.norm(eta_r)
-    symmetric = (eta_unit @ v) * (w @ eta_unit)
-    return PerturbationReport(derivative=float(np.real(general)),
-                              symmetric_formula=float(np.real(symmetric)),
-                              eigenvalue=complex(eigvals[k]))
+    return PerturbationReport(derivative=float(np.real(general)), eigenvalue=complex(eigvals[k]))
 
 
 @dataclass(frozen=True)

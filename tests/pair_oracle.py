@@ -234,9 +234,7 @@ def exact_sensitivity(chain: FiniteChain, psi, gamma: float, rho: float) -> dict
             "d_a_inv": -a_inv @ d_a_bar @ a_inv,
             "d_sigma": a_inv @ sig_d_prime @ a_inv.T - correction - correction.T,
             "d_bias": a_inv @ (-d_a_bar @ base["bias"] + ups_prime / (1.0 - rho)),
-            "sigma_delta_prime": sig_d_prime, "upsilon_bar_prime": ups_prime,
-            "d_sigma_frozen_noise": -correction - correction.T,
-            "d_bias_frozen_noise": a_inv @ (-d_a_bar @ base["bias"])}
+            "sigma_delta_prime": sig_d_prime, "upsilon_bar_prime": ups_prime}
 
 
 def a_hat_from(noise, big_g: np.ndarray) -> np.ndarray:

@@ -235,6 +235,54 @@ class TestAffineScan:
                         <= 1e-12 * np.max(np.abs(seq))
 
 
+def short_blocks():
+    """(radix, depth, k) for block lengths k short of the whole tree, at every entry of TREES."""
+    for radix, depth in TREES:
+        b = radix ** depth
+        for k in sorted({1, 2, radix + 1, b // radix - 1, b - 1} & set(range(1, b))):
+            yield radix, depth, k
+
+
+def padded(x, kind, rng):
+    """x (k, ...) padded in step order to its whole tree with zeros, copies of its
+    last step or random values in [-1/2, 1/2)."""
+    shape = (learner._tree_order(len(x)).size - len(x),) + x.shape[1:]
+    pad = {"zeros": np.zeros(shape), "last": np.broadcast_to(x[-1], shape),
+           "random": rng.uniform(-0.5, 0.5, shape)}[kind]
+    return np.concatenate([x, pad])
+
+
+class TestPadding:
+    """A short block's steps do not depend on the finite values padding its tree."""
+
+    @pytest.mark.parametrize("kind", ["zeros", "last", "random"])
+    def test_linear_filter(self, kind):
+        for radix, depth, k in short_blocks():
+            rng = np.random.default_rng([radix, depth, k])
+            a, x = rng.random((k, 3)), rng.standard_normal((k, 3, 2))
+            carry = rng.standard_normal((2, 3))
+            with tree(radix, depth):
+                want = learner._linear_filter(learner._tree_layout(a),
+                                              learner._tree_layout(x), carry)
+                got = learner._linear_filter(learner._tree_layout(padded(a, kind, rng)),
+                                             learner._tree_layout(padded(x, kind, rng)), carry)
+                assert np.array_equal(learner._step_layout(got, k),
+                                      learner._step_layout(want, k)), (radix, depth, k)
+
+    @pytest.mark.parametrize("kind", ["zeros", "last", "random"])
+    def test_affine_scan(self, kind):
+        for radix, depth, k in short_blocks():
+            rng = np.random.default_rng([radix, depth, k])
+            a, b = TestAffineScan.maps("random", k, 2, rng)
+            maps = np.concatenate([a, b[..., None]], axis=-1)
+            carry = rng.standard_normal((3, 2))
+            with tree(radix, depth):
+                want = learner._affine_scan(learner._tree_layout(maps), carry)
+                got = learner._affine_scan(learner._tree_layout(padded(maps, kind, rng)), carry)
+                assert np.array_equal(learner._step_layout(got, k),
+                                      learner._step_layout(want, k)), (radix, depth, k)
+
+
 class TestRun:
     def test_matches_reference_stepper_bitwise(self, env):
         cfg = config(variant="varpi_relative", delta_r=0.5, lam=0.4, gamma=0.9,

@@ -283,7 +283,6 @@ class TestEigenPerturbation:
         e1 = np.array([1.0, 0.0])
         rep = eigen_perturbation(xi, e1, e1)
         assert rep.derivative == pytest.approx(1.0, abs=1e-12)
-        assert rep.symmetric_formula == pytest.approx(1.0, abs=1e-12)
 
     def test_not_simple_rejected(self):
         with pytest.raises(NotSimple):
@@ -298,7 +297,6 @@ class TestEigenPerturbation:
         xi_unit = np.ones(6) / np.sqrt(6)
         paper = -(xi_unit @ psi_bar) * (xi_unit @ (tab.matrix.T @ mu))
         assert rep.derivative == pytest.approx(paper, rel=1e-8)
-        assert rep.symmetric_formula == pytest.approx(paper, rel=1e-8)
 
     def test_finite_difference_tracking(self, chain):
         tab = tabular_basis(6)
