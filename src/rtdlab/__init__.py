@@ -14,9 +14,9 @@ Layers:
 
 from .asymptotics import (AsymptoticsReport, SensitivityReport, asymptotics_report,
                           noise_variant, sensitivity)
-from .errors import (ConfigError, MissingSplitSample, NoNormalizer, NonZeroMean,
-                     NotSimple, NotUnichain, NumericalDivergence, RtdLabError,
-                     SingularResolvent, SingularSystem)
+from .errors import (ConfigError, MissingSplitSample, NonZeroMean, NotSimple,
+                     NotUnichain, NumericalDivergence, RtdLabError, SingularResolvent,
+                     SingularSystem)
 from .features import (BaselineMean, FeatureMap, FeatureStats, NormalizerResult,
                        autocorrelation, baseline_mean, builtin_basis, feature_mean,
                        feature_stats, find_normalizer, finite_poly_basis,
@@ -26,10 +26,9 @@ from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, RunResult, S
                       snapshot_indices, substream)
 from .markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain, discounted_q,
                      load_model, save_model, stationary_pmf)
-from .meanflow import (DirichletReport, InstabilityTable, MeanFlow,
-                       PerturbationReport, SpectralReport, b_bar, dirichlet_report,
-                       eigen_perturbation, eps_p, instability_probe, mean_flow_relative,
-                       mean_flow_td_lambda, spectral_report)
+from .meanflow import (DirichletReport, MeanFlow, PerturbationReport, SpectralReport,
+                       b_bar, dirichlet_report, eigen_perturbation, eps_p,
+                       mean_flow_relative, mean_flow_td_lambda, spectral_report)
 from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_stats,
                          gamma_moment_check, simulate_speed_scaling)
 

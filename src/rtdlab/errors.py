@@ -21,10 +21,6 @@ class NotSimple(RtdLabError):
     """The tracked eigenvalue is not numerically simple."""
 
 
-class NoNormalizer(RtdLabError):
-    """No vector xi with xi'psi(z) = 1 on the chain support exists."""
-
-
 class NonZeroMean(RtdLabError):
     """A noise sequence expected to be centered has a nonzero stationary mean."""
 

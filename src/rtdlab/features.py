@@ -50,7 +50,7 @@ class BaselineMean:
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "psi_bar_mu", np.asarray(self.psi_bar_mu, dtype=float))
-        if np.any(mu < 0) or abs(mu.sum() - 1.0) > 1e-10:
+        if not (np.all(mu >= 0) and abs(mu.sum() - 1.0) <= 1e-10):
             raise ValueError("mu must be a pmf")
 
 

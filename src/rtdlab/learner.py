@@ -111,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, MissingSplitSample, NumericalDivergence)
-from .features import FeatureMap
+from .features import BaselineMean, FeatureMap
 from .markov import FiniteChain
 
 VARIANTS = ("td", "relative_fixed_mu", "varpi_relative", "varpi_relative_fixed")
@@ -158,7 +158,7 @@ class LearnerConfig:
     step: StepSchedule
     variant: str = "td"
     delta_r: float = 0.0
-    mu: object | None = None              # BaselineMean for relative_fixed_mu
+    mu: BaselineMean | None = None        # for relative_fixed_mu
     psi_bar: np.ndarray | None = None     # for varpi_relative_fixed
     eval_mode: str = "on_policy"
     baseline_step_rho: float = 0.55
@@ -173,10 +173,12 @@ class LearnerConfig:
             raise ConfigError(f"unknown eval mode {self.eval_mode!r}")
         if not 0.0 <= self.lam * self.gamma < 1.0:
             raise ConfigError("lam*gamma must lie in [0, 1)")
-        if self.delta_r < 0:
+        if not self.delta_r >= 0:
             raise ConfigError("delta_r must be nonnegative")
         if self.variant == "relative_fixed_mu" and self.mu is None:
             raise ConfigError("relative_fixed_mu requires a baseline mu")
+        if self.mu is not None and not isinstance(self.mu, BaselineMean):
+            raise ConfigError(f"mu must be a BaselineMean, got {type(self.mu).__name__}")
         if self.variant == "varpi_relative_fixed":
             if self.psi_bar is None:
                 raise ConfigError("varpi_relative_fixed requires a precomputed psi_bar")
@@ -593,8 +595,15 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     group, not with the run count.  Once a run crosses the divergence
     threshold, the later groups are stepped only through the block of the
     earliest crossing found so far, and the earliest crossing over all
-    groups is raised.
+    groups is raised.  A ``theta0``, ``psi_bar`` or baseline mean whose
+    shape is not (env.dim,) raises ConfigError before anything is sampled.
     """
+    psi_bar_mu = None if config.mu is None else config.mu.psi_bar_mu
+    for name, vec in (("theta0", config.theta0), ("psi_bar", config.psi_bar),
+                      ("mu.psi_bar_mu", psi_bar_mu)):
+        if vec is not None and np.shape(vec) != (env.dim,):
+            raise ConfigError(f"{name} has shape {np.shape(vec)}, not the feature "
+                              f"dimension ({env.dim},)")
     group = max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS * env.dim * env.dim))
     results, crossing = [], None
     for lo in range(0, len(run_indices), group):

@@ -83,10 +83,10 @@ class FiniteMdp:
             raise ValueError(f"kernel shape {kernel.shape} inconsistent with sizes")
         if cost.shape != (self.n_states, self.n_actions):
             raise ValueError(f"cost shape {cost.shape} inconsistent with sizes")
-        if np.any(kernel < 0):
-            raise ValueError("kernel has negative entries")
-        row_sums = kernel.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+        # each check is written so that a NaN entry fails it
+        if not np.all(kernel >= 0):
+            raise ValueError("kernel entries must be nonnegative numbers")
+        if not np.all(np.abs(kernel.sum(axis=2) - 1.0) <= 1e-12):
             raise ValueError("kernel rows must sum to 1 within 1e-12")
         if not np.all(np.isfinite(cost)):
             raise ValueError("cost must be finite")
@@ -101,9 +101,9 @@ class RandomizedPolicy:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
-        if np.any(probs < 0):
-            raise ValueError("policy has negative probabilities")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.all(probs >= 0):
+            raise ValueError("policy probabilities must be nonnegative numbers")
+        if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("policy rows must sum to 1 within 1e-12")
 
     @property
@@ -145,9 +145,10 @@ class FiniteChain:
         n = p.shape[0]
         if p.shape != (n, n) or c.shape != (n,) or pi.shape != (n,):
             raise ValueError("inconsistent chain dimensions")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        # each check is written so that a NaN entry fails it
+        if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("transition rows must sum to 1 within 1e-12")
-        if np.max(np.abs(pi @ p - pi)) > 1e-10 or abs(pi.sum() - 1.0) > 1e-10:
+        if not (np.all(np.abs(pi @ p - pi) <= 1e-10) and abs(pi.sum() - 1.0) <= 1e-10):
             raise ValueError("stationary vector is not invariant within 1e-10")
         if self.policy is not None:
             object.__setattr__(self, "policy", np.asarray(self.policy, dtype=float))
@@ -155,7 +156,7 @@ class FiniteChain:
                 raise ValueError(f"policy shape {self.policy.shape} is not (n_x, n_u) "
                                  f"with n_x * n_u = {n}")
             p3 = p.reshape(n, *self.policy.shape)
-            if np.max(np.abs(p3 - p3.sum(axis=2, keepdims=True) * self.policy)) > 1e-10:
+            if not np.all(np.abs(p3 - p3.sum(axis=2, keepdims=True) * self.policy) <= 1e-10):
                 raise ValueError("transition is not P_u(x, x') policy(u' | x') within 1e-10")
 
     @property

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNormalizer, NotSimple, SingularSystem
+from .errors import NotSimple, SingularSystem
 from .features import (BaselineMean, FeatureMap, autocorrelation, baseline_mean,
-                       feature_mean, find_normalizer, resolvent_sum)
+                       feature_mean, resolvent_sum)
 from .markov import FiniteChain, discounted_q, guarded_solve, resolvent_solve
 
 # Grid over which eps_P approximates inf{gamma_beta : 0 <= beta < 1}; the gap
@@ -212,55 +212,3 @@ def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> Pe
     general = (eta_l @ v) * (w @ eta_r) / denom
     return PerturbationReport(derivative=float(np.real(general)), eigenvalue=complex(eigvals[k]))
 
-
-@dataclass(frozen=True)
-class InstabilityRow:
-    gamma: float
-    delta_r: float
-    max_real_part: float
-    hurwitz: bool
-    predicted_stable: bool
-
-
-@dataclass(frozen=True)
-class InstabilityTable:
-    rows: tuple[InstabilityRow, ...]
-    xi_dot_psi_bar_mu: float
-    consistent: bool
-
-
-def instability_probe(chain: FiniteChain, psi: FeatureMap, mu: BaselineMean | np.ndarray,
-                      lam: float, gamma_grid, delta_grid) -> InstabilityTable:
-    """Hurwitz flags of A_bar(lam; delta_r) against the sign of xi'psi_bar_mu.
-
-    Applicable only when a normalizing vector xi exists; the predicted branch
-    is stability when xi'psi_bar_mu > 0 and a right-half-plane eigenvalue when
-    xi'psi_bar_mu < 0 (for gamma near 1 and small delta_r > 0).  ``consistent``
-    records agreement at the most extreme grid point (largest gamma, smallest
-    positive delta_r).
-    """
-    norm = find_normalizer(psi, chain.support)
-    if norm.xi is None:
-        raise NoNormalizer("no normalizing vector; probe inapplicable")
-    base = mu if isinstance(mu, BaselineMean) else baseline_mean(np.asarray(mu, float), psi)
-    sign_mu = float(norm.xi @ base.psi_bar_mu)
-    predicted_stable = sign_mu > 0
-    rows = []
-    for g in gamma_grid:
-        for d in delta_grid:
-            flow = mean_flow_relative(chain, psi, g, lam, d, base)
-            rep = spectral_report(flow.a_bar)
-            rows.append(InstabilityRow(gamma=float(g), delta_r=float(d),
-                                       max_real_part=rep.max_real_part,
-                                       hurwitz=rep.hurwitz,
-                                       predicted_stable=predicted_stable))
-    probe_rows = [r for r in rows if r.delta_r > 0]
-    if probe_rows:
-        g_max = max(r.gamma for r in probe_rows)
-        d_min = min(r.delta_r for r in probe_rows if r.gamma == g_max)
-        extreme = next(r for r in probe_rows if r.gamma == g_max and r.delta_r == d_min)
-        consistent = extreme.hurwitz == predicted_stable
-    else:
-        consistent = True
-    return InstabilityTable(rows=tuple(rows), xi_dot_psi_bar_mu=sign_mu,
-                            consistent=consistent)

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, SingularSystem
-from .learner import Path, substream
+from .learner import substream
 from .markov import guarded_solve
 
 NOISE_WINDOW = 200  # largest lag of estimate_noise_covariance, which needs more steps
@@ -97,15 +97,6 @@ class SpeedScalingEnv:
     @property
     def dim(self) -> int:
         return self.model.dim
-
-    def sample_path(self, n_steps: int, eval_mode: str,
-                    rng: np.random.Generator,
-                    rng_split: np.random.Generator | None = None,
-                    start: float | None = None) -> Path:
-        """One run's :meth:`sample_block`, gathered in step order."""
-        *pairs, (end,) = self.sample_block(n_steps, eval_mode, [rng], [rng_split], [start])
-        psi_states, psi_target, cost = (table[rows[:, 0]] for table, rows in pairs)
-        return Path(psi_states=psi_states, cost=cost, psi_target=psi_target, end=end)
 
     def sample_block(self, k: int, eval_mode: str, rngs: list, splits: list,
                      starts: list) -> tuple:

@@ -32,7 +32,8 @@ one observed transition:
   ordering error shared by ``run`` and ``td_step`` would show against it.
 
 ``run_path`` folds either over a sampled path with the same Polyak-Ruppert
-average as ``run``.
+average as ``run``; ``block_path`` samples one run's path from an
+environment's ``sample_block``.
 """
 
 from dataclasses import dataclass
@@ -90,6 +91,13 @@ def initial_state(config: LearnerConfig, dim: int, psi0: np.ndarray) -> LearnerS
                                              np.zeros(dim))
     return LearnerState(theta=theta, zeta=np.zeros(dim), psi_bar_est=psi_bar_est,
                         baseline=baseline_tree)
+
+
+def block_path(env, n_steps: int, eval_mode: str, rng, rng_split=None, start=None) -> Path:
+    """One run's ``env.sample_block``, gathered in step order."""
+    *pairs, (end,) = env.sample_block(n_steps, eval_mode, [rng], [rng_split], [start])
+    psi_states, psi_target, cost = (table[rows[:, 0]] for table, rows in pairs)
+    return Path(psi_states=psi_states, cost=cost, psi_target=psi_target, end=end)
 
 
 def transitions(path: Path):

@@ -504,6 +504,24 @@ class TestModelFileInput:
                 for i in range(3)]
         assert np.array_equal(np.array(rows, dtype=float)[:, 2:], want)
 
+    @pytest.mark.parametrize("key, entry", [("kernel", (0, 1, 2)), ("policy", (1, 0))])
+    def test_nan_entry_rejected(self, tmp_path, capsys, key, entry):
+        # json reads the literal NaN, which every range check must fail
+        path = tmp_path / "m.json"
+        save_model(path, models.finite_mdp(), models.finite_eval_policy())
+        raw = json.loads(path.read_text())
+        table = np.array(raw[key])
+        table[entry] = np.nan
+        raw[key] = table.tolist()
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--out", str(out), "--model", f"file:{path}") == 2
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ConfigError"
+        # the message names the array, not just the path, which holds the test's name
+        assert key in err["message"].replace(str(path), "")
+        assert not out.exists()
+
     def test_unknown_model_errors_with_json(self, tmp_path, capsys):
         rc = run_cli("eigs", "--out", str(tmp_path), "--model", "nope")
         assert rc == 2

@@ -19,9 +19,9 @@ from rtdlab.markov import FiniteChain, FiniteMdp, RandomizedPolicy, build_chain
 from rtdlab.speedscale import SpeedScalingEnv, SpeedScalingModel
 
 from chain_helpers import loop_psi_avg
-from learner_oracle import (Transition, beta, filter_step, initial_state, iterates,
-                            pr_average, run_path, td_step, textbook_step, transitions,
-                            tree_step)
+from learner_oracle import (Transition, beta, block_path, filter_step, initial_state,
+                            iterates, pr_average, run_path, td_step, textbook_step,
+                            transitions, tree_step)
 from pair_oracle import build_noise_model
 
 
@@ -90,6 +90,29 @@ class TestConfigValidation:
     def test_baseline_gain_ordering(self):
         with pytest.raises(ConfigError):
             config(variant="varpi_relative", delta_r=0.5, baseline_step_rho=0.7)
+
+    @pytest.mark.parametrize("delta_r", [float("nan"), -0.5])
+    def test_delta_r_range(self, delta_r):
+        with pytest.raises(ConfigError, match="delta_r"):
+            config(variant="varpi_relative", delta_r=delta_r)
+
+    def test_bare_pmf_baseline_rejected(self, chain):
+        with pytest.raises(ConfigError, match="BaselineMean"):
+            config(variant="relative_fixed_mu", delta_r=0.5, mu=chain.stationary)
+
+    @pytest.mark.parametrize("field", ["theta0", "psi_bar", "mu"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_wrong_length_rejected_before_sampling(self, chain, psi, field, n):
+        value = np.zeros(n)
+        if field == "mu":
+            value = baseline_mean(chain.stationary, FeatureMap(np.ones((6, n))))
+        variant = {"theta0": "td", "psi_bar": "varpi_relative_fixed",
+                   "mu": "relative_fixed_mu"}[field]
+        cfg = config(variant=variant, delta_r=0.5, **{field: value})
+        env = FiniteChainEnv(chain, psi)
+        with mock.patch.object(env, "sample_block", side_effect=AssertionError("sampled")):
+            with pytest.raises(ConfigError, match=field):
+                run_many(env, cfg, 10, 2)
 
 
 class TestTdStep:
@@ -614,7 +637,7 @@ class TestBinSearch:
 
 
 class TestBlockRoute:
-    """run_many's blocks of state indices against the per-run oracle on sample_path."""
+    """run_many's blocks against the per-run oracle on one run's sampled path."""
 
     @pytest.mark.parametrize("n_runs", [1, 3])
     @pytest.mark.parametrize("eval_mode", ["on_policy", "natural", "split_sampling"])
@@ -631,7 +654,7 @@ class TestBlockRoute:
         cfg = config(variant="varpi_relative", delta_r=1.0, lam=0.5, eval_mode=eval_mode,
                      seed=8, step=StepSchedule(1e-6, 0.6), baseline_step_rho=0.51)
         self.check(env, cfg, 100, n_runs,
-                   lambda i: env.sample_path(100, eval_mode, substream(cfg.seed, 2 * i)))
+                   lambda i: block_path(env, 100, eval_mode, substream(cfg.seed, 2 * i)))
 
     @staticmethod
     def check(env, cfg, n, n_runs, path):

@@ -5,6 +5,7 @@ import pytest
 
 from rtdlab import markov, models
 from rtdlab.errors import NotUnichain, SingularResolvent, SingularSystem
+from rtdlab.features import BaselineMean
 from rtdlab.markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain,
                            discounted_q, guarded_solve, load_model, poisson_solve_adjoint,
                            resolvent_solve, save_model, stationary_pmf)
@@ -106,6 +107,47 @@ class TestBuildChain:
         with pytest.raises(ValueError, match="policy shape"):
             FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
                         stationary=chain.stationary, policy=table)
+
+
+NAN = float("nan")
+
+
+def _nan_at(array, index):
+    out = np.array(array, dtype=float)
+    out[index] = NAN
+    return out
+
+
+class TestNanRejected:
+    """Every range check of the model classes fails on a NaN entry."""
+
+    @pytest.mark.parametrize("index", [(0, 0, 0), (1, 2, 1)])
+    def test_kernel(self, index):
+        with pytest.raises(ValueError, match="kernel"):
+            FiniteMdp(n_states=3, n_actions=2, kernel=_nan_at(models.FINITE_KERNEL, index),
+                      cost=models.FINITE_COST)
+
+    @pytest.mark.parametrize("probs", [[[NAN, 1.0]], [[0.5, 0.5], [1.0, NAN]]])
+    def test_policy(self, probs):
+        with pytest.raises(ValueError, match="policy"):
+            RandomizedPolicy(probs)
+
+    @pytest.mark.parametrize("field, index, match", [
+        ("transition", (0, 1), "transition rows"),
+        ("stationary", 2, "stationary"),
+        ("policy", (1, 0), "policy"),
+    ])
+    def test_chain(self, chain, field, index, match):
+        arrays = dict(transition=chain.transition, cost_vec=chain.cost_vec,
+                      stationary=chain.stationary, policy=chain.policy)
+        arrays[field] = _nan_at(arrays[field], index)
+        with pytest.raises(ValueError, match=match):
+            FiniteChain(**arrays)
+
+    @pytest.mark.parametrize("mu", [[NAN, 0.5, 0.5], [NAN, NAN, NAN]])
+    def test_baseline_mean(self, mu):
+        with pytest.raises(ValueError, match="pmf"):
+            BaselineMean(mu=np.array(mu), psi_bar_mu=np.zeros(2))
 
 
 class TestPoisson:

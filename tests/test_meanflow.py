@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rtdlab import meanflow, models
-from rtdlab.errors import NoNormalizer, NotSimple, SingularResolvent
+from rtdlab.errors import NotSimple, SingularResolvent
 from rtdlab.features import (FeatureMap, autocorrelation, baseline_mean, feature_mean,
-                             feature_stats, finite_poly_basis, tabular_basis)
+                             feature_stats, find_normalizer, finite_poly_basis,
+                             tabular_basis)
 from rtdlab.markov import FiniteChain, build_chain
 from rtdlab.meanflow import (EPS_P_BETA_GRID, b_bar, dirichlet_report, eigen_perturbation,
-                             eps_p, instability_probe, mean_flow_relative, mean_flow_td_lambda,
-                             spectral_report)
+                             eps_p, mean_flow_relative, mean_flow_td_lambda, spectral_report)
 
 
 @pytest.fixture(scope="module")
@@ -320,30 +320,26 @@ def demo():
 
 
 class TestInstabilityProbe:
+    """The sign of xi'psi_bar_mu against the Hurwitz flag of A_bar(0; delta_r) on a grid."""
+
+    @staticmethod
+    def hurwitz(chain, psi, mu, gamma_grid, delta_grid):
+        return [spectral_report(mean_flow_relative(chain, psi, g, 0.0, d, mu).a_bar).hurwitz
+                for g in gamma_grid for d in delta_grid]
 
     def test_negative_baseline_unstable(self, demo):
         chain_d, psi_d, mu_neg, _ = demo
-        table = instability_probe(chain_d, psi_d, mu_neg, 0.0,
-                                  gamma_grid=[0.99, 0.999], delta_grid=[1e-3, 1e-2])
-        assert table.xi_dot_psi_bar_mu < 0
-        assert table.consistent
-        assert not any(r.hurwitz for r in table.rows if r.delta_r > 0)
+        assert find_normalizer(psi_d, chain_d.support).xi @ mu_neg.psi_bar_mu < 0
+        assert not any(self.hurwitz(chain_d, psi_d, mu_neg, [0.99, 0.999], [1e-3, 1e-2]))
 
     def test_positive_baseline_stable(self, demo):
         chain_d, psi_d, _, mu_pos = demo
-        table = instability_probe(chain_d, psi_d, mu_pos, 0.0,
-                                  gamma_grid=[0.9, 0.99, 0.999], delta_grid=[1e-3])
-        assert table.xi_dot_psi_bar_mu > 0
-        assert table.consistent
-        assert all(r.hurwitz for r in table.rows)
+        assert find_normalizer(psi_d, chain_d.support).xi @ mu_pos.psi_bar_mu > 0
+        assert all(self.hurwitz(chain_d, psi_d, mu_pos, [0.9, 0.99, 0.999], [1e-3]))
 
     def test_stationary_baseline_trivially_positive(self, chain):
         tab = tabular_basis(6)
-        table = instability_probe(chain, tab, chain.stationary, 0.0,
-                                  gamma_grid=[0.99], delta_grid=[0.1])
-        assert table.xi_dot_psi_bar_mu == pytest.approx(1.0, abs=1e-10)
-        assert all(r.hurwitz for r in table.rows)
-
-    def test_no_normalizer_rejected(self, chain, psi):
-        with pytest.raises(NoNormalizer):
-            instability_probe(chain, psi, chain.stationary, 0.0, [0.9], [0.1])
+        mu = baseline_mean(chain.stationary, tab)
+        assert find_normalizer(tab, chain.support).xi @ mu.psi_bar_mu \
+            == pytest.approx(1.0, abs=1e-10)
+        assert all(self.hurwitz(chain, tab, mu, [0.99], [0.1]))

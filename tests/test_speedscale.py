@@ -145,10 +145,10 @@ class TestEnv:
 
     def test_stretches_continue_the_path(self, model):
         env = SpeedScalingEnv(model)
-        whole = env.sample_path(500, "on_policy", substream(9, 0))
+        whole = learner_oracle.block_path(env, 500, "on_policy", substream(9, 0))
         rng, start, parts = substream(9, 0), None, []
         for k in (1, 0, 200, 299):
-            parts.append(env.sample_path(k, "on_policy", rng, None, start))
+            parts.append(learner_oracle.block_path(env, k, "on_policy", rng, None, start))
             start = parts[-1].end
         assert np.array_equal(np.concatenate([p.cost for p in parts]), whole.cost)
         assert np.array_equal(np.concatenate([p.psi_target for p in parts]), whole.psi_target)
@@ -160,13 +160,13 @@ class TestEnv:
                                 baseline_step_rho=0.51)
             with mock.patch.multiple(learner, _RADIX=3, _BLOCK_STEPS=27):
                 cut = run(env, cfg, 300)
-                path = env.sample_path(300, "on_policy", substream(cfg.seed, 0))
+                path = learner_oracle.block_path(env, 300, "on_policy", substream(cfg.seed, 0))
                 want = learner_oracle.iterates(cfg, path)[-1]
             assert np.array_equal(cut.theta_final, want)
 
     def test_on_policy_path_shapes(self, model):
         env = SpeedScalingEnv(model)
-        path = env.sample_path(100, "on_policy", substream(9, 0))
+        path = learner_oracle.block_path(env, 100, "on_policy", substream(9, 0))
         assert path.psi_states.shape == (101, 4)
         assert path.cost.shape == (100,)
         assert np.array_equal(path.psi_target, path.psi_states[1:])
