@@ -26,9 +26,9 @@ from .learner import (EmpiricalBias, FiniteChainEnv, LearnerConfig, RunResult, S
                       snapshot_indices, substream)
 from .markov import (FiniteChain, FiniteMdp, RandomizedPolicy, build_chain, discounted_q,
                      load_model, save_model, stationary_pmf)
-from .meanflow import (DirichletReport, MeanFlow, PerturbationReport, SpectralReport,
-                       b_bar, dirichlet_report, eigen_perturbation, eps_p,
-                       mean_flow_relative, mean_flow_td_lambda, spectral_report)
+from .meanflow import (DirichletReport, MeanFlow, SpectralReport, b_bar, dirichlet_report,
+                       eigen_perturbation, eps_p, mean_flow_relative, mean_flow_td_lambda,
+                       spectral_report)
 from .speedscale import (SpeedScalingEnv, SpeedScalingModel, estimate_stats,
                          gamma_moment_check, simulate_speed_scaling)
 

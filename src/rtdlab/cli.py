@@ -195,12 +195,11 @@ def _spectral_row(gamma: float, lam: float, delta_r: float, rep) -> list:
 
 
 def cmd_eigs(args) -> dict:
-    gammas = args.gamma_grid or DEFAULT_GAMMA_GRID
-    for g in gammas:
+    for g in args.gamma_grid:
         if args.lam * g >= 1 - 1e-6:
             raise ConfigError(f"gamma {g} has lam * gamma >= 1 - 1e-6 at --lam {args.lam}")
     model = resolve_model(args.model, args.basis)
-    grid = [(g, dr) for g in gammas for dr in args.delta_grid or (0.0, args.delta_r)]
+    grid = [(g, dr) for g in args.gamma_grid for dr in args.delta_grid]
     if isinstance(model, SpeedScalingModel):
         if args.lam != 0.0:
             raise ConfigError("the speed-scaling mean flow is estimated at lam = 0 only, "
@@ -210,7 +209,7 @@ def cmd_eigs(args) -> dict:
         rows = []
         for g, dr in grid:
             rep = spectral_report(np.mean([s.mean_flow(g, dr) for s in stats_list], axis=0))
-            per = [np.min(np.abs(spectral_report(s.mean_flow(g, dr)).eigenvalues.real))
+            per = [np.min(np.abs(np.linalg.eigvals(s.mean_flow(g, dr)).real))
                    for s in stats_list]
             se = float(np.std(per, ddof=1) / np.sqrt(len(per)))
             rows.append(_spectral_row(g, args.lam, dr, rep) + [args.steps, args.runs, se])
@@ -334,20 +333,19 @@ def cmd_dirichlet(args) -> dict:
     """
     chain, psi = resolve_model(args.model, args.basis)
     probes = np.random.default_rng(args.seed).standard_normal((args.probes, psi.dim))
-    grid = args.beta_grid or EPS_P_BETA_GRID
     reports = {beta: dirichlet_report(chain, psi, beta)
-               for beta in dict.fromkeys((*EPS_P_BETA_GRID, *grid))}
+               for beta in dict.fromkeys((*EPS_P_BETA_GRID, *args.beta_grid))}
     floor = min(reports[beta].gap for beta in EPS_P_BETA_GRID)
     quad_sigma0 = np.einsum("ki,ij,kj->k", probes, feature_stats(chain, psi).sigma0, probes)
     rows = []
-    for beta in grid:
+    for beta in args.beta_grid:
         rep = reports[beta]
         margins = np.einsum("ki,ij,kj->k", probes, rep.m_beta, probes) - rep.gap * quad_sigma0
         # the column is the least gap over the eps_P grid and this row's beta,
         # which need not lie on the grid
         rows.append([beta, rep.gap, min(floor, rep.gap), margins.min(), int(rep.degenerate)])
     warnings = [f"degenerate spectral gap at beta={beta}"
-                for beta in grid if reports[beta].degenerate]
+                for beta in args.beta_grid if reports[beta].degenerate]
     return {"dirichlet.csv": (["beta", "gap", "eps_p", "min_probe_margin", "degenerate"], rows),
             "dirichlet_meta.json": {"warnings": warnings}}
 
@@ -421,10 +419,10 @@ FLAGS = {
     "rho": dict(type=float, default=0.65),
     "burn_in": dict(type=float, default=0.2),
     "snapshots": dict(type=_checked(int, "0 or >= 2", lambda n: n == 0 or n >= 2), default=0),
-    "gamma_grid": dict(type=_checked(float, *_UNIT), nargs="+", default=None),
-    "delta_grid": dict(type=_checked(float, *_DELTA_R), nargs="+", default=None),
+    "gamma_grid": dict(type=_checked(float, *_UNIT), nargs="+", default=DEFAULT_GAMMA_GRID),
+    "delta_grid": dict(type=_checked(float, *_DELTA_R), nargs="+", default=(0.0, 0.5)),
     "beta_grid": dict(type=_checked(float, "in [0, 1)", lambda x: 0 <= x < 1),
-                      nargs="+", default=None),
+                      nargs="+", default=EPS_P_BETA_GRID),
     "probes": dict(type=_checked(int, *_POSITIVE), default=100),
     "fd_step": dict(type=_checked(float, *_FINITE_POSITIVE), default=1e-5),
 }
@@ -434,7 +432,7 @@ FLAGS = {
 # exact overlay of hist and the exact bias are for lam = 0 and on-policy
 # targets, and bias runs the fixed variant from theta_star without burn-in.
 COMMANDS = {
-    "eigs": ("model basis seed lam delta_r gamma_grid delta_grid steps runs", {}),
+    "eigs": ("model basis seed lam gamma_grid delta_grid steps runs", {}),
     "hist": ("model basis seed steps runs gamma delta_r alpha0 rho variant burn_in snapshots",
              {"lam": 0.0, "eval_mode": "on_policy"}),
     "bias": ("model basis seed steps runs gamma delta_r alpha0 rho",

@@ -85,9 +85,6 @@ def builtin_basis(name: str, n_states: int, n_actions: int) -> FeatureMap:
         return tabular_basis(n_states * n_actions)
     if name == "finite_poly":
         return finite_poly_basis(n_states, n_actions)
-    if name == "speedscale":
-        raise ValueError("the speedscale basis is bound to the continuous "
-                         "speed-scaling model (SpeedScalingModel.features)")
     raise ValueError(f"unknown basis {name!r} for finite models")
 
 

@@ -142,8 +142,7 @@ class StepSchedule:
             raise ConfigError("rho must lie in (1/2, 1)")
 
     def alpha(self, n: int) -> float:
-        # one-element array power: bit-identical to the vectorized schedule
-        return float(np.minimum(self.alpha0, np.array([float(n)]) ** (-self.rho))[0])
+        return float(self.alphas(1, n - 1)[0])
 
     def alphas(self, n_steps: int, first: int = 0) -> np.ndarray:
         """alpha_{first+1} .. alpha_{first+n_steps}."""
@@ -388,10 +387,12 @@ class FiniteChainEnv:
 # Time is cut into blocks of _BLOCK_STEPS = _RADIX**4 steps aligned to
 # multiples of _BLOCK_STEPS, and the runs are stepped in groups holding at
 # most _BLOCK_ENTRIES entries of A_n per block, so the memory grows neither
-# with the run length nor with the run count
+# with the run length nor with the run count; a group whose block of maps
+# and inputs would pass _BLOCK_BYTES bytes is rejected before sampling
 _RADIX = 8
 _BLOCK_STEPS = _RADIX ** 4
 _BLOCK_ENTRIES = 1 << 20
+_BLOCK_BYTES = 1 << 30
 
 
 @functools.cache
@@ -596,7 +597,9 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
     threshold, the later groups are stepped only through the block of the
     earliest crossing found so far, and the earliest crossing over all
     groups is raised.  A ``theta0``, ``psi_bar`` or baseline mean whose
-    shape is not (env.dim,) raises ConfigError before anything is sampled.
+    shape is not (env.dim,) raises ConfigError before anything is sampled,
+    and so does a first block of 8 (d + 1)(d + 2) bytes per run and padded
+    step over _BLOCK_BYTES.
     """
     psi_bar_mu = None if config.mu is None else config.mu.psi_bar_mu
     for name, vec in (("theta0", config.theta0), ("psi_bar", config.psi_bar),
@@ -605,6 +608,11 @@ def _batch(env, config: LearnerConfig, n_steps: int, run_indices: tuple[int, ...
             raise ConfigError(f"{name} has shape {np.shape(vec)}, not the feature "
                               f"dimension ({env.dim},)")
     group = max(1, _BLOCK_ENTRIES // (_BLOCK_STEPS * env.dim * env.dim))
+    size = 8 * (env.dim + 1) * (env.dim + 2) * min(group, len(run_indices)) \
+        * _tree_order(min(n_steps, _BLOCK_STEPS)).size
+    if size > _BLOCK_BYTES:
+        raise ConfigError(f"feature dimension d = {env.dim} needs {size / 2**30:.2f} GiB a "
+                          f"block for its maps and inputs, over {_BLOCK_BYTES / 2**30:g} GiB")
     results, crossing = [], None
     for lo in range(0, len(run_indices), group):
         horizon = n_steps if crossing is None else crossing[0]

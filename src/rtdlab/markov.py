@@ -148,6 +148,10 @@ class FiniteChain:
         # each check is written so that a NaN entry fails it
         if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("transition rows must sum to 1 within 1e-12")
+        if not np.all(p >= 0):
+            raise ValueError("transition entries must be nonnegative")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("cost vector must be finite")
         if not (np.all(np.abs(pi @ p - pi) <= 1e-10) and abs(pi.sum() - 1.0) <= 1e-10):
             raise ValueError("stationary vector is not invariant within 1e-10")
         if self.policy is not None:

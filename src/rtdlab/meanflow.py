@@ -64,23 +64,10 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class DirichletReport:
-    beta: float
     m_beta: np.ndarray
     gap: float
     restricted_support: bool
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """First-order motion of the near-zero eigenvalue under Xi + t v w'.
-
-    ``derivative`` uses the general biorthogonal formula
-    (eta_L'v)(w'eta_R)/(eta_L'eta_R).
-    """
-
-    derivative: float
-    eigenvalue: complex
 
 
 def mean_flow_td_lambda(chain: FiniteChain, psi: FeatureMap,
@@ -183,18 +170,18 @@ def dirichlet_report(chain: FiniteChain, psi: FeatureMap, beta: float) -> Dirich
     d_psi = chain.stationary[:, None] * psi.matrix
     m_beta = autocorrelation(chain, psi, 0) - d_psi.T @ (k @ psi.matrix)
     gap = spectral_gap(k, chain)
-    return DirichletReport(beta=beta, m_beta=m_beta, gap=gap,
+    return DirichletReport(m_beta=m_beta, gap=gap,
                            restricted_support=len(chain.support) < chain.n_z,
                            degenerate=gap <= 1e-12)
 
 
-def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> PerturbationReport:
-    """Derivative at t = 0 of the smallest-modulus eigenvalue of A + t v w'.
+def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    """Real part of the derivative at t = 0 of the smallest-modulus eigenvalue of A + t v w'.
 
-    Uses left/right eigenvectors of the tracked eigenvalue:
-    (eta_L'v)(w'eta_R)/(eta_L'eta_R).  Requires the smallest-modulus
-    eigenvalue to be simple (second-smallest modulus separated by more than
-    ``SIMPLE_TOL``).
+    Uses the general biorthogonal formula over the left/right eigenvectors
+    of the tracked eigenvalue, (eta_L'v)(w'eta_R)/(eta_L'eta_R).  Requires
+    that eigenvalue to be simple (second-smallest modulus separated by more
+    than ``SIMPLE_TOL``).
     """
     a = np.asarray(a_matrix, dtype=float)
     eigvals, right = np.linalg.eig(a)
@@ -210,5 +197,5 @@ def eigen_perturbation(a_matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> Pe
     if abs(denom) < 1e-14:
         raise NotSimple("left/right eigenvectors are numerically orthogonal")
     general = (eta_l @ v) * (w @ eta_r) / denom
-    return PerturbationReport(derivative=float(np.real(general)), eigenvalue=complex(eigvals[k]))
+    return float(np.real(general))
 

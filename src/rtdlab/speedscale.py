@@ -65,18 +65,16 @@ class SpeedScalingModel:
         return 4
 
 
-def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int, seed_or_rng,
-                           x0: float | None = None
+def simulate_speed_scaling(model: SpeedScalingModel, n_steps: int,
+                           rng: np.random.Generator, x0: float | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled workload path: returns (x, u, cost) with x, u of length n_steps + 1.
 
     The linear recursion X_{k+1} = (1 - g) X_k + A_{k+1} runs step by step
-    over the pre-drawn arrival sequence, deterministically per seed, from
-    ``x0`` (default ``model.x0``).  Continuing from the last X of a path on
-    the same generator gives the path one longer call would have drawn.
+    over the arrival sequence pre-drawn from ``rng``, from ``x0`` (default
+    ``model.x0``).  Continuing from the last X of a path on the same
+    generator gives the path one longer call would have drawn.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else substream(int(seed_or_rng), 0)
     arrivals = rng.gamma(model.arrival_shape, model.arrival_scale, size=n_steps)
     decay = 1.0 - model.service_gain
     x = np.fromiter(accumulate(arrivals.tolist(), lambda xk, a: decay * xk + a,
@@ -142,12 +140,18 @@ class TrajectoryStats:
                               "estimated mean-flow matrix")
 
 
+def _trajectory(model: SpeedScalingModel, n_steps: int, seed: int,
+                stream: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The features at steps n and n + 1 and the cost at step n, n < n_steps,
+    of the path on substream (seed, stream)."""
+    x, u, cost = simulate_speed_scaling(model, n_steps, substream(seed, stream))
+    psi = model.features(x, u)
+    return psi[:-1], psi[1:], cost
+
+
 def estimate_stats(model: SpeedScalingModel, n_steps: int, seed: int,
                    stream: int = 0) -> TrajectoryStats:
-    rng = substream(seed, stream)
-    x, u, cost = simulate_speed_scaling(model, n_steps, rng)
-    psi = model.features(x, u)
-    body, ahead = psi[:-1], psi[1:]
+    body, ahead, cost = _trajectory(model, n_steps, seed, stream)
     n = len(body)
     return TrajectoryStats(
         r0=body.T @ body / n,
@@ -171,10 +175,7 @@ def estimate_noise_covariance(model: SpeedScalingModel, stats: TrajectoryStats,
     if n_steps <= window:
         raise ConfigError(f"the noise covariance needs more than {window} steps, got {n_steps}")
     theta_star = stats.theta_star(gamma, delta_r)
-    rng = substream(seed, stream)
-    x, u, cost = simulate_speed_scaling(model, n_steps, rng)
-    psi = model.features(x, u)
-    body, ahead = psi[:-1], psi[1:]
+    body, ahead, cost = _trajectory(model, n_steps, seed, stream)
     d = cost + gamma * ahead @ theta_star - body @ theta_star
     if delta_r > 0:
         d = d - delta_r * float(stats.psi_bar @ theta_star)

@@ -306,14 +306,14 @@ def test_criterion_10_eigen_perturbation(chain):
     a1 = mean_flow_td_lambda(chain, tab, 1.0, 0.0)
     psi_bar = feature_mean(chain, tab)
     w = tab.matrix.T @ chain.stationary
-    rep = eigen_perturbation(a1, -psi_bar, w)
+    slope = eigen_perturbation(a1, -psi_bar, w)
     h = 1e-6
     eig0 = np.linalg.eigvals(a1)
     eig1 = np.linalg.eigvals(a1 + h * np.outer(-psi_bar, w))
     fd = (eig1[np.argmin(np.abs(eig1))] - eig0[np.argmin(np.abs(eig0))]).real / h
-    rel = abs(rep.derivative - fd) / abs(fd)
+    rel = abs(slope - fd) / abs(fd)
     assert rel < 1e-3
-    report(10, f"kappa'(0) = {rep.derivative:.6f} vs tracked slope {fd:.6f} "
+    report(10, f"kappa'(0) = {slope:.6f} vs tracked slope {fd:.6f} "
                f"(rel {rel:.1e})")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -357,6 +358,8 @@ REJECTED = [
     # alpha0 is finite and positive, checked before any path is sampled
     *[([command, f"--alpha0={alpha0}", "--runs", "2", "--steps", "100"], "ConfigError")
       for command in ("run", "hist", "bias") for alpha0 in ("nan", "inf", "0", "-1")],
+    # eigs takes its delta_r values from --delta-grid alone
+    (["eigs", "--delta-r", "0.3"], "ConfigError"),
 ]
 
 
@@ -407,6 +410,20 @@ class TestOutputWriter:
         for key, value in fixed.items():
             assert meta["config"][key] == value
 
+    @pytest.mark.parametrize("command, csv, grids", [
+        ("eigs", "eigs.csv", {"gamma_grid": 0, "delta_grid": 2}),
+        ("dirichlet", "dirichlet.csv", {"beta_grid": 0}),
+    ])
+    def test_config_at_defaults_holds_the_grids_that_ran(self, tmp_path, command, csv, grids):
+        # grids -> the column of the CSV that holds the grid's values
+        assert run_cli(command, "--out", str(tmp_path)) == 0
+        config = json.loads(next(tmp_path.glob("*.json")).read_text())["config"]
+        _, rows = read_csv(tmp_path / csv)
+        ran = [tuple(float(row[col]) for col in grids.values()) for row in rows]
+        assert ran == list(itertools.product(*(config[key] for key in grids)))
+        for key in grids:
+            assert config[key] == list(FLAGS[key]["default"])
+
     def test_speed_scaling_eigs_records_its_sample_sizes(self, tmp_path):
         # --runs not given takes its default, and both are in the config
         assert run_cli("eigs", "--out", str(tmp_path), "--model", "speed_scaling",
@@ -439,7 +456,7 @@ def test_subcommands_import_neither_numpy_ma_nor_scipy(tmp_path):
 
 # subcommand -> (flags it reads, values it fixes)
 COMMAND_FLAGS = {
-    "eigs": ("model basis seed lam delta_r gamma_grid delta_grid steps runs", {}),
+    "eigs": ("model basis seed lam gamma_grid delta_grid steps runs", {}),
     "hist": ("model basis seed steps runs gamma delta_r alpha0 rho variant burn_in snapshots",
              {"lam": 0.0, "eval_mode": "on_policy"}),
     "bias": ("model basis seed steps runs gamma delta_r alpha0 rho",

@@ -11,7 +11,7 @@ from rtdlab import learner, models
 from rtdlab.asymptotics import noise_variant
 from rtdlab.errors import ConfigError, MissingSplitSample, NumericalDivergence
 from rtdlab.features import (FeatureMap, baseline_mean, feature_mean, feature_stats,
-                             finite_poly_basis)
+                             finite_poly_basis, tabular_basis)
 from rtdlab.learner import (VARIANTS, FiniteChainEnv, LearnerConfig, StepSchedule,
                             empirical_bias, empirical_clt_samples, run, run_many,
                             snapshot_indices, substream)
@@ -40,6 +40,13 @@ def env(chain, psi):
     return FiniteChainEnv(chain, psi)
 
 
+@pytest.fixture(scope="module")
+def tabular_200():
+    """A 100 x 2 chain with the tabular basis: d = 200."""
+    chain = sparse_chain(100, 2, 5)
+    return FiniteChainEnv(chain, tabular_basis(chain.n_z))
+
+
 def bare_chain(chain):
     """The chain's matrices without the policy ``build_chain`` recorded."""
     return FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
@@ -62,6 +69,14 @@ class TestStepSchedule:
         assert s.alpha(100) == pytest.approx(100 ** -0.65)
         al = s.alphas(100)
         assert al[0] == 0.5 and al[99] == s.alpha(100)
+
+    @pytest.mark.parametrize("alpha0", [1e-6, 0.02, 0.5])
+    @pytest.mark.parametrize("rho", [0.51, 0.65, 0.99])
+    def test_alpha_is_the_gain_the_blocks_use(self, alpha0, rho):
+        # the learner takes its gains in blocks, alphas(k, first)
+        s = StepSchedule(alpha0, rho)
+        for n in (8, 100, 4097, 10 ** 5, 2 ** 31):
+            assert s.alpha(n) == s.alphas(8, n - 8)[-1]
 
     def test_invalid_rho(self):
         with pytest.raises(ConfigError):
@@ -113,6 +128,18 @@ class TestConfigValidation:
         with mock.patch.object(env, "sample_block", side_effect=AssertionError("sampled")):
             with pytest.raises(ConfigError, match=field):
                 run_many(env, cfg, 10, 2)
+
+    def test_oversized_block_rejected_before_sampling(self, tabular_200):
+        # 8 (d + 1)(d + 2) bytes per step of a 4,096-step block: 1.24 GiB at d = 200
+        with mock.patch.object(tabular_200, "sample_block",
+                               side_effect=AssertionError("sampled")):
+            with pytest.raises(ConfigError, match=r"d = 200 needs 1\.24 GiB"):
+                run_many(tabular_200, config(), 4096, 1)
+
+    def test_short_run_at_the_same_dimension_runs(self, tabular_200):
+        # the first block pads 10 steps to 64
+        res = run_many(tabular_200, config(), 10, 1)[0]
+        assert res.n_steps == 10 and np.all(np.isfinite(res.theta_final))
 
 
 class TestTdStep:

@@ -108,6 +108,19 @@ class TestBuildChain:
             FiniteChain(transition=chain.transition, cost_vec=chain.cost_vec,
                         stationary=chain.stationary, policy=table)
 
+    def test_negative_transition_rejected(self):
+        # rows that sum to 1, with [0, 1] invariant
+        with pytest.raises(ValueError, match="nonnegative"):
+            FiniteChain(transition=[[1.5, -0.5], [0.0, 1.0]], cost_vec=[0.0, 1.0],
+                        stationary=[0.0, 1.0])
+
+    @pytest.mark.parametrize("cost", [[float("nan"), 1.0], [0.0, float("inf")],
+                                      [-float("inf"), 0.0]])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="cost vector"):
+            FiniteChain(transition=[[0.5, 0.5], [0.5, 0.5]], cost_vec=cost,
+                        stationary=[0.5, 0.5])
+
 
 NAN = float("nan")
 
@@ -136,6 +149,7 @@ class TestNanRejected:
         ("transition", (0, 1), "transition rows"),
         ("stationary", 2, "stationary"),
         ("policy", (1, 0), "policy"),
+        ("cost_vec", 3, "cost vector"),
     ])
     def test_chain(self, chain, field, index, match):
         arrays = dict(transition=chain.transition, cost_vec=chain.cost_vec,

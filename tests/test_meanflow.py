@@ -281,8 +281,8 @@ class TestEigenPerturbation:
     def test_decoupled_scalar(self):
         xi = np.diag([0.0, -1.0])
         e1 = np.array([1.0, 0.0])
-        rep = eigen_perturbation(xi, e1, e1)
-        assert rep.derivative == pytest.approx(1.0, abs=1e-12)
+        slope = eigen_perturbation(xi, e1, e1)
+        assert slope == pytest.approx(1.0, abs=1e-12)
 
     def test_not_simple_rejected(self):
         with pytest.raises(NotSimple):
@@ -293,24 +293,24 @@ class TestEigenPerturbation:
         a1 = mean_flow_td_lambda(chain, tab, 1.0, 0.0)
         psi_bar = feature_mean(chain, tab)
         mu = np.full(6, 1 / 6)
-        rep = eigen_perturbation(a1, -psi_bar, tab.matrix.T @ mu)
+        slope = eigen_perturbation(a1, -psi_bar, tab.matrix.T @ mu)
         xi_unit = np.ones(6) / np.sqrt(6)
         paper = -(xi_unit @ psi_bar) * (xi_unit @ (tab.matrix.T @ mu))
-        assert rep.derivative == pytest.approx(paper, rel=1e-8)
+        assert slope == pytest.approx(paper, rel=1e-8)
 
     def test_finite_difference_tracking(self, chain):
         tab = tabular_basis(6)
         a1 = mean_flow_td_lambda(chain, tab, 1.0, 0.0)
         psi_bar = feature_mean(chain, tab)
         w = tab.matrix.T @ chain.stationary
-        rep = eigen_perturbation(a1, -psi_bar, w)
+        slope = eigen_perturbation(a1, -psi_bar, w)
         h = 1e-6
         eig0 = np.linalg.eigvals(a1)
         eig1 = np.linalg.eigvals(a1 + h * np.outer(-psi_bar, w))
         k0 = eig0[np.argmin(np.abs(eig0))]
         k1 = eig1[np.argmin(np.abs(eig1))]
         fd = (k1 - k0).real / h
-        assert rep.derivative == pytest.approx(fd, rel=1e-3)
+        assert slope == pytest.approx(fd, rel=1e-3)
 
 
 @pytest.fixture(scope="module")

@@ -48,14 +48,14 @@ class TestModel:
 
 class TestSimulation:
     def test_deterministic_per_seed(self, model):
-        x1, u1, c1 = simulate_speed_scaling(model, 1000, 7)
-        x2, u2, c2 = simulate_speed_scaling(model, 1000, 7)
+        x1, u1, c1 = simulate_speed_scaling(model, 1000, substream(7, 0))
+        x2, u2, c2 = simulate_speed_scaling(model, 1000, substream(7, 0))
         assert np.array_equal(x1, x2) and np.array_equal(c1, c2)
 
     def test_zero_arrivals_decay(self):
         # degenerate arrivals (scale 0): X decays geometrically at rate 1 - gain
         model = SpeedScalingModel(arrival_scale=0.0)
-        x, u, c = simulate_speed_scaling(model, 10, 3)
+        x, u, c = simulate_speed_scaling(model, 10, substream(3, 0))
         decay = 1.0 - model.service_gain
         expect = [model.x0]
         for _ in range(10):
@@ -63,7 +63,7 @@ class TestSimulation:
         assert np.array_equal(x, expect)
 
     def test_matches_sequential_recursion(self, model):
-        x, u, c = simulate_speed_scaling(model, 50, 11)
+        x, u, c = simulate_speed_scaling(model, 50, substream(11, 0))
         rng = substream(11, 0)
         arrivals = rng.gamma(model.arrival_shape, model.arrival_scale, size=50)
         xs = model.x0
@@ -72,7 +72,7 @@ class TestSimulation:
             assert x[k + 1] == xs
 
     def test_state_positive_and_mean(self, model):
-        x, u, c = simulate_speed_scaling(model, 10 ** 6, 13)
+        x, u, c = simulate_speed_scaling(model, 10 ** 6, substream(13, 0))
         assert np.min(x) >= 0
         assert np.all(c >= 0)
         # fixed point of E X = (1 - gain) E X + arrival mean
